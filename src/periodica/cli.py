@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from . import connectivity, corpus, decomposition, periodicity, steenrod
 from .algebra import AlgebraDefect, Element, GradedAlgebra, verify_poincare_duality
-from .periodicity import (DegreeBoundViolated, PeriodicityCertificate,
+from .periodicity import (ConsistencyFailure, DegreeBoundViolated, PeriodicityCertificate,
                           SearchCapExceeded, WellDefinednessFailure)
 from .steenrod import ActionDefect, IsPowerOfTwo, SteenrodAction
 
@@ -83,29 +83,6 @@ def _element_payload(e: Element) -> dict:
     return {"degree": e.degree, "coeffs": list(e.coeffs)}
 
 
-def _sharded_search(alg, k, cap, jobs):
-    """Run the degree-k search across jobs shards; the lexicographically
-    least certificate wins, and one inconclusive shard taints a miss."""
-    if jobs <= 1:
-        return periodicity.find_inducing_element(alg, k, cap=cap)
-    best = None
-    verdicts = []
-    for i in range(jobs):
-        out = periodicity.find_inducing_element(alg, k, cap=cap,
-                                                shard_index=i, shard_count=jobs)
-        if isinstance(out, PeriodicityCertificate):
-            if best is None or out.element.coeffs < best.element.coeffs:
-                best = out
-        else:
-            verdicts.append(out)
-    if best is not None:
-        return best
-    for v in verdicts:
-        if v.status == "inconclusive":
-            return v
-    return verdicts[0]
-
-
 def _certificate_for(alg, x: Element, cap):
     """Certificate for a user-supplied element, or a refusal payload."""
     k = x.degree
@@ -147,7 +124,6 @@ def _cmd_validate(args, cap):
 
 def _cmd_periodicity(args, cap):
     alg, _ = load_algebra_file(args.file)
-    jobs = getattr(args, "jobs", 1)
     if args.k is not None:
         ks = [args.k]
         if not 1 <= args.k <= alg.n - 1:
@@ -155,8 +131,7 @@ def _cmd_periodicity(args, cap):
     else:
         ks = list(range(1, alg.n))
     found, misses, unsure = {}, [], []
-    for k in ks:
-        out = _sharded_search(alg, k, cap, jobs)
+    for k, out in periodicity.search_degrees(alg, ks, cap=cap).items():
         if isinstance(out, PeriodicityCertificate):
             found[k] = out
         elif out.status == "inconclusive":
@@ -380,8 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--human", action="store_true", default=argparse.SUPPRESS,
                         help="prose output instead of the JSON report")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="shard count for element searches")
     parser = argparse.ArgumentParser(
         prog="periodica", parents=[common],
         description="Exact periodicity analysis for finite graded algebras.")
@@ -449,7 +422,7 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DegreeBoundViolated, WellDefinednessFailure) as e:
+    except (ConsistencyFailure, DegreeBoundViolated, WellDefinednessFailure) as e:
         status, payload, human = "violation", {"problem": str(e)}, [f"refused: {e}"]
     except SearchCapExceeded as e:
         status, payload, human = "inconclusive", {"problem": str(e)}, [f"capped: {e}"]

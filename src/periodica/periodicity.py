@@ -36,6 +36,10 @@ class HypothesisNotMet(RuntimeError):
     """A checked statement's hypotheses fail on the given input."""
 
 
+class ConsistencyFailure(RuntimeError):
+    """A result the mathematics guarantees failed to hold on computed data."""
+
+
 @dataclass(frozen=True)
 class PeriodicityCertificate:
     k: int
@@ -148,116 +152,206 @@ def verify_certificate(alg, cert: PeriodicityCertificate) -> bool:
     return False
 
 
-def _direct_inducers_by_degree(alg, max_degree: int, cap: int):
-    """Exhaustive direct inducers in each degree d <= max_degree with 3d <= n-1."""
-    out = {}
-    for d in range(1, max_degree + 1):
-        if 3 * d > alg.n - 1:
-            break
-        size = alg.p ** alg.dim(d)
-        if size > cap:
-            raise SearchCapExceeded(f"degree {d} has {size} candidates, cap {cap}")
-        out[d] = [v for v in fplin.enumerate_vectors(alg.dim(d), alg.p)
-                  if _window_failure(alg, d, v) is None]
-    return out
+# Products per einsum block; bounds the memory one block of the span takes.
+_TILE = 4096
 
 
-def _product_span(alg, k: int, cap: int):
-    """Degree-k products of direct inducers, keyed by vector with factor lists.
+def _tiles(rows: int, cols: int):
+    """Row-major (r0, r1, s0, s1) tiles of a rows x cols block, each at most _TILE."""
+    if not cols:
+        return
+    if cols >= _TILE:
+        for r in range(rows):
+            for s0 in range(0, cols, _TILE):
+                yield r, r + 1, s0, min(s0 + _TILE, cols)
+    else:
+        step = _TILE // cols
+        for r0 in range(0, rows, step):
+            yield r0, min(r0 + step, rows), 0, cols
 
-    First factorization in (degree, prefix, factor) lexicographic order wins,
-    so the result is deterministic.
+
+class _ProductSpan:
+    """Products of direct inducers for one search, grown degree by degree.
+
+    The degree-d products multiply a reach vector of degree a = d - b by a
+    direct inducer of degree b, for b = 1 .. min((n-1)//3, d-1) in turn,
+    reach vectors in sorted order and inducers in enumeration order; the
+    first factorization met wins, so certificates are deterministic.  The
+    reach of degree a is its direct inducers (when 3a <= n-1) followed by
+    the degree-a products not among them.  Each (a, b) block is one einsum,
+    deduplicated with np.unique.  Direct inducers, products and reaches are
+    kept per degree for the engine's lifetime only; nothing is stored on
+    the algebra.
     """
-    max_degree = min((alg.n - 1) // 3, k - 1)
-    inducers = _direct_inducers_by_degree(alg, max_degree, cap)
-    reach: dict[int, dict[tuple, tuple[Element, ...]]] = {}
-    for d, vs in inducers.items():
-        reach[d] = {}
-        for v in vs:
-            reach[d].setdefault(tuple(int(c) for c in v), (Element.of(d, v),))
-    stored = sum(len(m) for m in reach.values())
-    for d in range(2, k + 1):
-        grown = reach.setdefault(d, {})
-        for b in sorted(inducers):
-            a = d - b
-            if a < 1 or a not in reach or a == d:
-                continue
-            for ta in sorted(reach[a]):
-                fa = reach[a][ta]
-                for vb in inducers[b]:
-                    w = alg.cup(a, np.array(ta, dtype=np.int64), b, vb)
-                    tw = tuple(int(c) for c in w)
-                    if tw not in grown:
-                        grown[tw] = fa + (Element.of(b, vb),)
-                        stored += 1
-                        if stored > cap:
+
+    def __init__(self, alg, cap: int):
+        self.alg = alg
+        self.cap = cap
+        self.top = (alg.n - 1) // 3
+        self._inducers = {}  # d -> direct inducers, one per row, enumeration order
+        self._products = {}  # d -> (key -> row, [(b, reach row, inducer row)])
+        self._reach = {}     # a -> (sorted keys as rows, product row or -1 - inducer row)
+        self._spans = {}     # k -> span(k), or the message of the refusal
+
+    def span(self, k: int) -> dict:
+        """Degree-k products as key -> row, in the order they were found.
+
+        Raises SearchCapExceeded when a degree d <= min((n-1)//3, k-1) has
+        more than cap candidates, or when the direct inducers of those
+        degrees plus the products stored while growing to degree k pass cap
+        after at least one product was stored.  Growth stops there.
+        """
+        if k not in self._spans:
+            try:
+                self._spans[k] = self._grow_to(k)
+            except SearchCapExceeded as exc:
+                self._spans[k] = str(exc)
+        out = self._spans[k]
+        if isinstance(out, str):
+            raise SearchCapExceeded(out)
+        return out
+
+    def factors(self, k: int, key: tuple) -> tuple[Element, ...]:
+        """The direct inducers, in multiplication order, whose product is key."""
+        return self._factors(k, self.span(k)[key])
+
+    def _factors(self, d, row):
+        b, r, s = self._products[d][1][row]
+        keys, origin = self._reach[d - b]
+        head = ((Element.of(d - b, keys[r]),) if origin[r] < 0
+                else self._factors(d - b, origin[r]))
+        return head + (Element.of(b, self._inducers[b][s]),)
+
+    def _grow_to(self, k):
+        alg, cap = self.alg, self.cap
+        low = min(self.top, k - 1)
+        for d in range(1, low + 1):
+            size = alg.p ** alg.dim(d)
+            if size > cap:
+                raise SearchCapExceeded(f"degree {d} has {size} candidates, cap {cap}")
+        stored = sum(len(self._direct(d)) for d in range(1, low + 1))
+        for d in range(1, k + 1):
+            # Below degree k the reach already holds the direct inducers, so
+            # a product equal to one of them is not stored again.
+            held = {tuple(v) for v in self._direct(d).tolist()} if d <= low else set()
+            stored += self._grow(d, held, max(cap - stored, 0))
+        return self._products[k][0]
+
+    def _grow(self, d, held, limit):
+        """Count the degree-d products outside held; refuse past limit."""
+        if d not in self._products:
+            self._products[d] = self._multiply(d, held, limit)
+        index = self._products[d][0]
+        count = len(index) - sum(t in index for t in held)
+        if count > limit:
+            raise SearchCapExceeded(f"product search stored over {self.cap} vectors")
+        return count
+
+    def _multiply(self, d, held, limit):
+        alg, p, dim = self.alg, self.alg.p, self.alg.dim(d)
+        index, parents, fresh = {}, [], 0
+        for b in range(1, min(self.top, d - 1) + 1):
+            keys, inducers = self._reach_keys(d - b), self._direct(b)
+            m3 = alg.mult3(d - b, b)
+            for r0, r1, s0, s1 in _tiles(len(keys), len(inducers)):
+                block = np.einsum("tab,ra,sb->rst", m3, keys[r0:r1], inducers[s0:s1]) % p
+                flat = block.reshape((r1 - r0) * (s1 - s0), dim)
+                first = np.sort(np.unique(flat, axis=0, return_index=True)[1])
+                width = s1 - s0
+                for j, row in zip(first.tolist(), flat[first].tolist()):
+                    t = tuple(row)
+                    if t in index:
+                        continue
+                    index[t] = len(parents)
+                    parents.append((b, r0 + j // width, s0 + j % width))
+                    if t not in held:
+                        fresh += 1
+                        if fresh > limit:
                             raise SearchCapExceeded(
-                                f"product search stored over {cap} vectors")
-    return reach.get(k, {})
+                                f"product search stored over {self.cap} vectors")
+        return index, parents
+
+    def _reach_keys(self, a):
+        if a not in self._reach:
+            direct = self._direct(a).tolist() if a <= self.top else []
+            origin = {tuple(v): -1 - i for i, v in enumerate(direct)}
+            for t, row in self._products[a][0].items():
+                origin.setdefault(t, row)
+            keys = sorted(origin)
+            self._reach[a] = (np.array(keys, dtype=np.int64).reshape(len(keys), self.alg.dim(a)),
+                              [origin[t] for t in keys])
+        return self._reach[a][0]
+
+    def _direct(self, d):
+        if d not in self._inducers:
+            alg, dim = self.alg, self.alg.dim(d)
+            found = [v for v in fplin.enumerate_vectors(dim, alg.p)
+                     if _window_failure(alg, d, v) is None]
+            self._inducers[d] = np.array(found, dtype=np.int64).reshape(len(found), dim)
+        return self._inducers[d]
 
 
-def _sample_search(alg, k, samples, seed):
+def _induces(span: _ProductSpan, k: int, v) -> bool:
+    """Whether the degree-k vector v induces periodicity (see element_induces)."""
+    alg = span.alg
+    if 3 * k <= alg.n - 1:
+        return _window_failure(alg, k, v) is None
+    return tuple(int(c) for c in v) in span.span(k)
+
+
+def _exhaustive(alg, k: int, mode: str):
+    """Scan degree k in lexicographic order for a window pass."""
+    for v in fplin.enumerate_vectors(alg.dim(k), alg.p):
+        if _window_failure(alg, k, v) is None:
+            return PeriodicityCertificate(k, Element.of(k, v), mode)
+    return SearchVerdict(
+        k, "exhausted",
+        f"all {alg.p ** alg.dim(k)} degree-{k} candidates fail the window conditions")
+
+
+def _sampled(alg, k: int, mode: str, samples: int, seed: int, reason: str):
+    """Test random degree-k vectors; a hit certifies, a miss is inconclusive."""
     rng = np.random.default_rng(seed)
     dk = alg.dim(k)
     for _ in range(samples):
         v = rng.integers(0, alg.p, size=dk).astype(np.int64)
         if _window_failure(alg, k, v) is None:
-            return v
-    return None
+            return PeriodicityCertificate(k, Element.of(k, v), mode)
+    return SearchVerdict(k, "inconclusive", reason)
 
 
 def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
                           samples: int = DEFAULT_SAMPLE_COUNT, seed: int = 0,
-                          shard_index: int = 0, shard_count: int = 1):
+                          *, _span: _ProductSpan | None = None):
     """Search degree k for an inducing element.
 
     Returns a PeriodicityCertificate or a SearchVerdict with status
     "exhausted" (provably none) or "inconclusive" (capped search found
-    nothing).  Exhaustive scans visit vectors in lexicographic order;
-    shard_index/shard_count split that enumeration so independent calls can
-    cover disjoint slices and the lexicographically least hit is canonical.
+    nothing).  Exhaustive scans visit vectors in lexicographic order, so
+    the certificate found is the lexicographically least one.  _span lets
+    calls on one algebra and cap share one product span (search_degrees).
     """
     n = alg.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"degree {k} outside 1..{n - 1}")
-    if shard_count < 1 or not 0 <= shard_index < shard_count:
-        raise ValueError("bad shard parameters")
-    dk = alg.dim(k)
-    space = alg.p ** dk
-    if 3 * k <= n - 1:
-        if space <= cap:
-            for idx, v in enumerate(fplin.enumerate_vectors(dk, alg.p)):
-                if idx % shard_count != shard_index:
-                    continue
-                if _window_failure(alg, k, v) is None:
-                    return PeriodicityCertificate(k, Element.of(k, v), "direct")
-            return SearchVerdict(
-                k, "exhausted",
-                f"all {space} degree-{k} candidates fail the window conditions")
-        try:
-            span = _product_span(alg, k, cap)
-        except SearchCapExceeded:
-            span = {}
-        if span:
-            t = sorted(span)[0]
-            return PeriodicityCertificate(
-                k, Element.of(k, np.array(t, dtype=np.int64)), "product", span[t])
-        found = _sample_search(alg, k, samples, seed)
-        if found is not None:
-            return PeriodicityCertificate(k, Element.of(k, found), "direct")
-        return SearchVerdict(
-            k, "inconclusive",
-            f"{space} candidates exceed cap {cap}; products and {samples} samples found nothing")
-    # 3k > n-1: only product certificates or a gap-free window pass remain.
-    complete = True
+    space = alg.p ** alg.dim(k)
+    direct = 3 * k <= n - 1
+    if direct and space <= cap:
+        return _exhaustive(alg, k, "direct")
+    if _span is None:
+        _span = _ProductSpan(alg, cap)
     try:
-        span = _product_span(alg, k, cap)
+        products, complete = _span.span(k), True
     except SearchCapExceeded:
-        span, complete = {}, False
-    if span:
-        t = sorted(span)[0]
-        return PeriodicityCertificate(
-            k, Element.of(k, np.array(t, dtype=np.int64)), "product", span[t])
+        products, complete = {}, False
+    if products:
+        t = min(products)
+        return PeriodicityCertificate(k, Element.of(k, t), "product", _span.factors(k, t))
+    if direct:
+        return _sampled(alg, k, "direct", samples, seed,
+                        f"{space} candidates exceed cap {cap}; products and {samples} "
+                        "samples found nothing")
+    # 3k > n-1: only product certificates or a gap-free window pass remain.
     gap = window_gap(alg, k)
     if gap:
         if complete:
@@ -266,20 +360,17 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
                 f"no product of inducers reaches degree {k} and degrees {gap} escape the window")
         return SearchVerdict(k, "inconclusive", "product search passed the cap")
     if space <= cap:
-        for idx, v in enumerate(fplin.enumerate_vectors(dk, alg.p)):
-            if idx % shard_count != shard_index:
-                continue
-            if _window_failure(alg, k, v) is None:
-                return PeriodicityCertificate(k, Element.of(k, v), "window")
-        return SearchVerdict(
-            k, "exhausted",
-            f"all {space} degree-{k} candidates fail the window conditions")
-    found = _sample_search(alg, k, samples, seed)
-    if found is not None:
-        return PeriodicityCertificate(k, Element.of(k, found), "window")
-    return SearchVerdict(
-        k, "inconclusive",
-        f"{space} candidates exceed cap {cap}; {samples} samples found nothing")
+        return _exhaustive(alg, k, "window")
+    return _sampled(alg, k, "window", samples, seed,
+                    f"{space} candidates exceed cap {cap}; {samples} samples found nothing")
+
+
+def search_degrees(alg, degrees, cap: int = DEFAULT_SEARCH_CAP,
+                   samples: int = DEFAULT_SAMPLE_COUNT, seed: int = 0) -> dict:
+    """find_inducing_element for each degree, all sharing one product span."""
+    span = _ProductSpan(alg, cap)
+    return {k: find_inducing_element(alg, k, cap=cap, samples=samples, seed=seed, _span=span)
+            for k in degrees}
 
 
 def minimum_period(alg, cap: int = DEFAULT_SEARCH_CAP,
@@ -288,23 +379,21 @@ def minimum_period(alg, cap: int = DEFAULT_SEARCH_CAP,
 
     All degrees 1..n-1 are scanned so the report also carries every other
     period found; when 3 * period <= n - 2 each of those must be a multiple
-    of the minimum, and this is asserted.
+    of the minimum, and ConsistencyFailure is raised when one is not.
     """
     n = alg.n
-    period, certificate = None, None
-    periods, inconclusive = [], []
-    for k in range(1, n):
-        out = find_inducing_element(alg, k, cap=cap, samples=samples, seed=seed)
-        if isinstance(out, PeriodicityCertificate):
-            periods.append(k)
-            if period is None:
-                period, certificate = k, out
-        elif out.status == "inconclusive":
-            inconclusive.append(k)
+    found = search_degrees(alg, range(1, n), cap=cap, samples=samples, seed=seed)
+    periods = [k for k, out in found.items() if isinstance(out, PeriodicityCertificate)]
+    inconclusive = [k for k, out in found.items()
+                    if isinstance(out, SearchVerdict) and out.status == "inconclusive"]
+    period = periods[0] if periods else None
+    certificate = found[period] if periods else None
     checked = period is not None and 3 * period <= n - 2
     if checked:
         for k in periods:
-            assert k % period == 0, f"period {k} is not a multiple of the minimum {period}"
+            if k % period:
+                raise ConsistencyFailure(
+                    f"period {k} is not a multiple of the minimum {period}")
     return MinimumPeriodReport(period, certificate, tuple(periods),
                                tuple(inconclusive), checked)
 
@@ -508,11 +597,7 @@ def element_induces(alg, k: int, vec, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     The direct window test when 3k <= n-1; otherwise membership in the set
     of degree-k products of lower-degree direct inducers.
     """
-    v = fplin.as_vector(vec, alg.p)
-    if 3 * k <= alg.n - 1:
-        return _window_failure(alg, k, v) is None
-    span = _product_span(alg, k, cap)
-    return tuple(int(c) for c in v) in span
+    return _induces(_ProductSpan(alg, cap), k, fplin.as_vector(vec, alg.p))
 
 
 @dataclass(frozen=True)
@@ -532,12 +617,13 @@ def is_irreducible(window, x: Element, cap: int = DEFAULT_SEARCH_CAP) -> Irreduc
     if window.p ** dk > cap:
         raise SearchCapExceeded(f"{window.p ** dk} decompositions exceed cap {cap}")
     xv = x.as_vector() % window.p
+    span = _ProductSpan(window, cap)
     memo: dict[tuple, bool] = {}
 
     def induces(v):
         t = tuple(int(c) for c in v)
         if t not in memo:
-            memo[t] = element_induces(window, k, v, cap)
+            memo[t] = _induces(span, k, v)
         return memo[t]
 
     for a in fplin.enumerate_vectors(dk, window.p):
@@ -564,8 +650,8 @@ def nonperiodic_subspace(window, k: int, cap: int = DEFAULT_SEARCH_CAP):
     dk = window.dim(k)
     if p ** dk > cap:
         raise SearchCapExceeded(f"{p ** dk} candidates exceed cap {cap}")
-    bad = [v for v in fplin.enumerate_vectors(dk, p)
-           if not element_induces(window, k, v, cap)]
+    span = _ProductSpan(window, cap)
+    bad = [v for v in fplin.enumerate_vectors(dk, p) if not _induces(span, k, v)]
     if len(bad) <= 1:
         return fplin.Subspace.zero(p, dk)
     keys = {tuple(int(c) for c in v) for v in bad}
@@ -576,7 +662,9 @@ def nonperiodic_subspace(window, k: int, cap: int = DEFAULT_SEARCH_CAP):
                 return ClosureViolation(Element.of(k, a), Element.of(k, b),
                                         Element.of(k, s))
     space = fplin.Subspace.from_vectors(bad, p, dk)
-    assert p ** space.dim == len(bad)
+    if p ** space.dim != len(bad):
+        raise ConsistencyFailure(
+            f"{len(bad)} additively closed vectors span a space of dimension {space.dim}")
     return space
 
 

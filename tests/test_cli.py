@@ -118,10 +118,10 @@ def test_periodicity_full_scan(capsys, cs_file):
     assert doc["payload"]["certificates"]["2"]["element"]["coeffs"] == [1, 1]
 
 
-def test_sharded_search_matches_plain(capsys, cs_file):
-    _, plain, _ = run(capsys, "periodicity", cs_file)
-    _, sharded, _ = run(capsys, "periodicity", cs_file, "--jobs", "3")
-    assert plain == sharded
+def test_jobs_flag_is_bad_input(capsys, cs_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["periodicity", cs_file, "--jobs", "3"])
+    assert exc.value.code == 2
 
 
 def test_subquotient_and_refusal(capsys, cs_file):

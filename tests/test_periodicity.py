@@ -4,15 +4,19 @@ Numeric oracles are frozen from hand calculations on truncated polynomial
 rings and their connected sums.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from periodica import corpus, fplin
 from periodica import periodicity as P
-from periodica.algebra import Element
-from periodica.periodicity import (ClosureViolation, DegreeBoundViolated,
+from periodica.algebra import Element, GradedAlgebra
+from periodica.periodicity import (ClosureViolation, ConsistencyFailure, DegreeBoundViolated,
                                    PeriodicityCertificate, SearchCapExceeded,
-                                   WellDefinednessFailure, WindowRefusal)
+                                   WellDefinednessFailure, WindowRefusal, _window_failure)
 
 
 def build(text):
@@ -236,12 +240,6 @@ def test_found_certificates_verify():
             out = P.find_inducing_element(alg, k)
             assert isinstance(out, PeriodicityCertificate)
             assert P.verify_certificate(alg, out), (text, k)
-        # sharded search agrees with the plain one on the minimum degree
-        k = rep.period
-        parts = [P.find_inducing_element(alg, k, shard_index=i, shard_count=3)
-                 for i in range(3)]
-        hits = [c for c in parts if isinstance(c, PeriodicityCertificate)]
-        assert min(c.element.coeffs for c in hits) == rep.certificate.element.coeffs
 
 
 def test_search_verdicts():
@@ -252,3 +250,171 @@ def test_search_verdicts():
     cs = build("ConnectedSum(ComplexProj(4),ComplexProj(4))@2").algebra
     out = P.find_inducing_element(cs, 2, cap=1, samples=0)
     assert out.status == "inconclusive"
+
+
+def test_period_divisibility_failure_is_typed(monkeypatch):
+    alg = build("ComplexProj(6)@2").algebra
+    cert = P.find_inducing_element(alg, 2)
+    monkeypatch.setattr(P, "search_degrees",
+                        lambda alg, degrees, **kw: {2: cert, 3: cert})
+    with pytest.raises(ConsistencyFailure):
+        P.minimum_period(alg)
+
+
+def test_nonperiodic_subspace_size_check_is_typed(monkeypatch):
+    w = window_of(build("ComplexProj(4)@2"))
+    monkeypatch.setattr(P, "_induces", lambda span, k, v: False)
+    monkeypatch.setattr(fplin.Subspace, "from_vectors",
+                        classmethod(lambda cls, vs, p, dim: fplin.Subspace.zero(p, dim)))
+    with pytest.raises(ConsistencyFailure):
+        P.nonperiodic_subspace(w, 2)
+
+
+# The per-degree product span the engine replaced: the reference it must match.
+
+def _direct_inducers_by_degree(alg, max_degree: int, cap: int):
+    """Exhaustive direct inducers in each degree d <= max_degree with 3d <= n-1."""
+    out = {}
+    for d in range(1, max_degree + 1):
+        if 3 * d > alg.n - 1:
+            break
+        size = alg.p ** alg.dim(d)
+        if size > cap:
+            raise SearchCapExceeded(f"degree {d} has {size} candidates, cap {cap}")
+        out[d] = [v for v in fplin.enumerate_vectors(alg.dim(d), alg.p)
+                  if _window_failure(alg, d, v) is None]
+    return out
+
+
+def _product_span(alg, k: int, cap: int):
+    """Degree-k products of direct inducers, keyed by vector with factor lists.
+
+    First factorization in (degree, prefix, factor) lexicographic order wins,
+    so the result is deterministic.
+    """
+    max_degree = min((alg.n - 1) // 3, k - 1)
+    inducers = _direct_inducers_by_degree(alg, max_degree, cap)
+    reach: dict[int, dict[tuple, tuple[Element, ...]]] = {}
+    for d, vs in inducers.items():
+        reach[d] = {}
+        for v in vs:
+            reach[d].setdefault(tuple(int(c) for c in v), (Element.of(d, v),))
+    stored = sum(len(m) for m in reach.values())
+    for d in range(2, k + 1):
+        grown = reach.setdefault(d, {})
+        for b in sorted(inducers):
+            a = d - b
+            if a < 1 or a not in reach or a == d:
+                continue
+            for ta in sorted(reach[a]):
+                fa = reach[a][ta]
+                for vb in inducers[b]:
+                    w = alg.cup(a, np.array(ta, dtype=np.int64), b, vb)
+                    tw = tuple(int(c) for c in w)
+                    if tw not in grown:
+                        grown[tw] = fa + (Element.of(b, vb),)
+                        stored += 1
+                        if stored > cap:
+                            raise SearchCapExceeded(
+                                f"product search stored over {cap} vectors")
+    return reach.get(k, {})
+
+
+def _refusal_or(fn):
+    try:
+        return fn()
+    except SearchCapExceeded as exc:
+        return str(exc)
+
+
+def assert_span_matches_reference(alg, caps):
+    """Every degree, queried upward and downward through one shared engine,
+    gives the reference's keys in its order with its factors, or its refusal."""
+    for cap in caps:
+        want = {k: _refusal_or(lambda: list(_product_span(alg, k, cap).items()))
+                for k in range(1, alg.n)}
+        for degrees in (range(1, alg.n), range(alg.n - 1, 0, -1)):
+            span = P._ProductSpan(alg, cap)
+            for k in degrees:
+                got = _refusal_or(lambda: [(t, span.factors(k, t)) for t in span.span(k)])
+                assert got == want[k], (cap, k)
+
+
+SPAN_CAPS = (50, 500, P.DEFAULT_SEARCH_CAP)
+
+
+@pytest.mark.parametrize("text", [
+    "ComplexProj(4)@2", "ComplexProj(6)@3", "QuatProj(4)@2", "Sphere(8)@2",
+    "TruncatedPoly(2,5)@3", "ConnectedSum(ComplexProj(4),ComplexProj(4))@2",
+    "ConnectedSum(ComplexProj(5),ComplexProj(5))@5",
+    "ConnectedSum(ConnectedSum(ComplexProj(4),ComplexProj(4)),ComplexProj(4))@5",
+    "ConnectedSum(QuatProj(3),QuatProj(3))@2", "Product(Sphere(3),QuatProj(3))@3",
+    "Product(Sphere(2),ComplexProj(8))@3", "Product(ComplexProj(2),ComplexProj(3))@3",
+])
+def test_product_span_matches_reference(text):
+    assert_span_matches_reference(build(text).algebra, SPAN_CAPS)
+
+
+@pytest.mark.parametrize("text", ["ConnectedSum(ComplexProj(5),ComplexProj(5))@5",
+                                  "Product(Sphere(2),ComplexProj(8))@3"])
+def test_product_span_matches_reference_on_windows(text):
+    assert_span_matches_reference(window_of(build(text)), SPAN_CAPS)
+
+
+def _closed(top):
+    """Fixture bodies with top degree top that can be connected-summed."""
+    bodies = [f"Sphere({top})"]
+    if top % 2 == 0:
+        bodies.append(f"ComplexProj({top // 2})")
+    if top % 4 == 0:
+        bodies.append(f"QuatProj({top // 4})")
+    bodies += [f"Product(Sphere({i}),Sphere({top - i}))" for i in range(2, top // 2 + 1)]
+    return st.sampled_from(bodies)
+
+
+@st.composite
+def _small_specs(draw):
+    if draw(st.booleans()):
+        parts = draw(st.lists(_closed(draw(st.integers(4, 8))), min_size=2, max_size=3))
+        body = functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", parts)
+    else:
+        left, right = draw(_closed(draw(st.integers(1, 6)))), draw(_closed(draw(st.integers(1, 6))))
+        body = f"Product({left},{right})"
+    return f"{body}@{draw(st.sampled_from((2, 3, 5)))}"
+
+
+def _rebased(alg, seed):
+    """The same algebra in a random basis of each positive degree, so that
+    products no longer come out in lexicographic order."""
+    rng = np.random.default_rng(seed)
+    p, change = alg.p, {0: np.eye(alg.dim(0), dtype=np.int64)}
+    for i in range(1, alg.n + 1):
+        change[i] = rng.integers(0, p, size=(alg.dim(i), alg.dim(i)))
+        while fplin.rank(change[i], p) < alg.dim(i):
+            change[i] = rng.integers(0, p, size=(alg.dim(i), alg.dim(i)))
+    mult = {}
+    for i, j in alg.mult:
+        back = fplin.mat_inv(change[i + j].T, p)
+        table = np.einsum("ut,tab,ca,db->ucd", back, alg.mult3(i, j), change[i], change[j]) % p
+        mult[(i, j)] = table.reshape(alg.dim(i + j), alg.dim(i) * alg.dim(j))
+    return GradedAlgebra(p, alg.n, alg.dims, mult)
+
+
+def test_rebased_algebra_keeps_its_periods():
+    alg = _rebased(build("ConnectedSum(ComplexProj(4),ComplexProj(4))@3").algebra, 1)
+    alg.validate()
+    rep = P.minimum_period(alg)
+    assert (rep.period, rep.all_periods) == (2, (2, 4, 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_specs(), st.integers(0, 2**16), st.integers(1, 120))
+def test_product_span_matches_reference_on_random_specs(text, seed, cap):
+    alg = build(text).algebra
+    assume(max(alg.p ** d for d in alg.dims) <= 125)
+    assert_span_matches_reference(_rebased(alg, seed), (cap,) + SPAN_CAPS)
+
+
+@pytest.mark.parametrize("text", ["ComplexProj(8)@3", "ConnectedSum(ComplexProj(6),ComplexProj(6))@3"])
+def test_product_span_refuses_at_every_cap_the_reference_does(text):
+    assert_span_matches_reference(build(text).algebra, range(1, 31))
