@@ -44,8 +44,9 @@ class Element:
 
 class GradedAlgebra:
     def __init__(self, p: int, top_degree: int, dims, mult, labels=None):
-        if p < 2 or top_degree < 0:
-            raise ValueError("need a prime p >= 2 and top_degree >= 0")
+        p = fplin.check_modulus(p)
+        if top_degree < 0:
+            raise ValueError("need top_degree >= 0")
         self.p = p
         self.n = top_degree
         if isinstance(dims, dict):
@@ -106,7 +107,7 @@ class GradedAlgebra:
         bv = fplin.as_vector(b, self.p)
         if av.shape[0] != self.dim(i) or bv.shape[0] != self.dim(j):
             raise ValueError("vector length does not match degree dimension")
-        return np.einsum("tab,a,b->t", self.mult3(i, j), av, bv) % self.p
+        return ((self.mult3(i, j) @ bv) % self.p @ av) % self.p
 
     def cup_matrix(self, i: int, x, j: int) -> np.ndarray:
         """Matrix of w -> x . w from degree j to degree i + j."""

@@ -15,11 +15,20 @@ import sys
 from . import __version__
 from . import connectivity, corpus, decomposition, periodicity, steenrod
 from .algebra import AlgebraDefect, Element, GradedAlgebra, verify_poincare_duality
-from .periodicity import (ConsistencyFailure, DegreeBoundViolated, PeriodicityCertificate,
+from .decomposition import OverlapMismatch, VerificationFailure
+from .fplin import ConsistencyFailure, OrderCapExceeded
+from .periodicity import (DegreeBoundViolated, HypothesisNotMet, PeriodicityCertificate,
                           SearchCapExceeded, WellDefinednessFailure)
-from .steenrod import ActionDefect, IsPowerOfTwo, SteenrodAction
+from .steenrod import ActionDefect, InducedActionFailure, IsPowerOfTwo, SteenrodAction
 
 _EXIT = {"ok": 0, "violation": 1, "inconclusive": 1, "error": 2}
+
+# Library failures reported as JSON: a check that failed on computed data
+# is a violation; a cap that fired or a theorem whose hypotheses fail
+# leaves the question open.
+_VIOLATIONS = (ConsistencyFailure, DegreeBoundViolated, WellDefinednessFailure,
+               VerificationFailure, OverlapMismatch, InducedActionFailure)
+_INCONCLUSIVE = (SearchCapExceeded, OrderCapExceeded, HypothesisNotMet)
 
 
 class InputError(Exception):
@@ -230,8 +239,8 @@ def _cmd_decompose(args, cap):
     window, failure = _window_for(args, cap)
     if failure:
         return failure
-    result = decomposition.decompose(window, cap=cap)
-    report = decomposition.verify_decomposition(window, result, cap=cap)
+    result = decomposition.decompose(window)
+    report = decomposition.verify_decomposition(window, result)
     payload = result.to_dict()
     payload["verified"] = report.ok
     payload["violations"] = list(report.violations)
@@ -422,10 +431,10 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConsistencyFailure, DegreeBoundViolated, WellDefinednessFailure) as e:
+    except _VIOLATIONS as e:
         status, payload, human = "violation", {"problem": str(e)}, [f"refused: {e}"]
-    except SearchCapExceeded as e:
-        status, payload, human = "inconclusive", {"problem": str(e)}, [f"capped: {e}"]
+    except _INCONCLUSIVE as e:
+        status, payload, human = "inconclusive", {"problem": str(e)}, [f"inconclusive: {e}"]
     if status is None:
         return 0
     report = {"command": command, "status": status,

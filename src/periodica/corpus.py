@@ -140,6 +140,7 @@ def parse_spec(text: str, default_p: int = 2) -> FixtureSpec:
         p = int(take())
     if idx != len(tokens):
         raise ValueError(f"trailing spec tokens {tokens[idx:]!r}")
+    p = fplin.check_modulus(p)
 
     def stamp(t):
         name, args = t
@@ -373,6 +374,20 @@ def _atom_expectation(g: int, t: int) -> Expectation:
     return Expectation(True, g, True, 1)
 
 
+def _sphere_plane_expectation(m: int) -> Expectation:
+    """S^2 x CP^m: GF(p)[y]/(y^(m+1)) tensor an exterior class s in degree 2.
+
+    Cupping with y shifts by 2, so the period is 2 once m >= 2.  For m >= 3
+    the direct window ring in degree 2 is GF(p)[s]/(s^2), which is local:
+    one summand, irreducible.  S^2 x CP^1 is S^2 x S^2, not periodic.
+    """
+    if m == 1:
+        return Expectation(False, None, None, None)
+    if m == 2:
+        return Expectation(True, 2, None, None)
+    return Expectation(True, 2, True, 1)
+
+
 def _leaves(spec: FixtureSpec):
     if spec.family == "ConnectedSum":
         return _leaves(spec.args[0]) + _leaves(spec.args[1])
@@ -384,6 +399,8 @@ def _expectation(spec: FixtureSpec) -> Expectation:
         a, b = spec.args
         if a.family == "Sphere" and b.family == "Sphere":
             return Expectation(False, None, None, None)
+        if a == sphere(2, a.p) and b.family == "ComplexProj":
+            return _sphere_plane_expectation(int(b.args[0]))
         return Expectation(None, None, None, None)
     if spec.family == "ConnectedSum":
         leaves = _leaves(spec)

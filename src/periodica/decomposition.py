@@ -1,24 +1,25 @@
 """Splitting a collapsed window into irreducibly periodic summands.
 
-The degree-k slice of a window is a commutative ring: multiply two
-elements, then shift the product back down.  Each ring element acts on the
-whole window by a degree-preserving operator (cup, then unshift), and the
-certified element acts as the identity.  Decomposition hunts for a two-part
-splitting of the acting element whose parts both fail to act invertibly,
-separates the window along kernels of Frobenius powers, and repeats until
-every summand is irreducible.  Every step lands in a replayable trace.
+The degree-k slice R of a window is a finite commutative ring: multiply two
+elements, then shift the product back down; the certified element is its
+unit.  Each ring element acts on the whole window by a degree-preserving
+operator (cup, then unshift).  Because p is prime, Frobenius a -> a^p is
+linear on R, and its fixed subalgebra B = ker(Frobenius - id) is a product
+of copies of GF(p), one per local factor of R (Berlekamp 1967; Ronyai,
+J. Symb. Comput. 1990).  The summands are the primitive idempotents of B
+and the images of their operators.  They are found by linear algebra and
+root finding, polynomial in dim R and log p, never by enumerating R.
+Every split lands in a replayable trace.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fplin
 from .algebra import Element
-from .fplin import OrderCapExceeded, Subspace
-from .periodicity import (DEFAULT_SEARCH_CAP, SearchCapExceeded,
-                          SubquotientAlgebra)
+from .fplin import Subspace
+from .periodicity import SubquotientAlgebra
 
 
 class OverlapMismatch(RuntimeError):
@@ -54,21 +55,26 @@ def multiplication_operator(window: SubquotientAlgebra, a) -> MultOperator:
     Low degrees unshift after cupping, high degrees cup after unshifting;
     the overlap 1+k..n-1-k must agree under both readings.
     """
-    k, n, p = window.k, window.n, window.p
+    k, n = window.k, window.n
     if 3 * k > n - 1:
         raise ValueError("the action needs 3k <= n-1")
     av = _vector_of(window, a, k)
-    blocks = {}
-    for u in range(1, n):
-        low = high = None
-        if u <= n - 1 - k:
-            low = (window.shift_invs[u] @ window.cup_matrix(k, av, u)) % p
-        if u >= 1 + k:
-            high = (window.cup_matrix(k, av, u - k) @ window.shift_invs[u - k]) % p
-        if low is not None and high is not None and not np.array_equal(low, high):
-            raise OverlapMismatch(f"action formulas disagree in degree {u}")
-        blocks[u] = low if low is not None else high
+    blocks = {u: _action_block(window, av, u) for u in range(1, n)}
     return MultOperator(Element.of(k, av), blocks)
+
+
+def _action_block(window: SubquotientAlgebra, av, u: int) -> np.ndarray:
+    """Matrix of v -> unshift(a cup v) on window degree u, for a degree-k
+    vector a; in degree k it is multiplication by a on the degree-k ring."""
+    k, n, p = window.k, window.n, window.p
+    low = high = None
+    if u <= n - 1 - k:
+        low = (window.shift_invs[u] @ window.cup_matrix(k, av, u)) % p
+    if u >= 1 + k:
+        high = (window.cup_matrix(k, av, u - k) @ window.shift_invs[u - k]) % p
+    if low is not None and high is not None and not np.array_equal(low, high):
+        raise OverlapMismatch(f"action formulas disagree in degree {u}")
+    return low if low is not None else high
 
 
 def ring_product(window: SubquotientAlgebra, a, b) -> np.ndarray:
@@ -114,56 +120,64 @@ def check_ring_homomorphism(window: SubquotientAlgebra, a, b) -> bool:
     return True
 
 
-def _sub_in_ambient(space: Subspace, rows: np.ndarray, p: int) -> Subspace:
-    """Lift rows given in space coordinates back to ambient coordinates."""
-    if rows.shape[0] == 0:
-        return Subspace.zero(p, space.ambient)
-    return Subspace.from_vectors((rows @ space.basis) % p, p, space.ambient)
-
-
-def _acts_invertibly(window, op: MultOperator, spaces: dict) -> bool:
-    for u, space in spaces.items():
-        if space.dim == 0:
-            continue
-        try:
-            m = fplin.restricted_matrix(op.blocks[u], space, space)
-        except ValueError:
-            return False
-        if fplin.rank(m, window.p) < space.dim:
-            return False
-    return True
-
-
-def _splitting_witness(window, element: Element, spaces: dict, cap: int, memo: dict):
-    """Lex-first pair (a, b) with a + b = element, neither acting invertibly."""
+def frobenius_matrix(window: SubquotientAlgebra) -> np.ndarray:
+    """Matrix of a -> a^p on the degree-k ring, linear because p is prime."""
     k, p = window.k, window.p
     d = window.dim(k)
-    if p ** d > cap:
-        raise SearchCapExceeded(f"{p ** d} splitting candidates exceed the cap {cap}")
-    xv = element.as_vector()
-
-    def bad(v):
-        key = tuple(int(t) for t in v)
-        op = memo.get(key)
-        if op is None:
-            op = memo[key] = multiplication_operator(window, v)
-        return not _acts_invertibly(window, op, spaces)
-
-    for a in fplin.enumerate_vectors(d, p):
-        b = (xv - a) % p
-        if bad(a) and bad(b):
-            return Element.of(k, a), Element.of(k, b)
-    return None
+    columns = [ring_power(window, window.basis_element(k, i), p) for i in range(d)]
+    return np.array(columns, dtype=np.int64).reshape(d, d).T
 
 
-def _family_order(window, op: MultOperator, spaces: dict) -> int:
-    order = 1
-    for u, space in spaces.items():
-        if space.dim == 0:
-            continue
-        m = fplin.restricted_matrix(op.blocks[u], space, space)
-        order = math.lcm(order, fplin.operator_order(m, window.p))
-    return order
+def _indicator(window, unit, b, c) -> np.ndarray:
+    """[b = c] = unit - (b - c * unit)^(p-1).
+
+    For b fixed by Frobenius this is the idempotent on whose local factors
+    b takes the value c.
+    """
+    p = window.p
+    return (unit - ring_power(window, (b - c * unit) % p, p - 1)) % p
+
+
+def _key(v) -> tuple:
+    return tuple(int(t) for t in v)
+
+
+def _unit(window) -> np.ndarray:
+    return window.to_window(window.k, window.certificate.element.as_vector())
+
+
+def primitive_idempotents(window: SubquotientAlgebra) -> tuple[list, list]:
+    """The primitive idempotents of the degree-k ring, sorted by coefficients,
+    and the splits that found them.
+
+    They are the primitive idempotents of the Frobenius-fixed subalgebra B.
+    Starting from the unit, every basis vector b of B splits each current
+    idempotent e into the nonzero e * [b = c], c running over the roots of
+    the minimal polynomial of b on B.  Each split into two or more parts is
+    listed as (e, b, parts), parts in ascending order of c.
+    """
+    k, p = window.k, window.p
+    unit = _unit(window)
+    d = window.dim(k)
+    fixed = fplin.kernel((frobenius_matrix(window) - np.eye(d, dtype=np.int64)) % p, p)
+    parts, splits = [unit], []
+    for b in fixed.basis:
+        if len(parts) == fixed.dim:
+            break
+        on_b = fplin.restricted_matrix(_action_block(window, b, k), fixed, fixed)
+        indicators = [_indicator(window, unit, b, c)
+                      for c in fplin.split_roots(fplin.minimal_polynomial(on_b, p), p)]
+        refined = []
+        for e in parts:
+            pieces = [q for q in (ring_product(window, e, ind) for ind in indicators) if q.any()]
+            if len(pieces) > 1:
+                splits.append((e, b, pieces))
+            refined += pieces
+        parts = refined
+    if len(parts) != fixed.dim:
+        raise VerificationFailure(
+            f"{len(parts)} idempotents for a {fixed.dim}-dimensional fixed subalgebra")
+    return sorted(parts, key=_key), splits
 
 
 @dataclass(eq=False)
@@ -184,11 +198,14 @@ class Summand:
 
 @dataclass(eq=False)
 class SplitRecord:
+    """One idempotent split by one separator of the Frobenius-fixed subalgebra.
+
+    replacements are the nonzero split_element * [separator = c], in
+    ascending order of c, and sum to split_element; part_dims holds one row
+    (u, dim of each part's image in window degree u) per degree.
+    """
     split_element: Element
-    witness: tuple
-    prime_power_exponent: int
-    frobenius_pair: tuple
-    orders: tuple
+    separator: Element
     replacements: tuple
     part_dims: tuple
 
@@ -197,10 +214,7 @@ class SplitRecord:
             return {"degree": e.degree, "coeffs": list(e.coeffs)}
         return {
             "split_element": elt(self.split_element),
-            "witness": [elt(e) for e in self.witness],
-            "prime_power_exponent": self.prime_power_exponent,
-            "frobenius_pair": [elt(e) for e in self.frobenius_pair],
-            "orders": list(self.orders),
+            "separator": elt(self.separator),
             "replacements": [elt(e) for e in self.replacements],
             "part_dims": [list(row) for row in self.part_dims],
         }
@@ -249,91 +263,46 @@ def _recheck_working_list(window, summands) -> None:
                         f"entry {i} does not annihilate entry {j} in degree {u}")
 
 
-def decompose(window: SubquotientAlgebra, cap: int = DEFAULT_SEARCH_CAP) -> DecompositionResult:
+def _image_spaces(window, e) -> dict:
+    """The image of e's operator in every window degree."""
+    op = multiplication_operator(window, e)
+    return {u: fplin.image(op.blocks[u], window.p) for u in range(1, window.n)}
+
+
+def decompose(window: SubquotientAlgebra) -> DecompositionResult:
     """Split the window into irreducibly periodic summands.
 
-    Needs a direct certificate.  Returns one inducing element per summand
-    plus the trace of every split; the result is re-verified internally
-    after each pass, so a returned decomposition always satisfies the
+    Needs a direct certificate.  Returns one summand per primitive
+    idempotent e of the degree-k ring, in ascending order of e's
+    coefficients: e itself, and the image of its operator in each window
+    degree.  The trace holds every split.  The result is re-verified before
+    it is returned, so a returned decomposition always satisfies the
     direct-sum, action and irreducibility conclusions.
     """
     cert = window.certificate
-    k, n, p = window.k, window.n, window.p
+    k, n = window.k, window.n
     if cert.mode != "direct" or 3 * k > n - 1:
         raise ValueError("decomposition needs a direct certificate with 3k <= n-1")
-    total = window.total_dim
-    if total == 0:
+    if window.total_dim == 0:
         return DecompositionResult([], [])
-    exponent = 0
-    while p ** exponent < total:
-        exponent += 1
-    xv = window.to_window(k, cert.element.as_vector())
-    full = {u: Subspace.full(p, window.dim(u)) for u in range(1, n)}
-    summands = [Summand(Element.of(k, xv), full)]
-    trace = []
-    memo = {}
+    finals, splits = primitive_idempotents(window)
+    summands = [Summand(Element.of(k, f), _image_spaces(window, f)) for f in finals]
     _recheck_working_list(window, summands)
-    for _ in range(total + 1):
-        hit = None
-        for idx, s in enumerate(summands):
-            w = _splitting_witness(window, s.element, s.spaces, cap, memo)
-            if w is not None:
-                hit = (idx, w)
-                break
-        if hit is None:
-            break
-        idx, (a, b) = hit
-        s = summands[idx]
-        frob_a = ring_power(window, a.as_vector(), p ** exponent)
-        frob_b = ring_power(window, b.as_vector(), p ** exponent)
-        op_a = multiplication_operator(window, frob_a)
-        op_b = multiplication_operator(window, frob_b)
-        ker_a, ker_b, middle, dims = {}, {}, {}, []
-        for u in range(1, n):
-            space = s.spaces[u]
-            ra = fplin.restricted_matrix(op_a.blocks[u], space, space)
-            rb = fplin.restricted_matrix(op_b.blocks[u], space, space)
-            ka = _sub_in_ambient(space, fplin.kernel(ra, p).basis, p)
-            kac = _sub_in_ambient(space, fplin.image(ra, p).basis, p)
-            kb = _sub_in_ambient(space, fplin.kernel(rb, p).basis, p)
-            kbc = _sub_in_ambient(space, fplin.image(rb, p).basis, p)
-            if not ka.is_subspace_of(kbc):
-                raise VerificationFailure(
-                    f"kernel of one part escapes the complement of the other in degree {u}")
-            c = kac.intersection(kbc)
-            if ka.dim + c.dim + kb.dim != space.dim or not fplin.direct_sum_check(
-                    [ka, c, kb], space):
-                raise VerificationFailure(f"kernel split is not a direct sum in degree {u}")
-            ker_a[u], ker_b[u], middle[u] = ka, kb, c
-            dims.append((u, ka.dim, c.dim, kb.dim))
-        order_a = _family_order(window, op_a, middle)
-        order_b = _family_order(window, op_b, middle)
-        head = ring_power(window, frob_a, order_a)
-        tail = ring_power(window, frob_b, order_b)
-        tail = (tail - ring_product(window, head, tail)) % p
-        xi = s.element.as_vector()
-        repl_a = ring_product(window, ring_product(window, xi, head), xi)
-        repl_b = ring_product(window, ring_product(window, xi, tail), xi)
-        first = Summand(Element.of(k, repl_a),
-                        {u: middle[u].sum(ker_b[u]) for u in range(1, n)})
-        second = Summand(Element.of(k, repl_b), ker_a)
-        summands[idx:idx + 1] = [first, second]
-        trace.append(SplitRecord(
-            split_element=s.element,
-            witness=(a, b),
-            prime_power_exponent=exponent,
-            frobenius_pair=(Element.of(k, frob_a), Element.of(k, frob_b)),
-            orders=(order_a, order_b),
-            replacements=(first.element, second.element),
-            part_dims=tuple(dims),
-        ))
-        if len(summands) > window.dim(k):
-            raise VerificationFailure("more summands than the degree-k dimension")
-        _recheck_working_list(window, summands)
-    else:
-        raise VerificationFailure("splitting loop failed to terminate")
+
+    def dims(q):
+        # q is the sum of the primitive idempotents f with q * f = f, so its
+        # image is the direct sum of theirs.
+        below = [s for s, f in zip(summands, finals)
+                 if np.array_equal(ring_product(window, q, f), f)]
+        return [sum(s.spaces[u].dim for s in below) for u in range(1, n)]
+
+    trace = [SplitRecord(split_element=Element.of(k, e),
+                         separator=Element.of(k, b),
+                         replacements=tuple(Element.of(k, q) for q in parts),
+                         part_dims=tuple(zip(range(1, n), *map(dims, parts))))
+             for e, b, parts in splits]
     result = DecompositionResult(summands, trace)
-    report = verify_decomposition(window, result, cap)
+    report = verify_decomposition(window, result)
     if not report.ok:
         raise VerificationFailure("; ".join(report.violations))
     return result
@@ -345,11 +314,40 @@ class DecompositionReport:
     violations: tuple
 
 
-def verify_decomposition(window: SubquotientAlgebra, result: DecompositionResult,
-                         cap: int = DEFAULT_SEARCH_CAP) -> DecompositionReport:
+def _local_factor_count(window, operators, spaces) -> int:
+    """dim ker(Frobenius - id) on the algebra A the given operators span on
+    the summand; 1 exactly when A is local, 0 when the summand is zero.
+
+    ValueError when an operator does not map the summand into itself or A
+    is not closed under p-th powers.
+    """
+    p = window.p
+    degrees = [u for u, s in sorted(spaces.items()) if s.dim]
+    if not degrees:
+        return 0
+    sizes = [spaces[u].dim for u in degrees]
+    flat = [np.concatenate([fplin.restricted_matrix(op.blocks[u], spaces[u], spaces[u]).ravel()
+                            for u in degrees]) for op in operators]
+    algebra = Subspace.from_vectors(flat, p, sum(s * s for s in sizes))
+    frobenius = []
+    for row in algebra.basis:
+        blocks, at = [], 0
+        for s in sizes:
+            blocks.append(fplin.mat_pow(row[at:at + s * s].reshape(s, s), p, p).ravel())
+            at += s * s
+        frobenius.append(algebra.coords_of(np.concatenate(blocks)))
+    frob = np.array(frobenius, dtype=np.int64).reshape(algebra.dim, algebra.dim).T
+    return fplin.kernel((frob - np.eye(algebra.dim, dtype=np.int64)) % p, p).dim
+
+
+def verify_decomposition(window: SubquotientAlgebra,
+                         result: DecompositionResult) -> DecompositionReport:
     """Re-check a decomposition from scratch: degreewise direct sum, each
-    element inducing on its own summand and annihilating the rest, and no
-    summand splitting further.  Violations come back as report data."""
+    element inducing on its own summand and annihilating the rest, and each
+    summand local: the algebra the degree-k ring induces on it has a
+    one-dimensional Frobenius-fixed part.  A summand that is not local is
+    reported with a pair (e, unit - e) of idempotents that both act on it
+    nontrivially.  Violations come back as report data."""
     k, n, p = window.k, window.n, window.p
     violations = []
     summands = result.summands
@@ -394,15 +392,40 @@ def verify_decomposition(window: SubquotientAlgebra, result: DecompositionResult
                 if fplin.rank(m, p) < target.dim:
                     violations.append(
                         f"summand {i} element is not bijective at degree {u}")
-    memo = {}
+    try:
+        operators = [multiplication_operator(window, window.basis_element(k, j))
+                     for j in range(window.dim(k))]
+    except (ValueError, OverlapMismatch):
+        violations.append("the window does not support the degree-k action")
+        return DecompositionReport(False, tuple(violations))
+    idempotents = None
     for i, s in enumerate(summands):
         if s.element.degree != k:
             continue
         try:
-            w = _splitting_witness(window, s.element, s.spaces, cap, memo)
-        except (ValueError, OverlapMismatch):
+            local = _local_factor_count(window, operators, s.spaces)
+        except ValueError:
             violations.append(f"summand {i} does not support the degree-k action")
             continue
-        if w is not None:
-            violations.append(f"summand {i} splits further at {w[0].coeffs}/{w[1].coeffs}")
+        if local == 0:
+            violations.append(f"summand {i} is zero")
+        elif local > 1:
+            if idempotents is None:
+                idempotents = primitive_idempotents(window)[0]
+            violations.append(f"summand {i} splits further" + _split_witness(
+                window, idempotents, s.spaces))
     return DecompositionReport(not violations, tuple(violations))
+
+
+def _split_witness(window, idempotents, spaces) -> str:
+    """" at a/b" for the first primitive idempotent a that acts on the
+    summand as neither zero nor the identity, and b = unit - a."""
+    p = window.p
+    total = sum(s.dim for s in spaces.values())
+    for e in idempotents:
+        op = multiplication_operator(window, e)
+        r = sum(fplin.rank((op.blocks[u] @ s.basis.T) % p, p)
+                for u, s in spaces.items() if s.dim)
+        if 0 < r < total:
+            return f" at {_key(e)}/{_key((_unit(window) - e) % p)}"
+    return ""

@@ -9,8 +9,29 @@ tuples of coefficients, lowest degree first, with no trailing zeros.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
+
+# Moduli must lie below P_MAX.  The package multiplies residues in int64:
+# a product of two residues stays below 2^42 and a product of three (the
+# fixture builders' sign * a * b) below 2^63.  Every contraction is one
+# factor at a time, reduced mod p before the next, so its int64 sum holds at
+# most a table dimension's worth of two-residue products, exact for up to
+# 2^21 terms.  The largest prime allowed is 2097143.
+P_MAX = 2**21
+
+# Miller-Rabin with the first twelve primes as bases is exact for every n
+# below 3.18 * 10^23, which covers all 64-bit integers.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class UnsupportedModulus(ValueError):
+    """The modulus is not a prime below P_MAX, so GF(p) arithmetic here is not exact."""
+
+
+class ConsistencyFailure(RuntimeError):
+    """A result the mathematics guarantees failed to hold on computed data."""
 
 
 class NotInvertible(ValueError):
@@ -23,6 +44,43 @@ class NotSemisimple(ValueError):
 
 class OrderCapExceeded(RuntimeError):
     pass
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test (exact below 3.18 * 10^23)."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_modulus(p) -> int:
+    """p as an int when it is a prime below P_MAX; UnsupportedModulus otherwise."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise UnsupportedModulus(f"the modulus must be an integer, got {p!r}")
+    p = int(p)
+    if not is_prime(p):
+        raise UnsupportedModulus(f"the modulus {p} is not prime")
+    if p >= P_MAX:
+        raise UnsupportedModulus(
+            f"the prime {p} is not below {P_MAX}; int64 products would overflow")
+    return p
 
 
 def as_vector(data, p: int) -> np.ndarray:
@@ -311,12 +369,68 @@ def _poly_lcm(a, b, p: int) -> tuple[int, ...]:
         return ()
     g = _poly_gcd(a, b, p)
     q, r = _poly_divmod(_poly_mul(a, b, p), g, p)
-    assert not r
+    if r:
+        raise ConsistencyFailure("the gcd does not divide the product")
     return _poly_monic(q, p)
 
 
 def _poly_deriv(a, p: int) -> tuple[int, ...]:
     return _poly_norm([(i * a[i]) % p for i in range(1, len(a))], p)
+
+
+def _poly_powmod(a, e: int, mod, p: int) -> tuple[int, ...]:
+    """a^e modulo the polynomial mod."""
+    result, base = _poly_divmod((1,), mod, p)[1], _poly_divmod(a, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
+        e >>= 1
+        if e:
+            base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
+    return result
+
+
+def _poly_sub(a, b, p: int) -> tuple[int, ...]:
+    n = max(len(a), len(b))
+    return _poly_norm([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                       for i in range(n)], p)
+
+
+# Seeds the Cantor-Zassenhaus draws; the roots do not depend on it.
+_SPLIT_SEED = 0
+
+
+def split_roots(poly, p: int) -> tuple[int, ...]:
+    """The roots, ascending, of a product of distinct linear factors over GF(p).
+
+    p = 2 tests 0 and 1.  Odd p splits each factor of degree two or more by
+    Cantor-Zassenhaus, gcd with (t + delta)^((p-1)/2) - 1 for delta drawn
+    from a generator seeded with _SPLIT_SEED: run time polynomial in log p,
+    and a result that does not depend on the seed.  Raises ValueError unless
+    poly is nonzero and has deg(poly) distinct roots in GF(p).
+    """
+    f = _poly_monic(_poly_norm(poly, p), p)
+    if not f:
+        raise ValueError("the zero polynomial has every root")
+    # gcd(f, t^p - t) is the product of the distinct linear factors of f.
+    if _poly_gcd(f, _poly_sub(_poly_powmod((0, 1), p, f, p), (0, 1), p), p) != f:
+        raise ValueError(f"{f} is not a product of distinct linear factors mod {p}")
+    rng = random.Random(_SPLIT_SEED)
+    roots, pending = [], [f]
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2 and p == 2:
+            roots += [0, 1]
+        elif len(g) > 2:
+            while True:
+                shifted = _poly_powmod((rng.randrange(p), 1), (p - 1) // 2, g, p)
+                h = _poly_gcd(g, _poly_sub(shifted, (1,), p), p)
+                if 1 < len(h) < len(g):
+                    break
+            pending += [h, _poly_monic(_poly_divmod(g, h, p)[0], p)]
+    return tuple(sorted(roots))
 
 
 def poly_eval_matrix(coeffs, mat, p: int) -> np.ndarray:
@@ -377,7 +491,8 @@ def semisimple_power(mat, p: int) -> tuple[np.ndarray, int]:
     while p**l < d:
         l += 1
     g = mat_pow(m, p**l, p)
-    assert is_semisimple(g, p)
+    if not is_semisimple(g, p):
+        raise ConsistencyFailure(f"the p^{l}-th power is not semisimple")
     return g, l
 
 
@@ -409,8 +524,8 @@ def invariant_complement_of_kernel(mat, p: int) -> Subspace:
         raise NotSemisimple("kernel of a non-semisimple operator may admit no invariant complement")
     ker = kernel(m, p)
     img = image(m, p)
-    assert ker.dim + img.dim == m.shape[1]
-    assert ker.intersection(img).dim == 0
+    if ker.dim + img.dim != m.shape[1] or ker.intersection(img).dim:
+        raise ConsistencyFailure("kernel and image of a semisimple operator are not complements")
     return img
 
 
@@ -425,29 +540,28 @@ def restricted_matrix(op, source: Subspace, target: Subspace) -> np.ndarray:
     m = as_matrix(op, p)
     if m.shape != (target.ambient, source.ambient):
         raise ValueError("operator shape does not match the given spaces")
-    out = np.zeros((target.dim, source.dim), dtype=np.int64)
-    for j in range(source.dim):
-        out[:, j] = target.coords_of((m @ source.basis[j]) % p)
-    return out
+    images = (m @ source.basis.T) % p
+    coords = images[list(target.pivots)]
+    if not np.array_equal((coords.T @ target.basis) % p, images.T):
+        raise ValueError("vector not in subspace")
+    return coords
 
 
 def direct_sum_check(parts: list[Subspace], ambient: Subspace, full: bool = False) -> bool:
     """True iff the parts are independent subspaces of ambient.
 
-    With full=True also require that they span all of ambient.
+    With full=True also require that they span all of ambient.  One rank
+    computation over all the parts' bases decides independence.
     """
-    span = Subspace.zero(ambient.p, ambient.ambient)
-    total = 0
     for part in parts:
+        if (part.p, part.ambient) != (ambient.p, ambient.ambient):
+            raise ValueError("mismatched ambient spaces")
         if not part.is_subspace_of(ambient):
             return False
-        span = span.sum(part)
-        total += part.dim
-    if total != span.dim:
+    total = sum(part.dim for part in parts)
+    if total and rank(np.vstack([part.basis for part in parts]), ambient.p) != total:
         return False
-    if full and span != ambient:
-        return False
-    return True
+    return not full or total == ambient.dim
 
 
 def enumerate_vectors(dim: int, p: int):

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import fplin, steenrod
 from .algebra import Element, GradedAlgebra
+from .fplin import ConsistencyFailure
 
 DEFAULT_SEARCH_CAP = 2**20
 DEFAULT_SAMPLE_COUNT = 10_000
@@ -34,10 +35,6 @@ class SearchCapExceeded(RuntimeError):
 
 class HypothesisNotMet(RuntimeError):
     """A checked statement's hypotheses fail on the given input."""
-
-
-class ConsistencyFailure(RuntimeError):
-    """A result the mathematics guarantees failed to hold on computed data."""
 
 
 @dataclass(frozen=True)
@@ -170,6 +167,18 @@ def _tiles(rows: int, cols: int):
             yield r0, min(r0 + step, rows), 0, cols
 
 
+def _block_products(m3, left, right, p):
+    """Row r * len(right) + s holds left[r] * right[s] under the (t, a, b) table m3.
+
+    One factor at a time, reduced in between, so int64 sums stay exact.
+    """
+    t, a, _ = m3.shape
+    (rows, _), (cols, _) = left.shape, right.shape
+    with_right = ((m3 @ right.T) % p).transpose(1, 0, 2).reshape(a, t * cols)
+    out = (left @ with_right).reshape(rows, t, cols).transpose(0, 2, 1)
+    return out.reshape(rows * cols, t) % p
+
+
 class _ProductSpan:
     """Products of direct inducers for one search, grown degree by degree.
 
@@ -178,10 +187,10 @@ class _ProductSpan:
     reach vectors in sorted order and inducers in enumeration order; the
     first factorization met wins, so certificates are deterministic.  The
     reach of degree a is its direct inducers (when 3a <= n-1) followed by
-    the degree-a products not among them.  Each (a, b) block is one einsum,
-    deduplicated with np.unique.  Direct inducers, products and reaches are
-    kept per degree for the engine's lifetime only; nothing is stored on
-    the algebra.
+    the degree-a products not among them.  Each (a, b) block is two matrix
+    products, deduplicated with np.unique.  Direct inducers, products and
+    reaches are kept per degree for the engine's lifetime only; nothing is
+    stored on the algebra.
     """
 
     def __init__(self, alg, cap: int):
@@ -254,8 +263,7 @@ class _ProductSpan:
             keys, inducers = self._reach_keys(d - b), self._direct(b)
             m3 = alg.mult3(d - b, b)
             for r0, r1, s0, s1 in _tiles(len(keys), len(inducers)):
-                block = np.einsum("tab,ra,sb->rst", m3, keys[r0:r1], inducers[s0:s1]) % p
-                flat = block.reshape((r1 - r0) * (s1 - s0), dim)
+                flat = _block_products(m3, keys[r0:r1], inducers[s0:s1], p)
                 first = np.sort(np.unique(flat, axis=0, return_index=True)[1])
                 width = s1 - s0
                 for j, row in zip(first.tolist(), flat[first].tolist()):
@@ -452,7 +460,7 @@ class SubquotientAlgebra:
             raise ValueError("vector length does not match window dimension")
         if i + j > self.n:
             return np.zeros(0, dtype=np.int64)
-        return np.einsum("tab,a,b->t", self.mult3(i, j), av, bv) % self.p
+        return ((self.mult3(i, j) @ bv) % self.p @ av) % self.p
 
     def cup_matrix(self, i: int, x, j: int) -> np.ndarray:
         xv = fplin.as_vector(x, self.p)

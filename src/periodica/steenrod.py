@@ -134,13 +134,11 @@ def verify_action(alg: GradedAlgebra, act: SteenrodAction) -> None:
                     tj = act.target_degree(s - h, j)
                     if ti > n or tj > n:
                         continue
-                    piece = np.einsum(
-                        "tuv,ua,vb->tab",
-                        alg.mult3(ti, tj),
-                        act.op_matrix(h, i),
-                        act.op_matrix(s - h, j),
-                    ).reshape(alg.dim(t), alg.dim(i) * alg.dim(j))
-                    rhs = (rhs + piece) % p
+                    # (t, u, v) -> (t, u, b) -> (t, b, a), reduced in between
+                    right = (alg.mult3(ti, tj) @ act.op_matrix(s - h, j)) % p
+                    piece = (right.transpose(0, 2, 1) @ act.op_matrix(h, i)) % p
+                    rhs = (rhs + piece.transpose(0, 2, 1).reshape(
+                        alg.dim(t), alg.dim(i) * alg.dim(j))) % p
                 if not np.array_equal(lhs, rhs):
                     raise ActionDefect(f"Cartan formula fails for s={s} on degrees ({i}, {j})")
                 s += 1
@@ -259,7 +257,8 @@ def decompose_sq(k: int) -> dict:
         result[pw] = tuple(sorted(q))
         for mono in q:
             check ^= {(pw,) + mono}
-    assert adem_normal_form(check) == frozenset({(k,)})
+    if adem_normal_form(check) != frozenset({(k,)}):
+        raise fplin.ConsistencyFailure(f"the terms for Sq{k} do not recombine to Sq{k}")
     return result
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from periodica import cli, connectivity
+from periodica import cli, connectivity, decomposition, fplin, periodicity, steenrod
 
 
 def run(capsys, *argv):
@@ -238,3 +238,55 @@ def test_search_cap_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PERIODICA_SEARCH_CAP", "zero")
     code, _, err = run(capsys, "periodicity", path, "--k", "2")
     assert code == 2 and "PERIODICA_SEARCH_CAP" in err
+
+
+def test_composite_modulus_file_is_bad_input(capsys, cp4_file, tmp_path):
+    doc = json.loads(open(cp4_file).read())
+    for p in (4, 4194301):
+        doc["algebra"]["p"] = p
+        path = tmp_path / f"p{p}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("min-period", "validate", "periodicity"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2 and out == "" and err.startswith("error:"), (p, command)
+            assert "Traceback" not in err
+    code, _, err = run(capsys, "corpus", "export", "ComplexProj(4)@9")
+    assert code == 2 and "not prime" in err
+
+
+def _raises(exc):
+    def boom(*args, **kwargs):
+        raise exc("injected")
+    return boom
+
+
+FAILURES = [
+    (decomposition, "decompose", decomposition.VerificationFailure, "decompose", "violation"),
+    (decomposition, "decompose", decomposition.OverlapMismatch, "decompose", "violation"),
+    (steenrod, "induced_action_on_window", steenrod.InducedActionFailure, "subquotient",
+     "violation"),
+    (periodicity, "minimum_period", fplin.ConsistencyFailure, "min-period", "violation"),
+    (periodicity, "minimum_period", fplin.OrderCapExceeded, "min-period", "inconclusive"),
+    (periodicity, "search_degrees", periodicity.HypothesisNotMet, "periodicity", "inconclusive"),
+]
+
+
+@pytest.mark.parametrize("owner, name, exc, command, status", FAILURES,
+                         ids=[f[2].__name__ for f in FAILURES])
+def test_library_failures_become_reports(capsys, monkeypatch, cs_file,
+                                         owner, name, exc, command, status):
+    monkeypatch.setattr(owner, name, _raises(exc))
+    extra = ("--x", "2:1,1") if command in ("decompose", "subquotient") else ()
+    code, out, _ = run(capsys, command, cs_file, *extra)
+    assert code == 1
+    doc = report(out)
+    assert doc["status"] == status and doc["payload"] == {"problem": "injected"}
+
+
+def test_derive_hypothesis_failure_is_inconclusive(capsys, monkeypatch, tmp_path):
+    scenario, _ = connectivity.codim_cascade_scenario(32)
+    path = tmp_path / "scenario.json"
+    scenario.save(str(path))
+    monkeypatch.setattr(connectivity, "derive", _raises(connectivity.HypothesisNotMet))
+    code, out, _ = run(capsys, "derive", str(path))
+    assert code == 1 and report(out)["status"] == "inconclusive"

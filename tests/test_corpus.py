@@ -8,8 +8,8 @@ circularity.
 import numpy as np
 import pytest
 
-from periodica import corpus
-from periodica.algebra import verify_poincare_duality
+from periodica import corpus, decomposition, fplin, periodicity
+from periodica.algebra import GradedAlgebra, verify_poincare_duality
 from periodica.corpus import Expectation, SizeBound, build, parse_spec
 from periodica.steenrod import verify_action
 
@@ -97,6 +97,43 @@ def test_expectation_oracles():
     }
     for text, expected in cases.items():
         assert build(parse_spec(text)).expectation == expected, text
+
+
+def test_sphere_plane_products_meet_their_expectation():
+    """Non-reduced windows: S^2 x CP^m has period 2 and, from m = 3, one
+    local summand; a connected sum of r copies has r summands."""
+    assert build(parse_spec("Product(Sphere(2),ComplexProj(1))@2")).expectation == Expectation(
+        False, None, None, None)
+    assert build(parse_spec("Product(Sphere(2),ComplexProj(2))@3")).expectation == Expectation(
+        True, 2, None, None)
+    leaf = "Product(Sphere(2),ComplexProj({}))"
+    for p in (2, 3, 5):
+        for text in [leaf.format(m) for m in range(1, 7)] + [
+                f"ConnectedSum({leaf.format(4)},{leaf.format(4)})"]:
+            fx = build(parse_spec(f"{text}@{p}"))
+            exp = fx.expectation
+            rep = periodicity.minimum_period(fx.algebra)
+            assert (rep.period is not None) == exp.periodic, (text, p)
+            assert rep.period == exp.min_period, (text, p)
+            if exp.summand_count is not None:
+                window = periodicity.subquotient(fx.algebra, rep.certificate)
+                result = decomposition.decompose(window)
+                assert result.summand_count == exp.summand_count, (text, p)
+    assert build(parse_spec(f"{leaf.format(5)}@3")).expectation == Expectation(True, 2, True, 1)
+    assert build(parse_spec(
+        f"ConnectedSum({leaf.format(4)},{leaf.format(4)})@2")).expectation == Expectation(
+        True, 2, False, 2)
+
+
+def test_composite_and_oversized_moduli_are_refused():
+    for text in ("ComplexProj(4)@4", "ComplexProj(4)@9", "ComplexProj(4)@1",
+                 "ComplexProj(4)@4194301"):
+        with pytest.raises(fplin.UnsupportedModulus):
+            parse_spec(text)
+    for p in (4, 9, 0, 2097169):
+        with pytest.raises(fplin.UnsupportedModulus):
+            GradedAlgebra(p, 0, [1], {})
+    assert parse_spec("ComplexProj(4)@2097143").p == 2097143
 
 
 def test_connected_sum_requires_matching_tops():

@@ -1,18 +1,25 @@
 """Splitting periodic windows into annihilating summands.
 
 The connected-sum cases have hand-computed splitting traces; verification
-is additionally stress-tested against deliberately corrupted results.
+is additionally stress-tested against deliberately corrupted results.  The
+idempotent computation is compared with the witness-search split loop it
+replaced, kept below as a capped reference.
 """
 
+import functools
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from periodica import corpus, decomposition as D, fplin
 from periodica import periodicity as P
 from periodica.algebra import Element
 from periodica.decomposition import VerificationFailure
+from rebasing import rebased
 
 
 def build(text):
@@ -40,19 +47,61 @@ def test_connected_sum_of_two_planes_splits():
     assert elapsed < 1.0
 
 
+def replay(w, record):
+    """Each part is split_element * [separator = c] for the c with
+    separator * part = c * part, the c ascend, and the parts sum to
+    split_element."""
+    p = w.p
+    unit = w.to_window(w.k, w.certificate.element.as_vector())
+    e, b = record.split_element.as_vector(), record.separator.as_vector()
+    assert np.array_equal(D.frobenius_matrix(w) @ b % p, b)
+    values = []
+    for part in record.replacements:
+        q = part.as_vector()
+        on_part = D.ring_product(w, b, q)
+        lead = int(np.flatnonzero(q)[0])
+        c = int(on_part[lead]) * pow(int(q[lead]), -1, p) % p
+        assert np.array_equal(on_part, c * q % p)
+        indicator = (unit - D.ring_power(w, (b - c * unit) % p, p - 1)) % p
+        assert np.array_equal(D.ring_product(w, e, indicator), q)
+        values.append(c)
+    assert values == sorted(set(values)) and len(values) >= 2
+    total = sum(part.as_vector() for part in record.replacements) % p
+    assert np.array_equal(total, e)
+
+
 def test_frozen_splitting_trace():
     w = window_of("ConnectedSum(ComplexProj(4),ComplexProj(4))@2")
     result = D.decompose(w)
     assert len(result.trace) == 1
     r = result.trace[0]
     assert r.split_element.coeffs == (1, 1)
-    assert [e.coeffs for e in r.witness] == [(0, 1), (1, 0)]
-    assert r.prime_power_exponent == 3  # least l with 2^l >= total dim 6
-    assert r.orders == (1, 1)
-    assert [e.coeffs for e in r.frobenius_pair] == [(0, 1), (1, 0)]
+    assert r.separator.coeffs == (1, 0)
     assert [e.coeffs for e in r.replacements] == [(0, 1), (1, 0)]
-    assert r.part_dims == ((1, 0, 0, 0), (2, 1, 0, 1), (3, 0, 0, 0),
-                           (4, 1, 0, 1), (5, 0, 0, 0), (6, 1, 0, 1), (7, 0, 0, 0))
+    assert r.part_dims == ((1, 0, 0), (2, 1, 1), (3, 0, 0), (4, 1, 1),
+                           (5, 0, 0), (6, 1, 1), (7, 0, 0))
+    replay(w, r)
+
+
+def test_trace_replays():
+    for text in ("ConnectedSum(ConnectedSum(ComplexProj(4),ComplexProj(4)),ComplexProj(4))@2",
+                 "ConnectedSum(ConnectedSum(ComplexProj(4),ComplexProj(4)),ComplexProj(4))@3",
+                 "ConnectedSum(ConnectedSum(QuatProj(4),QuatProj(4)),QuatProj(4))@5"):
+        w = window_of(text)
+        result = D.decompose(w)
+        assert len(result.trace) == result.summand_count - 1, text
+        dims = {s.element.coeffs: s.degree_dims() for s in result.summands}
+        for r in result.trace:
+            replay(w, r)
+            for i, part in enumerate(r.replacements):
+                op = D.multiplication_operator(w, part)
+                assert [row[1 + i] for row in r.part_dims] == [
+                    fplin.rank(op.blocks[u], w.p) for u in range(1, w.n)]
+                assert [row[0] for row in r.part_dims] == list(range(1, w.n))
+        # the parts never split again are exactly the summand elements
+        split = {r.split_element.coeffs for r in result.trace}
+        leaves = {e.coeffs for r in result.trace for e in r.replacements} - split
+        assert leaves == set(dims), text
 
 
 def test_summands_annihilate_each_other():
@@ -131,6 +180,16 @@ def test_verification_catches_overlapping_spaces():
     assert not report.ok and report.violations
 
 
+def test_verification_catches_a_zero_summand():
+    w = window_of("ConnectedSum(ComplexProj(4),ComplexProj(4))@2")
+    result = D.decompose(w)
+    zero = D.Summand(Element(2, (0, 0)),
+                     {u: fplin.Subspace.zero(w.p, w.dim(u)) for u in range(1, w.n)})
+    forged = D.DecompositionResult(result.summands + [zero], result.trace)
+    report = D.verify_decomposition(w, forged)
+    assert report.violations == ("summand 2 is zero",)
+
+
 def test_multiplication_operator_consistency():
     w = window_of("ConnectedSum(ComplexProj(4),ComplexProj(4))@2")
     x1 = Element(2, (1, 0))
@@ -166,3 +225,261 @@ def test_random_sums_recover_summand_count():
             # each summand element is supported on exactly one leaf
             for s in result.summands:
                 assert sum(1 for c in s.element.coeffs if c) == 1
+
+
+# The witness-search split loop the idempotent computation replaced: the
+# reference it must match, capped at p^d splitting candidates per search.
+
+ORACLE_CAP = 2**16
+
+
+def _sub_in_ambient(space, rows, p):
+    """Lift rows given in space coordinates back to ambient coordinates."""
+    if rows.shape[0] == 0:
+        return fplin.Subspace.zero(p, space.ambient)
+    return fplin.Subspace.from_vectors((rows @ space.basis) % p, p, space.ambient)
+
+
+def _acts_invertibly(window, op, spaces):
+    for u, space in spaces.items():
+        if space.dim == 0:
+            continue
+        try:
+            m = fplin.restricted_matrix(op.blocks[u], space, space)
+        except ValueError:
+            return False
+        if fplin.rank(m, window.p) < space.dim:
+            return False
+    return True
+
+
+def _splitting_witness(window, element, spaces, cap, memo):
+    """Lex-first pair (a, b) with a + b = element, neither acting invertibly."""
+    k, p = window.k, window.p
+    d = window.dim(k)
+    if p ** d > cap:
+        raise P.SearchCapExceeded(f"{p ** d} splitting candidates exceed the cap {cap}")
+    xv = element.as_vector()
+
+    def bad(v):
+        key = tuple(int(t) for t in v)
+        op = memo.get(key)
+        if op is None:
+            op = memo[key] = D.multiplication_operator(window, v)
+        return not _acts_invertibly(window, op, spaces)
+
+    for a in fplin.enumerate_vectors(d, p):
+        b = (xv - a) % p
+        if bad(a) and bad(b):
+            return Element.of(k, a), Element.of(k, b)
+    return None
+
+
+def _family_order(window, op, spaces):
+    order = 1
+    for u, space in spaces.items():
+        if space.dim == 0:
+            continue
+        m = fplin.restricted_matrix(op.blocks[u], space, space)
+        order = math.lcm(order, fplin.operator_order(m, window.p))
+    return order
+
+
+def oracle_decompose(window, cap=ORACLE_CAP):
+    """Summands of the old split loop, in its order."""
+    cert = window.certificate
+    k, n, p = window.k, window.n, window.p
+    total = window.total_dim
+    if total == 0:
+        return []
+    exponent = 0
+    while p ** exponent < total:
+        exponent += 1
+    xv = window.to_window(k, cert.element.as_vector())
+    full = {u: fplin.Subspace.full(p, window.dim(u)) for u in range(1, n)}
+    summands = [D.Summand(Element.of(k, xv), full)]
+    memo = {}
+    for _ in range(total + 1):
+        hit = None
+        for idx, s in enumerate(summands):
+            w = _splitting_witness(window, s.element, s.spaces, cap, memo)
+            if w is not None:
+                hit = (idx, w)
+                break
+        if hit is None:
+            break
+        idx, (a, b) = hit
+        s = summands[idx]
+        frob_a = D.ring_power(window, a.as_vector(), p ** exponent)
+        frob_b = D.ring_power(window, b.as_vector(), p ** exponent)
+        op_a = D.multiplication_operator(window, frob_a)
+        op_b = D.multiplication_operator(window, frob_b)
+        ker_a, ker_b, middle = {}, {}, {}
+        for u in range(1, n):
+            space = s.spaces[u]
+            ra = fplin.restricted_matrix(op_a.blocks[u], space, space)
+            rb = fplin.restricted_matrix(op_b.blocks[u], space, space)
+            ka = _sub_in_ambient(space, fplin.kernel(ra, p).basis, p)
+            kac = _sub_in_ambient(space, fplin.image(ra, p).basis, p)
+            kb = _sub_in_ambient(space, fplin.kernel(rb, p).basis, p)
+            kbc = _sub_in_ambient(space, fplin.image(rb, p).basis, p)
+            ker_a[u], ker_b[u], middle[u] = ka, kb, kac.intersection(kbc)
+        order_a = _family_order(window, op_a, middle)
+        order_b = _family_order(window, op_b, middle)
+        head = D.ring_power(window, frob_a, order_a)
+        tail = D.ring_power(window, frob_b, order_b)
+        tail = (tail - D.ring_product(window, head, tail)) % p
+        xi = s.element.as_vector()
+        repl_a = D.ring_product(window, D.ring_product(window, xi, head), xi)
+        repl_b = D.ring_product(window, D.ring_product(window, xi, tail), xi)
+        first = D.Summand(Element.of(k, repl_a),
+                          {u: middle[u].sum(ker_b[u]) for u in range(1, n)})
+        second = D.Summand(Element.of(k, repl_b), ker_a)
+        summands[idx:idx + 1] = [first, second]
+    else:
+        raise VerificationFailure("splitting loop failed to terminate")
+    return summands
+
+
+def oracle_flags_split(window, summand, cap=ORACLE_CAP):
+    """The old verifier's irreducibility check: True when the summand splits."""
+    try:
+        return _splitting_witness(window, summand.element, summand.spaces, cap, {}) is not None
+    except (ValueError, D.OverlapMismatch):
+        return True
+
+
+def _chain(k, leaf):
+    return functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", [leaf] * k)
+
+
+def assert_matches_oracle(w, in_order=True):
+    """Same summand elements, same spaces byte for byte, in the same order;
+    or, with in_order=False, the old summands sorted by element."""
+    want = oracle_decompose(w)
+    got = D.decompose(w).summands
+    if not in_order:
+        want = sorted(want, key=lambda s: s.element.coeffs)
+    assert [s.element for s in got] == [s.element for s in want]
+    for a, b in zip(got, want):
+        assert sorted(a.spaces) == sorted(b.spaces)
+        for u in a.spaces:
+            assert a.spaces[u] == b.spaces[u]
+            assert a.spaces[u].basis.tobytes() == b.spaces[u].basis.tobytes()
+
+
+def merged(result, i, j, p):
+    """A forgery: summands i and j replaced by one with the summed element and spaces."""
+    a, b = result.summands[i], result.summands[j]
+    both = D.Summand(Element.of(a.element.degree, (a.element.as_vector()
+                                                    + b.element.as_vector()) % p),
+                     {u: a.spaces[u].sum(b.spaces[u]) for u in a.spaces})
+    rest = [s for t, s in enumerate(result.summands) if t not in (i, j)]
+    return D.DecompositionResult([both] + rest, []), both
+
+
+def assert_flags_merged_forgeries(w):
+    """Every merge of two summands splits under the old check, and the new
+    one reports it as splitting further."""
+    result = D.decompose(w)
+    for i in range(result.summand_count):
+        for j in range(i + 1, result.summand_count):
+            forged, both = merged(result, i, j, w.p)
+            assert oracle_flags_split(w, both)
+            report = D.verify_decomposition(w, forged)
+            assert any(v.startswith("summand 0 splits further at")
+                       for v in report.violations), report.violations
+
+
+ORACLE_WINDOWS = [
+    # the decompose benchmark's fixtures
+    *(f"{_chain(k, 'ComplexProj(6)')}@2" for k in (2, 3, 4, 5)),
+    f"{_chain(2, 'ComplexProj(6)')}@5",
+    *(f"{_chain(k, 'ComplexProj(4)')}@2" for k in (4, 6)),
+    *(f"{_chain(k, 'ComplexProj(4)')}@3" for k in (3, 4)),
+    # reduced windows from the corpus
+    "ComplexProj(4)@2", "ComplexProj(6)@3", "QuatProj(4)@2", "QuatProj(4)@3",
+    "Sphere(8)@2", "TruncatedPoly(2,5)@3", "TruncatedPoly(4,4)@5",
+    "ConnectedSum(ComplexProj(4),ComplexProj(4))@2",
+    "ConnectedSum(ComplexProj(4),ComplexProj(4))@3",
+    "ConnectedSum(QuatProj(4),QuatProj(4))@2",
+    f"{_chain(3, 'QuatProj(4)')}@5",
+    f"{_chain(3, 'ComplexProj(6)')}@5",
+    # non-reduced windows
+    "Product(Sphere(2),ComplexProj(8))@2", "Product(Sphere(2),ComplexProj(8))@3",
+    "Product(Sphere(2),ComplexProj(4))@2", "Product(Sphere(2),ComplexProj(5))@5",
+    "ConnectedSum(Product(Sphere(2),ComplexProj(4)),Product(Sphere(2),ComplexProj(4)))@2",
+    "ConnectedSum(Product(Sphere(2),ComplexProj(4)),ComplexProj(5))@3",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_WINDOWS)
+def test_decompose_matches_the_split_loop(text):
+    w = window_of(text)
+    assert_matches_oracle(w)
+    assert_flags_merged_forgeries(w)
+
+
+@st.composite
+def _periodic_specs(draw):
+    """Small connected sums and sphere products that have direct windows."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    if draw(st.booleans()):
+        half = draw(st.sampled_from((4, 5, 6)))
+        leaves = [f"ComplexProj({half})", f"Product(Sphere(2),ComplexProj({half - 1}))"]
+        if half % 2 == 0:
+            leaves.append(f"QuatProj({half // 2})")
+        parts = draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3))
+        body = functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", parts)
+    else:
+        sphere = draw(st.sampled_from((2, 4)))
+        body = f"Product(Sphere({sphere}),ComplexProj({draw(st.integers(3, 5))}))"
+    return f"{body}@{p}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_periodic_specs(), st.integers(0, 2**16), st.booleans())
+def test_decompose_matches_the_split_loop_on_random_specs(text, seed, rebase):
+    """A random inducing element of a random degree, so that the unit and
+    the idempotents carry coefficients other than 0 and 1.  In a random
+    basis the old loop's order is no longer sorted, so there only the sets
+    must agree."""
+    alg = build(text).algebra
+    if rebase:
+        alg = rebased(alg, seed)
+    rng = np.random.default_rng(seed)
+    degrees = [k for k in range(1, (alg.n - 1) // 3 + 1)
+               if 0 < alg.dim(k) and alg.p ** alg.dim(k) <= 125]
+    assume(degrees)
+    k = degrees[int(rng.integers(len(degrees)))]
+    cert = None
+    for _ in range(20):
+        x = Element.of(k, rng.integers(0, alg.p, alg.dim(k)))
+        out = P.induces_periodicity(alg, x)
+        if isinstance(out, P.PeriodicityCertificate):
+            cert = out
+            break
+    assume(cert is not None)
+    w = P.subquotient(alg, cert)
+    assert_matches_oracle(w, in_order=not rebase)
+    assert_flags_merged_forgeries(w)
+
+
+def test_large_prime_window_answers_without_a_cap():
+    """p = 2097143 and d = 3: p^d splitting candidates are far past any cap."""
+    p = 2097143
+    fx = build(f"{_chain(3, 'ComplexProj(6)')}@{p}")
+    x = (1, 5, p - 7)
+    w = P.subquotient(fx.algebra, P.PeriodicityCertificate(2, Element(2, x), "direct"))
+    with pytest.raises(P.SearchCapExceeded):
+        oracle_decompose(w, cap=P.DEFAULT_SEARCH_CAP)
+    result = D.decompose(w)
+    assert [s.element.coeffs for s in result.summands] == [(0, 0, p - 7), (0, 5, 0), (1, 0, 0)]
+    for s in result.summands:
+        assert s.degree_dims() == {u: 1 if u % 2 == 0 else 0 for u in range(1, 12)}
+    assert D.verify_decomposition(w, result).ok
+    for r in result.trace:
+        replay(w, r)
+    forged, _ = merged(result, 0, 2, p)
+    report = D.verify_decomposition(w, forged)
+    assert any(v.startswith("summand 0 splits further at") for v in report.violations)

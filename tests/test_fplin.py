@@ -364,3 +364,74 @@ def test_enumerate_vectors_order():
     assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
     assert len(list(fplin.enumerate_vectors(0, 5))) == 1
     assert len(list(fplin.enumerate_vectors(3, 2))) == 8
+
+
+def test_is_prime_against_trial_division():
+    def slow(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if fplin.is_prime(n)] == [n for n in range(3000) if slow(n)]
+    # strong pseudoprimes to small bases, Carmichael numbers, and primes near the bound
+    for n in (561, 1105, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not fplin.is_prime(n), n
+    for n in (2097143, 2097169, 4194301, 2**31 - 1, 4294967311, 2**61 - 1):
+        assert fplin.is_prime(n), n
+
+
+def test_check_modulus():
+    assert fplin.check_modulus(2) == 2
+    assert fplin.check_modulus(np.int64(5)) == 5
+    assert fplin.check_modulus(2097143) == 2097143  # the largest prime below P_MAX
+    for bad in (0, 1, 4, 9, 561, 2097169, 4194301, 2**31 - 1, 2.0, "3", True, None):
+        with pytest.raises(fplin.UnsupportedModulus):
+            fplin.check_modulus(bad)
+    assert issubclass(fplin.UnsupportedModulus, ValueError)
+
+
+def test_products_near_the_bound_are_exact():
+    """Residues just below p = 2097143 multiply without int64 overflow."""
+    from periodica.algebra import GradedAlgebra
+    p = 2097143
+    table = np.full((2, 9), p - 1, dtype=np.int64)
+    alg = GradedAlgebra(p, 4, [1, 0, 3, 0, 2], {(2, 2): table})
+    a = np.array([p - 1, p - 2, p - 3], dtype=np.int64)
+    want = [sum((p - 1) * int(x) * int(y) for x in a for y in a) % p] * 2
+    assert alg.cup(2, a, 2, a).tolist() == want
+    assert (alg.cup_matrix(2, a, 2) @ a % p).tolist() == want
+
+
+def test_split_roots_finds_distinct_roots(monkeypatch):
+    rng = np.random.default_rng(30)
+    for p in (2, 3, 5, 7, 101, 2097143):
+        for _ in range(20):
+            count = int(rng.integers(0, min(p, 6) + 1))
+            roots = sorted(int(r) for r in rng.choice(min(p, 10**6), size=count, replace=False))
+            poly = (1,)
+            for r in roots:
+                poly = fplin._poly_mul(poly, ((-r) % p, 1), p)
+            scaled = tuple(3 * c % p for c in poly) if p > 3 else poly
+            assert fplin.split_roots(scaled, p) == tuple(roots), (p, roots)
+            with monkeypatch.context() as m:
+                m.setattr(fplin, "_SPLIT_SEED", 11)
+                assert fplin.split_roots(poly, p) == tuple(roots)
+
+
+def test_split_roots_refuses_polynomials_that_do_not_split():
+    for poly, p in (((1, 0, 1), 3), ((0, 0, 1), 5), ((1, 1, 1), 2), ((0, 0, 1), 2),
+                    ((), 7), ((2, 0, 0, 1), 7)):
+        with pytest.raises(ValueError):
+            fplin.split_roots(poly, p)
+
+
+def test_consistency_checks_raise_typed_errors(monkeypatch):
+    """The re-checks stay on under python -O."""
+    m = np.array([[0, 1], [0, 0]])
+    monkeypatch.setattr(fplin, "is_semisimple", lambda mat, p: False)
+    with pytest.raises(fplin.ConsistencyFailure):
+        fplin.semisimple_power(m, 2)
+    monkeypatch.setattr(fplin, "is_semisimple", lambda mat, p: True)
+    with pytest.raises(fplin.ConsistencyFailure):
+        fplin.invariant_complement_of_kernel(m, 2)
+    monkeypatch.setattr(fplin, "_poly_gcd", lambda a, b, p: (0, 1))
+    with pytest.raises(fplin.ConsistencyFailure):
+        fplin._poly_lcm((1, 1), (1, 1), 2)

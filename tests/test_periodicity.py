@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from periodica import corpus, fplin
 from periodica import periodicity as P
-from periodica.algebra import Element, GradedAlgebra
+from periodica.algebra import Element
 from periodica.periodicity import (ClosureViolation, ConsistencyFailure, DegreeBoundViolated,
                                    PeriodicityCertificate, SearchCapExceeded,
                                    WellDefinednessFailure, WindowRefusal, _window_failure)
+from rebasing import rebased
 
 
 def build(text):
@@ -383,25 +384,8 @@ def _small_specs(draw):
     return f"{body}@{draw(st.sampled_from((2, 3, 5)))}"
 
 
-def _rebased(alg, seed):
-    """The same algebra in a random basis of each positive degree, so that
-    products no longer come out in lexicographic order."""
-    rng = np.random.default_rng(seed)
-    p, change = alg.p, {0: np.eye(alg.dim(0), dtype=np.int64)}
-    for i in range(1, alg.n + 1):
-        change[i] = rng.integers(0, p, size=(alg.dim(i), alg.dim(i)))
-        while fplin.rank(change[i], p) < alg.dim(i):
-            change[i] = rng.integers(0, p, size=(alg.dim(i), alg.dim(i)))
-    mult = {}
-    for i, j in alg.mult:
-        back = fplin.mat_inv(change[i + j].T, p)
-        table = np.einsum("ut,tab,ca,db->ucd", back, alg.mult3(i, j), change[i], change[j]) % p
-        mult[(i, j)] = table.reshape(alg.dim(i + j), alg.dim(i) * alg.dim(j))
-    return GradedAlgebra(p, alg.n, alg.dims, mult)
-
-
 def test_rebased_algebra_keeps_its_periods():
-    alg = _rebased(build("ConnectedSum(ComplexProj(4),ComplexProj(4))@3").algebra, 1)
+    alg = rebased(build("ConnectedSum(ComplexProj(4),ComplexProj(4))@3").algebra, 1)
     alg.validate()
     rep = P.minimum_period(alg)
     assert (rep.period, rep.all_periods) == (2, (2, 4, 6))
@@ -412,9 +396,24 @@ def test_rebased_algebra_keeps_its_periods():
 def test_product_span_matches_reference_on_random_specs(text, seed, cap):
     alg = build(text).algebra
     assume(max(alg.p ** d for d in alg.dims) <= 125)
-    assert_span_matches_reference(_rebased(alg, seed), (cap,) + SPAN_CAPS)
+    assert_span_matches_reference(rebased(alg, seed), (cap,) + SPAN_CAPS)
 
 
 @pytest.mark.parametrize("text", ["ComplexProj(8)@3", "ConnectedSum(ComplexProj(6),ComplexProj(6))@3"])
 def test_product_span_refuses_at_every_cap_the_reference_does(text):
     assert_span_matches_reference(build(text).algebra, range(1, 31))
+
+
+def test_block_products_are_exact_near_the_bound():
+    """Residues just below p = 2097143: each block product matches Python integers."""
+    p = 2097143
+    rng = np.random.default_rng(3)
+    m3 = rng.integers(p - 50, p, size=(3, 4, 2))
+    left = rng.integers(p - 50, p, size=(5, 4))
+    right = rng.integers(p - 50, p, size=(6, 2))
+    got = P._block_products(m3, left, right, p)
+    for r in range(5):
+        for s in range(6):
+            want = [sum(int(m3[t, a, b]) * int(left[r, a]) * int(right[s, b])
+                        for a in range(4) for b in range(2)) % p for t in range(3)]
+            assert got[r * 6 + s].tolist() == want

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from periodica import corpus, steenrod
+from periodica import corpus, fplin, steenrod
 from periodica.steenrod import (ActionDefect, IsPowerOfTwo, SteenrodAction,
                                 adem_normal_form, decompose_sq, evaluate_sum,
                                 operation_shift)
@@ -161,3 +161,11 @@ class _FakeWindow:
         self.p = window.p
         self.n = n
         self.k = n  # p * k > n - 1 on purpose
+
+
+def test_decompose_sq_recheck_is_a_typed_error(monkeypatch):
+    """The recombination check stays on under python -O."""
+    real = steenrod.adem_normal_form
+    monkeypatch.setattr(steenrod, "adem_normal_form", lambda monos: real(monos) | {(99,)})
+    with pytest.raises(fplin.ConsistencyFailure):
+        decompose_sq.__wrapped__(6)  # past the cache
