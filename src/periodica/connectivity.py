@@ -12,24 +12,26 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .periodicity import HypothesisNotMet
 
 SATURATION_BOUND = 10_000
 
+# The argument types of each fact kind; a name is a str, a number an int.
 FACT_KINDS = {
-    "Connected": 3,            # (sub, ambient, c)
-    "Periodic": 5,             # (space, k, lo, hi, coefficients)
-    "Dim": 2,                  # (space, n)
-    "Codim": 3,                # (sub, ambient, k)
-    "H1Vanishes": 2,           # (space, prime; 0 means rational)
-    "FixedPointComponent": 2,  # (sub, ambient): circle-action fixed component
-    "TorusFixedComponent": 2,  # (sub, ambient): fixed component of the full torus
-    "TorusSymmetry": 2,        # (space, rank)
-    "RicciPositive": 1,        # (space,): intermediate Ricci positivity tag
-    "ConnectedIsotropy": 1,    # (space,): inert hypothesis tag
-    "TransverseIntersection": 3,  # (sub1, sub2, intersection)
-    "OddBettiVanish": 1,       # (space,)
+    "Connected": (str, str, int),             # (sub, ambient, c)
+    "Periodic": (str, int, int, int, str),    # (space, k, lo, hi, coefficients)
+    "Dim": (str, int),                        # (space, n)
+    "Codim": (str, str, int),                 # (sub, ambient, k)
+    "H1Vanishes": (str, int),                 # (space, prime; 0 means rational)
+    "FixedPointComponent": (str, str),        # (sub, ambient): circle-action fixed component
+    "TorusFixedComponent": (str, str),        # (sub, ambient): fixed component of the full torus
+    "TorusSymmetry": (str, int),              # (space, rank)
+    "RicciPositive": (str,),                  # (space,): intermediate Ricci positivity tag
+    "ConnectedIsotropy": (str,),              # (space,): inert hypothesis tag
+    "TransverseIntersection": (str, str, str),  # (sub1, sub2, intersection)
+    "OddBettiVanish": (str,),                 # (space,)
 }
 
 
@@ -49,8 +51,8 @@ class Fact:
     def __post_init__(self):
         if self.kind not in FACT_KINDS:
             raise ValueError(f"unknown fact kind {self.kind!r}")
-        if len(self.args) != FACT_KINDS[self.kind]:
-            raise ValueError(f"{self.kind} takes {FACT_KINDS[self.kind]} arguments")
+        if len(self.args) != len(FACT_KINDS[self.kind]):
+            raise ValueError(f"{self.kind} takes {len(FACT_KINDS[self.kind])} arguments")
 
     def __str__(self) -> str:
         if self.kind == "Periodic":
@@ -63,7 +65,21 @@ class Fact:
 
     @staticmethod
     def from_dict(d: dict) -> "Fact":
-        return Fact(d["kind"], tuple(d["args"]))
+        """Read a fact from JSON, checking the type of every argument (bool
+        is no int here).  The constructor leaves this to the file boundary:
+        derive builds many facts from facts already checked."""
+        if not isinstance(d, dict) or not isinstance(d.get("args"), list):
+            raise ValueError(f"a fact must be an object with a kind and an args list, got {d!r}")
+        kind, args = d.get("kind"), tuple(d["args"])
+        if not isinstance(kind, str) or kind not in FACT_KINDS:
+            raise ValueError(f"unknown fact kind {kind!r}")
+        types = FACT_KINDS[kind]
+        if len(args) != len(types) or any(type(a) is not t for a, t in zip(args, types)):
+            raise ValueError(f"{kind} takes ({', '.join(t.__name__ for t in types)}), "
+                             f"got {list(args)!r}")
+        if kind == "Periodic":
+            return periodic(*args)
+        return Fact(kind, args)
 
 
 def connected(sub, amb, c):
@@ -308,36 +324,19 @@ def _apply_rational_upgrade(inputs):
     return (periodic(space, kq, 1, n - 1, "rational"),), conds
 
 
-def _transfer_conditions(c, k):
-    return (_cond("0 < k < c - 1", f"k = {k}, c = {c}", 0 < k < c - 1),)
-
-
-def _apply_transfer_up(inputs):
+def _apply_transfer(direction, inputs):
     conn, per = inputs
     sub, amb, c = conn.args
     space, k, lo, hi, tag = per.args
-    conds = _transfer_conditions(c, k) + (_cond("window starts at 1", lo, lo == 1),)
+    conds = (_cond("0 < k < c - 1", f"k = {k}, c = {c}", 0 < k < c - 1),
+             _cond("window starts at 1", lo, lo == 1))
     if not all(x.holds for x in conds):
         return (), conds
-    out = min(hi, c + 1)
+    out = min(hi, c + 1 if direction == "up" else c)
     conds += (_cond("window longer than period", f"{out} > {k}", out > k),)
     if out <= k:
         return (), conds
-    return (periodic(amb, k, 1, out, tag),), conds
-
-
-def _apply_transfer_down(inputs):
-    conn, per = inputs
-    sub, amb, c = conn.args
-    space, k, lo, hi, tag = per.args
-    conds = _transfer_conditions(c, k) + (_cond("window starts at 1", lo, lo == 1),)
-    if not all(x.holds for x in conds):
-        return (), conds
-    out = min(hi, c)
-    conds += (_cond("window longer than period", f"{out} > {k}", out > k),)
-    if out <= k:
-        return (), conds
-    return (periodic(sub, k, 1, out, tag),), conds
+    return (periodic(amb if direction == "up" else sub, k, 1, out, tag),), conds
 
 
 def _apply_extension(inputs):
@@ -387,8 +386,8 @@ _APPLIERS = {
     "ambient-periodicity": _apply_ambient_periodicity,
     "torus-fixed-periodicity": _apply_torus_fixed_periodicity,
     "rational-upgrade": _apply_rational_upgrade,
-    "window-transfer-up": _apply_transfer_up,
-    "window-transfer-down": _apply_transfer_down,
+    "window-transfer-up": partial(_apply_transfer, "up"),
+    "window-transfer-down": partial(_apply_transfer, "down"),
     "window-extension": _apply_extension,
     "odd-betti-vanishing": _apply_odd_betti,
     "betti-descent": _apply_betti_descent,
@@ -524,44 +523,88 @@ RULE_ORDER = (
     "betti-descent",
 )
 
+# The fact kinds each rule reads: a rule none of whose kinds gained a fact in
+# the last round has no new input tuple.
+RULE_INPUTS = {
+    "dimension-from-codimension": ("Codim", "Dim"),
+    "fixed-point-connectedness": ("FixedPointComponent", "Dim", "Codim"),
+    "intersection-connectedness": ("TransverseIntersection", "Codim", "Dim"),
+    "ambient-periodicity": ("Connected", "Dim", "Codim"),
+    "torus-fixed-periodicity": ("RicciPositive", "TorusSymmetry", "TorusFixedComponent",
+                                "Dim"),
+    "rational-upgrade": ("Periodic", "Dim", "H1Vanishes"),
+    "window-transfer-up": ("Connected", "Periodic"),
+    "window-transfer-down": ("Connected", "Periodic"),
+    "window-extension": ("FixedPointComponent", "Codim", "Dim", "Periodic"),
+    "odd-betti-vanishing": ("Periodic", "Dim", "H1Vanishes"),
+    "betti-descent": ("OddBettiVanish", "FixedPointComponent", "TorusFixedComponent"),
+}
+
+
+def _subsumption_key(fact: Fact):
+    """The facts that can subsume `fact` other than itself share this key;
+    kinds without one are subsumed only by an equal fact."""
+    if fact.kind == "Periodic":
+        space, k, lo, hi, tag = fact.args
+        return fact.kind, space, k, tag
+    if fact.kind == "Connected":
+        return fact.kind, fact.args[0], fact.args[1]
+    return None
+
 
 def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
     """Forward-chain the rule set until the goal is subsumed.
 
+    Evaluation is semi-naive: a fact derived in one round becomes visible in
+    the next, and a rule fires only on input tuples holding at least one fact
+    new in the previous round (the axioms, in the first).  A tuple of older
+    facts was applied a round earlier and its outputs are known or subsumed
+    since, so the steps are exactly those of re-applying every tuple.
+
     Returns the pruned derivation whose steps lead to the goal; raises
     Saturated when the fact set stops growing (or hits the bound) first.
     """
-    known = list(facts)
-    seen = set(known)
+    known = []
+    seen = set()
+    stronger = {}  # subsumption key -> the known facts with that key
+
+    def learn(fact):
+        known.append(fact)
+        seen.add(fact)
+        key = _subsumption_key(fact)
+        if key is not None:
+            stronger.setdefault(key, []).append(fact)
+
+    for f in facts:
+        learn(f)
+    by_kind = _by_kind(known)
     steps = []
-    produced_by = {}
-
-    def satisfied():
-        for f in known:
-            if subsumes(f, goal):
-                return f
-        return None
-
-    final = satisfied()
+    start = 0
+    final = next((f for f in known if subsumes(f, goal)), None)
     while final is None:
-        by_kind = _by_kind(known)
-        new_steps = []
+        delta = set(known[start:])
+        grown = {f.kind for f in delta}
+        start = len(known)
         for rule in RULE_ORDER:
+            if grown.isdisjoint(RULE_INPUTS[rule]):
+                continue
             for inputs in _candidates(rule, by_kind):
+                if delta.isdisjoint(inputs):
+                    continue
                 outputs, conditions = _APPLIERS[rule](inputs)
                 for out in outputs:
-                    if out in seen or any(subsumes(f, out) for f in known):
+                    if out in seen or any(subsumes(f, out) for f in
+                                          stronger.get(_subsumption_key(out), ())):
                         continue
-                    new_steps.append(Step(rule, tuple(inputs), out, conditions))
-                    known.append(out)
-                    seen.add(out)
-                    produced_by[out] = new_steps[-1]
+                    steps.append(Step(rule, tuple(inputs), out, conditions))
+                    learn(out)
                     if len(known) > bound:
                         raise Saturated(f"fact bound {bound} exceeded")
-        if not new_steps:
+        if len(known) == start:
             raise Saturated(f"saturated at {len(known)} facts without the goal")
-        steps.extend(new_steps)
-        final = satisfied()
+        for f in known[start:]:
+            by_kind.setdefault(f.kind, []).append(f)
+        final = next((f for f in known[start:] if subsumes(f, goal)), None)
 
     keep = []
     needed = {final}
@@ -587,7 +630,7 @@ def verify_derivation(derivation: Derivation, facts) -> bool:
         if step.output not in outputs or conditions != step.conditions:
             return False
         known.update(outputs)
-    if derivation.final not in known and derivation.final not in set(facts):
+    if derivation.final not in known:
         return False
     return subsumes(derivation.final, derivation.goal)
 
@@ -607,9 +650,14 @@ class Scenario:
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
-        return Scenario(d.get("description", ""),
+        if not isinstance(d, dict) or not isinstance(d.get("facts"), list):
+            raise ValueError("a scenario must be an object with a facts list and a goal")
+        description = d.get("description", "")
+        if not isinstance(description, str):
+            raise ValueError("the scenario description must be a string")
+        return Scenario(description,
                         tuple(Fact.from_dict(f) for f in d["facts"]),
-                        Fact.from_dict(d["goal"]))
+                        Fact.from_dict(d.get("goal")))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,6 +1,7 @@
 """Command-line driver, exercised in process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +291,42 @@ def test_derive_hypothesis_failure_is_inconclusive(capsys, monkeypatch, tmp_path
     monkeypatch.setattr(connectivity, "derive", _raises(connectivity.HypothesisNotMet))
     code, out, _ = run(capsys, "derive", str(path))
     assert code == 1 and report(out)["status"] == "inconclusive"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, make", [
+    ("cascade80", lambda: connectivity.codim_cascade_scenario(80)),
+    ("four_weight40", lambda: connectivity.four_weight_scenario(40, (2, 2, 4, 4))),
+])
+def test_derive_golden_output(capsys, tmp_path, name, make):
+    scenario, _ = make()
+    path = tmp_path / "scenario.json"
+    scenario.save(str(path))
+    code, out, _ = run(capsys, "derive", str(path))
+    assert code == 0
+    assert out == (GOLDEN / f"derive_{name}.json").read_text(encoding="utf-8")
+
+
+def _with_first_fact(doc, fact):
+    return {**doc, "facts": [fact] + doc["facts"][1:]}
+
+
+_SCENARIO = connectivity.codim_cascade_scenario(32)[0].to_dict()
+MALFORMED_SCENARIOS = {
+    "string-dimension": _with_first_fact(_SCENARIO, {"kind": "Dim", "args": ["M", "12"]}),
+    "list-dimension": _with_first_fact(_SCENARIO, {"kind": "Dim", "args": ["M", [12]]}),
+    "top-level-list": [_SCENARIO["goal"]] + _SCENARIO["facts"],
+    "unknown-coefficients": {**_SCENARIO, "goal": {"kind": "Periodic",
+                                                   "args": ["M", 4, 1, 31, "weird"]}},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SCENARIOS.values(), ids=MALFORMED_SCENARIOS)
+def test_malformed_scenario_is_bad_input(capsys, tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "not a scenario file" in err and "Traceback" not in err

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodica import connectivity as C
 from periodica.connectivity import (
@@ -95,6 +97,34 @@ def test_fact_validation():
         periodic("M", 4, 1, 10, coefficients="complex")
     with pytest.raises(ValueError):
         periodic("M", 4, 5, 3)
+
+
+def test_fact_from_dict_checks_argument_types():
+    assert Fact.from_dict({"kind": "Dim", "args": ["M", 12]}) == dimension("M", 12)
+    assert Fact.from_dict(periodic("M", 4, 1, 9).to_dict()) == periodic("M", 4, 1, 9)
+    bad = [
+        [],
+        {"kind": "Dim"},
+        {"kind": "Blob", "args": ["M"]},
+        {"kind": ["Dim"], "args": ["M", 12]},
+        {"kind": "Dim", "args": ["M", "12"]},
+        {"kind": "Dim", "args": ["M", [12]]},
+        {"kind": "Dim", "args": ["M", True]},
+        {"kind": "Dim", "args": ["M", 12.0]},
+        {"kind": "Dim", "args": [3, 12]},
+        {"kind": "Dim", "args": ["M"]},
+        {"kind": "Periodic", "args": ["M", 4, 1, 9, "weird"]},
+        {"kind": "Periodic", "args": ["M", 4, 9, 1, "integral"]},
+    ]
+    for d in bad:
+        with pytest.raises(ValueError):
+            Fact.from_dict(d)
+    good = C.four_weight_scenario(40, (2, 2, 4, 4))[0].to_dict()
+    assert Scenario.from_dict(good).to_dict() == good
+    for broken in ([good], {"goal": good["goal"]}, {**good, "description": 7},
+                   {**good, "goal": None}):
+        with pytest.raises(ValueError):
+            Scenario.from_dict(broken)
 
 
 def test_fact_rendering():
@@ -267,3 +297,163 @@ def test_scenario_json_round_trip(tmp_path):
     assert loaded.goal == scenario.goal
     der = derive(loaded.goal, loaded.facts)
     assert verify_derivation(der, loaded.facts)
+
+
+# differential tests: semi-naive derive against the naive loop it replaced
+
+def naive_derive(goal, facts, bound=C.SATURATION_BOUND):
+    """The forward-chaining loop before semi-naive evaluation, verbatim: every
+    round re-applies every rule to every input tuple and scans every known
+    fact for subsumption."""
+    known = list(facts)
+    seen = set(known)
+    steps = []
+    produced_by = {}
+
+    def satisfied():
+        for f in known:
+            if subsumes(f, goal):
+                return f
+        return None
+
+    final = satisfied()
+    while final is None:
+        by_kind = C._by_kind(known)
+        new_steps = []
+        for rule in C.RULE_ORDER:
+            for inputs in C._candidates(rule, by_kind):
+                outputs, conditions = C._APPLIERS[rule](inputs)
+                for out in outputs:
+                    if out in seen or any(subsumes(f, out) for f in known):
+                        continue
+                    new_steps.append(Step(rule, tuple(inputs), out, conditions))
+                    known.append(out)
+                    seen.add(out)
+                    produced_by[out] = new_steps[-1]
+                    if len(known) > bound:
+                        raise Saturated(f"fact bound {bound} exceeded")
+        if not new_steps:
+            raise Saturated(f"saturated at {len(known)} facts without the goal")
+        steps.extend(new_steps)
+        final = satisfied()
+
+    keep = []
+    needed = {final}
+    for step in reversed(steps):
+        if step.output in needed:
+            keep.append(step)
+            needed.update(step.inputs)
+    keep.reverse()
+    return Derivation(goal, tuple(keep), final)
+
+
+def _outcome(run, goal, facts, bound=C.SATURATION_BOUND):
+    try:
+        return run(goal, facts, bound).to_dict()
+    except Saturated as e:
+        return f"Saturated: {e}"
+
+
+def assert_same_as_naive(goal, facts, bound=C.SATURATION_BOUND):
+    fast = _outcome(derive, goal, facts, bound)
+    assert fast == _outcome(naive_derive, goal, facts, bound), (goal, facts, bound)
+    return fast
+
+
+def test_semi_naive_matches_naive_on_every_cascade_attempt(monkeypatch):
+    # The template calls derive by its global name, so wrapping it sees every
+    # (k2, k3) candidate tried, the saturating ones included.
+    attempts = []
+
+    def checked(goal, facts, bound=C.SATURATION_BOUND):
+        outcome = assert_same_as_naive(goal, facts, bound)
+        attempts.append(isinstance(outcome, str))
+        return derive(goal, facts, bound)
+
+    monkeypatch.setattr(C, "derive", checked)
+    for n in range(24, 301, 4):
+        try:
+            C.codim_cascade_scenario(n)
+        except Saturated:
+            assert n in (24, 28), n
+    assert len(attempts) > 70 and any(attempts) and not all(attempts)
+
+
+def test_semi_naive_matches_naive_on_four_weight_grid():
+    weights = [(a, b, c, d) for a in range(2, 13, 2) for b in range(a, 13, 2)
+               for c in range(b, 13, 2) for d in range(c, 13, 2)]
+    cases = 0
+    for n in range(20, 81, 4):
+        for ws in weights:
+            if n - sum(ws) <= 0 or (n - sum(ws)) % 4:
+                continue
+            scenario, _ = C.four_weight_scenario(n, ws)
+            assert_same_as_naive(scenario.goal, scenario.facts)
+            cases += 1
+    for n, ws in FOUR_WEIGHT_GRID:
+        scenario, _ = C.four_weight_scenario(n, ws)
+        assert isinstance(assert_same_as_naive(scenario.goal, scenario.facts), dict)
+    assert cases > 500
+
+
+def test_semi_naive_matches_naive_with_noise():
+    scenario, _ = C.codim_cascade_scenario(36)
+    noise = (
+        dimension("Q", 7),
+        connected("Q", "M", 2),
+        h1_vanishes("Q", 2),
+        codimension("Q", "M", 29),
+    )
+    for facts in (scenario.facts + noise, noise + scenario.facts,
+                  noise + scenario.facts + noise):
+        assert isinstance(assert_same_as_naive(scenario.goal, facts), dict)
+    # Axioms that subsume derived facts with another lower end or bound:
+    # F2 (dimension 20) sits in F1 with codimension 8 and holds F3 with
+    # codimension 4.
+    stronger = (periodic("F2", 4, 1, 19), periodic("F1", 4, 1, 27, "rational"),
+                connected("F3", "F2", 15))
+    for extra in stronger:
+        for facts in (scenario.facts + (extra,), (extra,) + scenario.facts):
+            assert_same_as_naive(scenario.goal, facts)
+            assert_same_as_naive(Fact("OddBettiVanish", ("M",)), facts)
+
+
+_NAMES = st.sampled_from(("M", "N", "F", "W"))
+_NUMBERS = {"H1Vanishes": st.sampled_from((0, 2, 3)), "TorusSymmetry": st.integers(0, 5)}
+
+
+def _random_fact(draw):
+    kind = draw(st.sampled_from(sorted(C.FACT_KINDS)))
+    if kind == "Periodic":
+        lo = draw(st.integers(1, 4))
+        return periodic(draw(_NAMES), draw(st.sampled_from((2, 4, 6))), lo,
+                        draw(st.integers(lo, 40)),
+                        draw(st.sampled_from(("integral", "rational"))))
+    numbers = _NUMBERS.get(kind, st.integers(0, 40))
+    return Fact(kind, tuple(draw(_NAMES if t is str else numbers)
+                            for t in C.FACT_KINDS[kind]))
+
+
+@st.composite
+def _fact_sets(draw):
+    """A template scenario with facts dropped and random facts mixed in, or
+    random facts alone; a goal from the template or drawn; a bound 1..30."""
+    base = draw(st.sampled_from(("none", "cascade", "four-weight")))
+    if base == "cascade":
+        scenario, _ = C.codim_cascade_scenario(draw(st.sampled_from((32, 40, 56))))
+    elif base == "four-weight":
+        scenario, _ = C.four_weight_scenario(*draw(st.sampled_from(FOUR_WEIGHT_GRID)))
+    facts = [] if base == "none" else list(scenario.facts)
+    facts = [f for f in facts if draw(st.integers(0, 9))]
+    for _ in range(draw(st.integers(0, 8 if facts else 16))):
+        facts.insert(draw(st.integers(0, len(facts))), _random_fact(draw))
+    goal = scenario.goal if base != "none" and draw(st.booleans()) else _random_fact(draw)
+    return goal, tuple(facts), draw(st.integers(1, 30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fact_sets())
+def test_semi_naive_matches_naive_on_random_fact_sets(case):
+    goal, facts, bound = case
+    assert_same_as_naive(goal, facts, bound)
+    assert_same_as_naive(goal, facts)
