@@ -19,10 +19,6 @@ class AlgebraDefect(ValueError):
     """The multiplication tables violate a ring axiom."""
 
 
-class DegreeOverflow(ValueError):
-    """A product was requested above the top degree in strict mode."""
-
-
 @dataclass(frozen=True)
 class Element:
     """Homogeneous element: degree plus coordinates in the degree basis."""
@@ -97,11 +93,9 @@ class GradedAlgebra:
         """Table (i, j) reshaped to (dim(i+j), dim(i), dim(j))."""
         return self.mult_map(i, j).reshape(self.dim(i + j), self.dim(i), self.dim(j))
 
-    def cup(self, i: int, a, j: int, b, strict: bool = False) -> np.ndarray:
+    def cup(self, i: int, a, j: int, b) -> np.ndarray:
         """Product of a (degree i) and b (degree j), a vector in degree i + j."""
         if i + j > self.n:
-            if strict:
-                raise DegreeOverflow(f"degree {i}+{j} exceeds top degree {self.n}")
             return np.zeros(0, dtype=np.int64)
         av = fplin.as_vector(a, self.p)
         bv = fplin.as_vector(b, self.p)

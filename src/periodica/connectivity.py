@@ -43,7 +43,8 @@ class Saturated(RuntimeError):
     """The fact set saturated without reaching the goal; not a refutation."""
 
 
-@dataclass(frozen=True)
+# slots: derive and the scenario templates build many facts.
+@dataclass(frozen=True, slots=True)
 class Fact:
     kind: str
     args: tuple
@@ -66,44 +67,52 @@ class Fact:
     @staticmethod
     def from_dict(d: dict) -> "Fact":
         """Read a fact from JSON, checking the type of every argument (bool
-        is no int here).  The constructor leaves this to the file boundary:
-        derive builds many facts from facts already checked."""
+        is no int here)."""
         if not isinstance(d, dict) or not isinstance(d.get("args"), list):
             raise ValueError(f"a fact must be an object with a kind and an args list, got {d!r}")
         kind, args = d.get("kind"), tuple(d["args"])
         if not isinstance(kind, str) or kind not in FACT_KINDS:
             raise ValueError(f"unknown fact kind {kind!r}")
-        types = FACT_KINDS[kind]
-        if len(args) != len(types) or any(type(a) is not t for a, t in zip(args, types)):
-            raise ValueError(f"{kind} takes ({', '.join(t.__name__ for t in types)}), "
-                             f"got {list(args)!r}")
-        if kind == "Periodic":
-            return periodic(*args)
-        return Fact(kind, args)
+        fact = _typed(kind, args)
+        return periodic(*args) if kind == "Periodic" else fact
+
+
+def _typed(kind: str, args: tuple) -> Fact:
+    """Fact(kind, args) once every argument has exactly its FACT_KINDS type.
+
+    The Fact constructor itself checks only the arity: derive builds many
+    facts from facts already checked.
+    """
+    types = FACT_KINDS[kind]
+    if tuple(map(type, args)) != types:
+        raise ValueError(f"{kind} takes ({', '.join(t.__name__ for t in types)}), "
+                         f"got {list(args)!r}")
+    return Fact(kind, args)
 
 
 def connected(sub, amb, c):
-    return Fact("Connected", (sub, amb, int(c)))
+    return _typed("Connected", (sub, amb, c))
 
 
 def periodic(space, k, lo, hi, coefficients="integral"):
+    fact = _typed("Periodic", (space, k, lo, hi, coefficients))
     if coefficients not in ("integral", "rational"):
         raise ValueError("coefficients must be 'integral' or 'rational'")
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
-    return Fact("Periodic", (space, int(k), int(lo), int(hi), coefficients))
+    return fact
 
 
 def dimension(space, n):
-    return Fact("Dim", (space, int(n)))
+    return _typed("Dim", (space, n))
 
 
 def codimension(sub, amb, k):
-    return Fact("Codim", (sub, amb, int(k)))
+    return _typed("Codim", (sub, amb, k))
 
 
 def h1_vanishes(space, prime):
-    return Fact("H1Vanishes", (space, int(prime)))
+    return _typed("H1Vanishes", (space, prime))
 
 
 def subsumes(fact: Fact, other: Fact) -> bool:

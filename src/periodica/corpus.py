@@ -231,55 +231,62 @@ def _build_truncated(p: int, g: int, t: int):
     return alg, SteenrodAction(alg, maps)
 
 
-def _kunneth_slots(A: GradedAlgebra, B: GradedAlgebra):
-    """Per-degree list of (left degree, left index, right index) basis slots."""
-    n = A.n + B.n
-    slots = {k: [] for k in range(n + 1)}
-    for i in range(A.n + 1):
-        for ai in range(A.dim(i)):
-            for j in range(B.n + 1):
-                for bj in range(B.dim(j)):
-                    slots[i + j].append((i, ai, bj))
-    for k in slots:
-        slots[k].sort()
-    return slots
+def _kunneth_blocks(A: GradedAlgebra, B: GradedAlgebra):
+    """Per degree k, {i: offset} of the nonzero blocks A_i (x) B_(k-i).
+
+    Blocks run in ascending i; inside a block the basis vector
+    a (x) b sits at offset + a * B.dim(k-i) + b.
+    """
+    blocks, dims = [], []
+    for k in range(A.n + B.n + 1):
+        offsets, size = {}, 0
+        for i in range(max(0, k - B.n), min(A.n, k) + 1):
+            if A.dim(i) and B.dim(k - i):
+                offsets[i] = size
+                size += A.dim(i) * B.dim(k - i)
+        blocks.append(offsets)
+        dims.append(size)
+    return blocks, dims
 
 
 def _build_product(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
+    """Tensor product; (a (x) b)(c (x) d) = (-1)^(deg b * deg c) ac (x) bd.
+
+    Each table and each operation is filled block by block from the
+    factors' nonzero tables and maps.
+    """
     p = A.p
     n = A.n + B.n
-    slots = _kunneth_slots(A, B)
-    index = {k: {s: t for t, s in enumerate(slots[k])} for k in slots}
-    dims = [len(slots[k]) for k in range(n + 1)]
+    blocks, dims = _kunneth_blocks(A, B)
+    m3a = {key: A.mult3(*key) for key in A.mult}
+    m3b = {key: B.mult3(*key) for key in B.mult}
     mult = {}
     for k in range(n + 1):
         for l in range(n + 1 - k):
-            dk, dl, dt = dims[k], dims[l], dims[k + l]
-            if dk == 0 or dl == 0 or dt == 0:
+            if not (dims[k] and dims[l] and dims[k + l]):
                 continue
-            table = np.zeros((dt, dk * dl), dtype=np.int64)
-            for u, (i1, a1, b1) in enumerate(slots[k]):
-                for v, (i2, a2, b2) in enumerate(slots[l]):
-                    sign = p - 1 if ((k - i1) * i2) % 2 else 1
-                    if i1 + i2 > A.n or (k - i1) + (l - i2) > B.n:
+            table = np.zeros((dims[k + l], dims[k], dims[l]), dtype=np.int64)
+            for i1, u in blocks[k].items():
+                for i2, v in blocks[l].items():
+                    ma, mb = m3a.get((i1, i2)), m3b.get((k - i1, l - i2))
+                    if ma is None or mb is None:
                         continue
-                    va = A.cup(i1, A.basis_element(i1, a1), i2, A.basis_element(i2, a2))
-                    vb = B.cup(k - i1, B.basis_element(k - i1, b1),
-                               l - i2, B.basis_element(l - i2, b2))
-                    for ta in range(va.shape[0]):
-                        if va[ta] == 0:
-                            continue
-                        for tb in range(vb.shape[0]):
-                            if vb[tb] == 0:
-                                continue
-                            row = index[k + l][(i1 + i2, ta, tb)]
-                            table[row, u * dl + v] = (
-                                table[row, u * dl + v] + sign * va[ta] * vb[tb]) % p
+                    (ta, a1, a2), (tb, b1, b2) = ma.shape, mb.shape
+                    block = np.einsum("xac,ybd->xyabcd", ma, mb).reshape(ta * tb, a1 * b1, a2 * b2)
+                    if (k - i1) * i2 % 2:
+                        block = -block
+                    row = blocks[k + l][i1 + i2]
+                    table[row:row + ta * tb, u:u + a1 * b1, v:v + a2 * b2] = block % p
             if table.any():
-                mult[(k, l)] = table
+                mult[(k, l)] = table.reshape(dims[k + l], dims[k] * dims[l])
     alg = GradedAlgebra(p, n, dims, mult)
     if actA is None or actB is None:
         return alg, None
+
+    def op(act, s, j):
+        """Operation s on degree j, or None when it is zero."""
+        return act.op_matrix(s, j) if s == 0 else act.maps.get((s, j))
+
     maps = {}
     for k in range(1, n + 1):
         if dims[k] == 0:
@@ -288,23 +295,15 @@ def _build_product(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
         while k + operation_shift(p, s) <= n:
             t = k + operation_shift(p, s)
             table = np.zeros((dims[t], dims[k]), dtype=np.int64)
-            for u, (i, ai, bi) in enumerate(slots[k]):
-                j = k - i
+            for i, u in blocks[k].items():
                 for h in range(s + 1):
-                    ta = i + operation_shift(p, h)
-                    tb = j + operation_shift(p, s - h)
-                    if ta > A.n or tb > B.n:
+                    oa, ob = op(actA, h, i), op(actB, s - h, k - i)
+                    if oa is None or ob is None:
                         continue
-                    va = actA.apply(h, i, A.basis_element(i, ai))
-                    vb = actB.apply(s - h, j, B.basis_element(j, bi))
-                    for xa in range(va.shape[0]):
-                        if va[xa] == 0:
-                            continue
-                        for xb in range(vb.shape[0]):
-                            if vb[xb] == 0:
-                                continue
-                            row = index[t][(ta, xa, xb)]
-                            table[row, u] = (table[row, u] + va[xa] * vb[xb]) % p
+                    (xa, ya), (xb, yb) = oa.shape, ob.shape
+                    row = blocks[t][i + operation_shift(p, h)]
+                    table[row:row + xa * xb, u:u + ya * yb] = (
+                        np.einsum("xa,yb->xyab", oa, ob).reshape(xa * xb, ya * yb) % p)
             if table.any():
                 maps[(s, k)] = table
             s += 1
@@ -312,6 +311,8 @@ def _build_product(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
 
 
 def _build_connected_sum(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
+    """A and B glued at their ends: positive products of the two sides
+    vanish, and both fundamental classes become the one top class."""
     p = A.p
     n = A.n
     if B.n != n or n < 2:
@@ -320,44 +321,33 @@ def _build_connected_sum(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
         raise ValueError("connected summands need one-dimensional ends")
     dims = [1] + [A.dim(i) + B.dim(i) for i in range(1, n)] + [1]
 
-    def block(i, side_vec, side):
-        out = np.zeros(dims[i], dtype=np.int64)
-        if i == 0 or i == n:
-            return side_vec.copy()
-        off = 0 if side == 0 else A.dim(i)
-        out[off:off + side_vec.shape[0]] = side_vec
-        return out
+    def rows(t, side):
+        """Rows of degree t that side 0 (A) or 1 (B) occupies."""
+        if t == n:
+            return slice(0, 1)
+        return slice(0, A.dim(t)) if side == 0 else slice(A.dim(t), dims[t])
 
     mult = {}
     for i in range(1, n):
         for j in range(1, n + 1 - i):
-            dt = dims[i + j] if i + j <= n else 0
-            if dims[i] == 0 or dims[j] == 0 or dt == 0:
+            if not (dims[i] and dims[j] and dims[i + j]):
                 continue
-            table = np.zeros((dt, dims[i] * dims[j]), dtype=np.int64)
-            for side, alg in ((0, A), (1, B)):
-                offi = 0 if side == 0 else A.dim(i)
-                offj = 0 if side == 0 else A.dim(j)
-                for a in range(alg.dim(i)):
-                    for b in range(alg.dim(j)):
-                        v = alg.cup(i, alg.basis_element(i, a), j, alg.basis_element(j, b))
-                        col = (offi + a) * dims[j] + (offj + b)
-                        table[:, col] = block(i + j, v, side)
+            table = np.zeros((dims[i + j], dims[i], dims[j]), dtype=np.int64)
+            table[rows(i + j, 0), :A.dim(i), :A.dim(j)] = A.mult3(i, j)
+            table[rows(i + j, 1), A.dim(i):, A.dim(j):] = B.mult3(i, j)
             if table.any():
-                mult[(i, j)] = table
+                mult[(i, j)] = table.reshape(dims[i + j], dims[i] * dims[j])
     alg = GradedAlgebra(p, n, dims, _with_units(dims, mult))
     if actA is None or actB is None:
         return alg, None
     maps = {}
-    for side, src, act in ((0, A, actA), (1, B, actB)):
+    for side, act in enumerate((actA, actB)):
         for (s, j), m in act.maps.items():
             if j == 0 or j >= n:
                 continue
             t = j + operation_shift(p, s)
             table = maps.setdefault((s, j), np.zeros((dims[t], dims[j]), dtype=np.int64))
-            offj = 0 if side == 0 else A.dim(j)
-            for b in range(src.dim(j)):
-                table[:, offj + b] = block(t, m[:, b], side)
+            table[rows(t, side), rows(j, side)] = m
     maps = {key: m for key, m in maps.items() if m.any()}
     return alg, SteenrodAction(alg, maps)
 

@@ -406,9 +406,10 @@ def minimum_period(alg, cap: int = DEFAULT_SEARCH_CAP,
                                tuple(inconclusive), checked)
 
 
-class SubquotientAlgebra:
+class SubquotientAlgebra(GradedAlgebra):
     """Degrees 1..n-1 of a parent algebra, collapsed along an inducing element.
 
+    A graded algebra with top degree n whose degrees 0 and n are zero.
     Window degree 1 is the coordinate section complementing the kernel of
     multiplication by the element, degree n-1 is the image of that
     multiplication from degree n-1-k, and every other window degree is the
@@ -418,15 +419,14 @@ class SubquotientAlgebra:
     """
 
     def __init__(self, parent, certificate, spaces, shifts, mult, degree1_kernel):
+        n = parent.n
+        super().__init__(parent.p, n, [0] + [spaces[i].dim for i in range(1, n)] + [0], mult)
         self.parent = parent
         self.certificate = certificate
-        self.p = parent.p
-        self.n = parent.n
         self.k = certificate.k
         self.spaces = spaces
         self.shifts = shifts
         self.shift_invs = {i: fplin.mat_inv(m, self.p) for i, m in shifts.items()}
-        self.mult = mult
         self.degree1_kernel = degree1_kernel
         self.action = None
         if parent.dim(1):
@@ -434,52 +434,6 @@ class SubquotientAlgebra:
             self._deg1_proj = fplin.mat_inv(stacked.T, self.p)[:spaces[1].dim]
         else:
             self._deg1_proj = np.zeros((0, 0), dtype=np.int64)
-
-    def dim(self, i: int) -> int:
-        if 1 <= i <= self.n - 1:
-            return self.spaces[i].dim
-        return 0
-
-    @property
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.spaces.values())
-
-    def mult_map(self, i: int, j: int) -> np.ndarray:
-        m = self.mult.get((i, j))
-        if m is None:
-            return np.zeros((self.dim(i + j), self.dim(i) * self.dim(j)), dtype=np.int64)
-        return m
-
-    def mult3(self, i: int, j: int) -> np.ndarray:
-        return self.mult_map(i, j).reshape(self.dim(i + j), self.dim(i), self.dim(j))
-
-    def cup(self, i: int, a, j: int, b) -> np.ndarray:
-        av = fplin.as_vector(a, self.p)
-        bv = fplin.as_vector(b, self.p)
-        if av.shape[0] != self.dim(i) or bv.shape[0] != self.dim(j):
-            raise ValueError("vector length does not match window dimension")
-        if i + j > self.n:
-            return np.zeros(0, dtype=np.int64)
-        return ((self.mult3(i, j) @ bv) % self.p @ av) % self.p
-
-    def cup_matrix(self, i: int, x, j: int) -> np.ndarray:
-        xv = fplin.as_vector(x, self.p)
-        if xv.shape[0] != self.dim(i):
-            raise ValueError("vector length does not match window dimension")
-        if i + j > self.n:
-            return np.zeros((0, self.dim(j)), dtype=np.int64)
-        return np.einsum("tab,a->tb", self.mult3(i, j), xv) % self.p
-
-    def basis_element(self, i: int, t: int) -> np.ndarray:
-        v = np.zeros(self.dim(i), dtype=np.int64)
-        v[t] = 1
-        return v
-
-    def element(self, degree: int, coeffs) -> Element:
-        v = fplin.as_vector(coeffs, self.p)
-        if v.shape[0] != self.dim(degree):
-            raise ValueError(f"window degree {degree} has dimension {self.dim(degree)}")
-        return Element.of(degree, v)
 
     def embed(self, i: int, vec) -> np.ndarray:
         """Parent coordinates of a window vector."""
@@ -505,7 +459,7 @@ class SubquotientAlgebra:
         return (self.shift_invs[i] @ fplin.as_vector(vec, self.p)) % self.p
 
     def window_dims(self) -> tuple[int, ...]:
-        return tuple(self.dim(i) for i in range(1, self.n))
+        return self.dims[1:self.n]
 
     def to_dict(self) -> dict:
         return {
@@ -547,23 +501,22 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
             spaces[i] = fplin.Subspace.full(p, alg.dim(i))
     for u in ker1.basis:
         for j in range(1, n - 1):
-            for b in range(alg.dim(j)):
-                prod = alg.cup(1, u, j, alg.basis_element(j, b))
-                if prod.size and prod.any():
-                    raise WellDefinednessFailure(
-                        f"a degree-1 kernel class has a nonzero product into degree {1 + j}")
-    top = spaces.get(n - 1)
-    for i in range(1, n - 1):
-        j = n - 1 - i
-        if j < i:
-            break
-        for a in range(spaces[i].dim):
-            for b in range(spaces[j].dim):
-                v = alg.cup(i, spaces[i].basis[a], j, spaces[j].basis[b])
-                if not top.contains(v):
-                    raise WellDefinednessFailure(
-                        "a product in the top window degree escapes the image "
-                        "of the inducing element")
+            if alg.cup_matrix(1, u, j).any():
+                raise WellDefinednessFailure(
+                    f"a degree-1 kernel class has a nonzero product into degree {1 + j}")
+    # Row a * dim(j) + b of products[(i, j)] is the parent product of the
+    # a-th and b-th window basis vectors.  Window degrees 2..n-2 are full,
+    # so only products landing in degree n-1 can leave the window.
+    products = {(i, j): _block_products(alg.mult3(i, j), spaces[i].basis, spaces[j].basis, p)
+                for i in range(1, n - 1) for j in range(1, n - i)
+                if spaces[i].dim and spaces[j].dim}
+    top = spaces[n - 1]
+    for (i, j), prods in products.items():
+        if i + j == n - 1 and not np.array_equal(
+                (prods[:, list(top.pivots)] @ top.basis) % p, prods):
+            raise WellDefinednessFailure(
+                "a product in the top window degree escapes the image "
+                "of the inducing element")
     shifts = {}
     for i in range(1, n - k):
         src, tgt = spaces[i], spaces[i + k]
@@ -581,18 +534,10 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
             raise WellDefinednessFailure(f"shift map at degree {i} is not bijective")
         shifts[i] = m
     mult = {}
-    for i in range(1, n - 1):
-        for j in range(1, n - i):
-            di, dj, dt = spaces[i].dim, spaces[j].dim, spaces[i + j].dim
-            if di == 0 or dj == 0 or dt == 0:
-                continue
-            table = np.zeros((dt, di * dj), dtype=np.int64)
-            for a in range(di):
-                for b in range(dj):
-                    v = alg.cup(i, spaces[i].basis[a], j, spaces[j].basis[b])
-                    table[:, a * dj + b] = spaces[i + j].coords_of(v)
-            if table.any():
-                mult[(i, j)] = table
+    for (i, j), prods in products.items():
+        table = prods[:, list(spaces[i + j].pivots)].T.copy()
+        if table.any():
+            mult[(i, j)] = table
     window = SubquotientAlgebra(alg, cert, spaces, shifts, mult, ker1)
     if action is not None and p * k <= n - 1:
         window.action = steenrod.induced_action_on_window(window, action)

@@ -299,22 +299,19 @@ def induced_action_on_window(window, act: SteenrodAction) -> SteenrodAction:
             s += 1
     maps = {}
     for j in range(1, n):
-        dj = window.dim(j)
-        if dj == 0:
+        if window.dim(j) == 0:
             continue
         s = 1
         while True:
             t = j + operation_shift(p, s)
             if t > n - 1:
                 break
-            table = np.zeros((window.dim(t), dj), dtype=np.int64)
-            for b in range(dj):
-                v = act.apply(s, j, window.embed(j, window.basis_element(j, b)))
-                try:
-                    table[:, b] = window.to_window(t, v)
-                except ValueError:
-                    raise InducedActionFailure(
-                        f"operation ({s}, {j}) leaves the window at degree {t}")
+            try:
+                table = fplin.restricted_matrix(act.op_matrix(s, j), window.spaces[j],
+                                                window.spaces[t])
+            except ValueError:
+                raise InducedActionFailure(
+                    f"operation ({s}, {j}) leaves the window at degree {t}")
             if table.any():
                 maps[(s, j)] = table
             s += 1

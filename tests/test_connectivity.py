@@ -127,6 +127,16 @@ def test_fact_from_dict_checks_argument_types():
             Scenario.from_dict(broken)
 
 
+def test_fact_constructors_refuse_what_they_would_have_to_coerce():
+    for make in (lambda: periodic("M", 4.7, 1, 9), lambda: dimension("M", "12"),
+                 lambda: connected("F", "M", True), lambda: codimension("F", "M", 4.0),
+                 lambda: h1_vanishes("M", False), lambda: periodic(7, 4, 1, 9),
+                 lambda: periodic("M", 4, 1, 9, None)):
+        with pytest.raises(ValueError, match="takes"):
+            make()
+    assert dimension("M", 12).args == ("M", 12)
+
+
 def test_fact_rendering():
     assert str(periodic("M", 4, 1, 79, "rational")) == "Periodic(M, 4, 1, 79; rational)"
     assert str(dimension("M", 32)) == "Dim(M, 32)"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from periodica import corpus, fplin
 from periodica import periodicity as P
-from periodica.algebra import Element
+from periodica.algebra import Element, GradedAlgebra
 from periodica.periodicity import (ClosureViolation, ConsistencyFailure, DegreeBoundViolated,
                                    PeriodicityCertificate, SearchCapExceeded,
                                    WellDefinednessFailure, WindowRefusal, _window_failure)
@@ -130,6 +130,55 @@ def test_forged_certificate_rejected():
     assert not P.verify_certificate(alg, forged)
     with pytest.raises(WellDefinednessFailure):
         P.subquotient(alg, forged)
+
+
+def _ones(*dims):
+    """Unit tables (0, j) and (j, 0) for the given dimensions."""
+    out = {}
+    for j, d in enumerate(dims):
+        if d:
+            out[(0, j)] = out[(j, 0)] = np.eye(d, dtype=np.int64)
+    return out
+
+
+# x of degree 2 on an algebra with top degree 5: window mode (3k > n-1), so
+# the lemmas that keep a direct window well defined do not apply.
+WINDOW_CERT = PeriodicityCertificate(2, Element(2, (1, 0)), "window")
+SQUARES = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]  # x.x, x.w = w.x, w.w
+
+
+def test_degree1_kernel_class_with_a_nonzero_product_is_refused():
+    """GF(2)[u, a, x, w]/(u^2, a^2, ua, xu, uw - xa, wa, degree > 4), |u| = |a| = 1:
+    u spans the degree-1 kernel of x, yet u.w = xa is not zero."""
+    mult = {**_ones(1, 2, 2, 1, 3), (1, 2): [[0, 1, 1, 0]], (2, 1): [[0, 1, 1, 0]],
+            (2, 2): SQUARES}
+    alg = GradedAlgebra(2, 5, [1, 2, 2, 1, 3, 0], mult)
+    alg.validate()
+    assert P.verify_certificate(alg, WINDOW_CERT)
+    with pytest.raises(WellDefinednessFailure, match="degree-1 kernel class .* degree 3"):
+        P.subquotient(alg, WINDOW_CERT)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_top_product_outside_the_image_is_refused(p):
+    """GF(p)[x, w]/(degree > 4): w.w lies outside x.(degree 2) = span(x^2, xw)."""
+    alg = GradedAlgebra(p, 5, [1, 0, 2, 0, 3, 0], {**_ones(1, 0, 2, 0, 3), (2, 2): SQUARES})
+    alg.validate()
+    assert P.verify_certificate(alg, WINDOW_CERT)
+    with pytest.raises(WellDefinednessFailure, match="escapes the image"):
+        P.subquotient(alg, WINDOW_CERT)
+
+
+def test_top_product_outside_the_image_in_the_mirrored_order_is_refused():
+    """Tables that are not graded-commutative: u.v = x^2 lies in the image,
+    v.u = z does not.  Every pair landing in the top degree is checked."""
+    mult = {**_ones(1, 1, 1, 1, 2), (1, 2): [[1]], (2, 1): [[1]], (2, 2): [[1], [0]],
+            (1, 3): [[1], [0]], (3, 1): [[0], [1]]}
+    alg = GradedAlgebra(2, 5, [1, 1, 1, 1, 2, 0], mult)
+    cert = PeriodicityCertificate(2, Element(2, (1,)), "window")
+    assert P.verify_certificate(alg, cert)
+    with pytest.raises(WellDefinednessFailure, match="escapes the image"):
+        P.subquotient(alg, cert)
 
 
 def test_element_induces_uses_products_above_the_bound():
