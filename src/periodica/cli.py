@@ -16,7 +16,7 @@ from . import __version__
 from . import connectivity, corpus, decomposition, periodicity, steenrod
 from .algebra import AlgebraDefect, Element, GradedAlgebra, verify_poincare_duality
 from .decomposition import OverlapMismatch, VerificationFailure
-from .fplin import ConsistencyFailure, OrderCapExceeded
+from .fplin import ConsistencyFailure
 from .periodicity import (DegreeBoundViolated, HypothesisNotMet, PeriodicityCertificate,
                           SearchCapExceeded, WellDefinednessFailure)
 from .steenrod import ActionDefect, InducedActionFailure, IsPowerOfTwo, SteenrodAction
@@ -28,7 +28,7 @@ _EXIT = {"ok": 0, "violation": 1, "inconclusive": 1, "error": 2}
 # leaves the question open.
 _VIOLATIONS = (ConsistencyFailure, DegreeBoundViolated, WellDefinednessFailure,
                VerificationFailure, OverlapMismatch, InducedActionFailure)
-_INCONCLUSIVE = (SearchCapExceeded, OrderCapExceeded, HypothesisNotMet)
+_INCONCLUSIVE = (SearchCapExceeded, HypothesisNotMet)
 
 
 class InputError(Exception):
@@ -239,18 +239,16 @@ def _cmd_decompose(args, cap):
     window, failure = _window_for(args, cap)
     if failure:
         return failure
+    # decompose raises VerificationFailure unless its result verifies.
     result = decomposition.decompose(window)
-    report = decomposition.verify_decomposition(window, result)
     payload = result.to_dict()
-    payload["verified"] = report.ok
-    payload["violations"] = list(report.violations)
-    status = "ok" if report.ok else "violation"
-    human = [f"m = {result.summand_count} summands, verified: {report.ok}"]
+    payload["verified"] = True
+    payload["violations"] = []
+    human = [f"m = {result.summand_count} summands, verified: True"]
     for i, s in enumerate(result.summands):
         dims = [s.spaces[u].dim for u in range(1, window.n)]
         human.append(f"  summand {i}: element {s.element.coeffs}, window dims {dims}")
-    human.extend(report.violations)
-    return status, payload, human
+    return "ok", payload, human
 
 
 def _parse_monomials(text: str):

@@ -90,6 +90,12 @@ def _typed(kind: str, args: tuple) -> Fact:
     return Fact(kind, args)
 
 
+def _check_ints(*values) -> None:
+    """ValueError unless every value is an int, by the rule of _typed."""
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"expected ints, got {list(values)!r}")
+
+
 def connected(sub, amb, c):
     return _typed("Connected", (sub, amb, c))
 
@@ -689,9 +695,10 @@ def codim_cascade_scenario(n: int) -> tuple:
     The top codimension is 2*floor(n/8); the lower two are searched
     downward under their fractional bounds (3/10 and 2/7 of the current
     dimension) until the full chain derives.  Returns (scenario, params)
-    where params records the chosen codimensions and the exact lower bound
-    ceil(3n/8) on the smallest fixed component.
+    where params records the chosen codimensions, the exact lower bound
+    ceil(3n/8) on the smallest fixed component and the goal's derivation.
     """
+    _check_ints(n)
     if n < 24 or n % 4:
         raise HypothesisNotMet("the cascade template needs n >= 24 divisible by 4")
     k1 = 2 * (n // 8)
@@ -721,11 +728,11 @@ def codim_cascade_scenario(n: int) -> tuple:
                 f"codimension cascade, n = {n}, codims {k1}/{k2}/{k3}",
                 facts, goal)
             try:
-                derive(goal, facts)
+                derivation = derive(goal, facts)
             except Saturated:
                 continue
             params = {"n": n, "k1": k1, "k2": k2, "k3": k3,
-                      "f3": f3, "f3_lower_bound": floor_f3}
+                      "f3": f3, "f3_lower_bound": floor_f3, "derivation": derivation}
             return scenario, params
     raise Saturated(f"no codimension cascade derives the goal for n = {n}")
 
@@ -738,7 +745,8 @@ def four_weight_scenario(n: int, weights) -> tuple:
     three even numbers always share a residue), intersects the remaining
     one with the smallest, and returns (scenario, params).
     """
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(weights)
+    _check_ints(n, *ws)
     if len(ws) != 4 or any(w <= 0 or w % 2 for w in ws) or sorted(ws) != list(ws):
         raise HypothesisNotMet("need four positive even weights in ascending order")
     if n % 2:

@@ -120,24 +120,6 @@ def check_ring_homomorphism(window: SubquotientAlgebra, a, b) -> bool:
     return True
 
 
-def frobenius_matrix(window: SubquotientAlgebra) -> np.ndarray:
-    """Matrix of a -> a^p on the degree-k ring, linear because p is prime."""
-    k, p = window.k, window.p
-    d = window.dim(k)
-    columns = [ring_power(window, window.basis_element(k, i), p) for i in range(d)]
-    return np.array(columns, dtype=np.int64).reshape(d, d).T
-
-
-def _indicator(window, unit, b, c) -> np.ndarray:
-    """[b = c] = unit - (b - c * unit)^(p-1).
-
-    For b fixed by Frobenius this is the idempotent on whose local factors
-    b takes the value c.
-    """
-    p = window.p
-    return (unit - ring_power(window, (b - c * unit) % p, p - 1)) % p
-
-
 def _key(v) -> tuple:
     return tuple(int(t) for t in v)
 
@@ -148,36 +130,17 @@ def _unit(window) -> np.ndarray:
 
 def primitive_idempotents(window: SubquotientAlgebra) -> tuple[list, list]:
     """The primitive idempotents of the degree-k ring, sorted by coefficients,
-    and the splits that found them.
+    and the splits that found them, as (e, b, parts).
 
-    They are the primitive idempotents of the Frobenius-fixed subalgebra B.
-    Starting from the unit, every basis vector b of B splits each current
-    idempotent e into the nonzero e * [b = c], c running over the roots of
-    the minimal polynomial of b on B.  Each split into two or more parts is
-    listed as (e, b, parts), parts in ascending order of c.
+    fplin.primitive_idempotents on the ring's multiplication matrices, the
+    degree-k blocks of the basis elements' operators; coordinates in that
+    basis are window vectors.
     """
-    k, p = window.k, window.p
-    unit = _unit(window)
+    k = window.k
     d = window.dim(k)
-    fixed = fplin.kernel((frobenius_matrix(window) - np.eye(d, dtype=np.int64)) % p, p)
-    parts, splits = [unit], []
-    for b in fixed.basis:
-        if len(parts) == fixed.dim:
-            break
-        on_b = fplin.restricted_matrix(_action_block(window, b, k), fixed, fixed)
-        indicators = [_indicator(window, unit, b, c)
-                      for c in fplin.split_roots(fplin.minimal_polynomial(on_b, p), p)]
-        refined = []
-        for e in parts:
-            pieces = [q for q in (ring_product(window, e, ind) for ind in indicators) if q.any()]
-            if len(pieces) > 1:
-                splits.append((e, b, pieces))
-            refined += pieces
-        parts = refined
-    if len(parts) != fixed.dim:
-        raise VerificationFailure(
-            f"{len(parts)} idempotents for a {fixed.dim}-dimensional fixed subalgebra")
-    return sorted(parts, key=_key), splits
+    blocks = [_action_block(window, v, k) for v in np.eye(d, dtype=np.int64)]
+    _, idempotents, splits = fplin.primitive_idempotents(blocks, window.p)
+    return idempotents, splits
 
 
 @dataclass(eq=False)
@@ -237,32 +200,6 @@ class DecompositionResult:
         }
 
 
-def _recheck_working_list(window, summands) -> None:
-    """The working-list invariants: degreewise direct sum, each element acting
-    as the identity on its own entry and as zero on every other."""
-    p = window.p
-    for u in range(1, window.n):
-        parts = [s.spaces[u] for s in summands]
-        ambient = Subspace.full(p, window.dim(u))
-        if not fplin.direct_sum_check(parts, ambient, full=True):
-            raise VerificationFailure(f"working list is not a direct sum in degree {u}")
-    for i, s in enumerate(summands):
-        op = multiplication_operator(window, s.element)
-        for u in range(1, window.n):
-            own = s.spaces[u]
-            if own.dim:
-                m = fplin.restricted_matrix(op.blocks[u], own, own)
-                if not np.array_equal(m, np.eye(own.dim, dtype=np.int64)):
-                    raise VerificationFailure(
-                        f"entry {i} does not act as the identity in degree {u}")
-            for j, other in enumerate(summands):
-                if j == i or other.spaces[u].dim == 0:
-                    continue
-                if ((op.blocks[u] @ other.spaces[u].basis.T) % p).any():
-                    raise VerificationFailure(
-                        f"entry {i} does not annihilate entry {j} in degree {u}")
-
-
 def _image_spaces(window, e) -> dict:
     """The image of e's operator in every window degree."""
     op = multiplication_operator(window, e)
@@ -275,9 +212,11 @@ def decompose(window: SubquotientAlgebra) -> DecompositionResult:
     Needs a direct certificate.  Returns one summand per primitive
     idempotent e of the degree-k ring, in ascending order of e's
     coefficients: e itself, and the image of its operator in each window
-    degree.  The trace holds every split.  The result is re-verified before
-    it is returned, so a returned decomposition always satisfies the
-    direct-sum, action and irreducibility conclusions.
+    degree.  The trace holds every split.  The result goes through
+    verify_decomposition once before it is returned and any violation
+    raises VerificationFailure, so a returned decomposition always
+    satisfies the direct-sum, action and irreducibility conclusions and
+    need not be verified again.
     """
     cert = window.certificate
     k, n = window.k, window.n
@@ -287,7 +226,6 @@ def decompose(window: SubquotientAlgebra) -> DecompositionResult:
         return DecompositionResult([], [])
     finals, splits = primitive_idempotents(window)
     summands = [Summand(Element.of(k, f), _image_spaces(window, f)) for f in finals]
-    _recheck_working_list(window, summands)
 
     def dims(q):
         # q is the sum of the primitive idempotents f with q * f = f, so its
@@ -315,39 +253,39 @@ class DecompositionReport:
 
 
 def _local_factor_count(window, operators, spaces) -> int:
-    """dim ker(Frobenius - id) on the algebra A the given operators span on
-    the summand; 1 exactly when A is local, 0 when the summand is zero.
+    """Number of local factors of the algebra A the given operators span on
+    the summand, as block-diagonal matrices over its nonzero degrees: 1
+    exactly when A is local, 0 when the summand is zero.
 
     ValueError when an operator does not map the summand into itself or A
-    is not closed under p-th powers.
+    is not closed under products.
     """
     p = window.p
     degrees = [u for u, s in sorted(spaces.items()) if s.dim]
     if not degrees:
         return 0
-    sizes = [spaces[u].dim for u in degrees]
-    flat = [np.concatenate([fplin.restricted_matrix(op.blocks[u], spaces[u], spaces[u]).ravel()
-                            for u in degrees]) for op in operators]
-    algebra = Subspace.from_vectors(flat, p, sum(s * s for s in sizes))
-    frobenius = []
-    for row in algebra.basis:
-        blocks, at = [], 0
-        for s in sizes:
-            blocks.append(fplin.mat_pow(row[at:at + s * s].reshape(s, s), p, p).ravel())
-            at += s * s
-        frobenius.append(algebra.coords_of(np.concatenate(blocks)))
-    frob = np.array(frobenius, dtype=np.int64).reshape(algebra.dim, algebra.dim).T
-    return fplin.kernel((frob - np.eye(algebra.dim, dtype=np.int64)) % p, p).dim
+    ends = np.cumsum([spaces[u].dim for u in degrees])
+    size = int(ends[-1])
+    flat = []
+    for op in operators:
+        block = np.zeros((size, size), dtype=np.int64)
+        for u, end in zip(degrees, ends):
+            at = end - spaces[u].dim
+            block[at:end, at:end] = fplin.restricted_matrix(op.blocks[u], spaces[u], spaces[u])
+        flat.append(block.ravel())
+    algebra = Subspace.from_vectors(flat, p, size * size)
+    return fplin.primitive_idempotents(algebra.basis.reshape(-1, size, size), p)[0].dim
 
 
 def verify_decomposition(window: SubquotientAlgebra,
                          result: DecompositionResult) -> DecompositionReport:
-    """Re-check a decomposition from scratch: degreewise direct sum, each
-    element inducing on its own summand and annihilating the rest, and each
-    summand local: the algebra the degree-k ring induces on it has a
-    one-dimensional Frobenius-fixed part.  A summand that is not local is
-    reported with a pair (e, unit - e) of idempotents that both act on it
-    nontrivially.  Violations come back as report data."""
+    """Check a decomposition from scratch: degreewise direct sum, each
+    element a degree-k window vector inducing on its own summand and
+    annihilating the rest, and each summand local: the algebra the degree-k
+    ring induces on it, as block-diagonal restricted operators, has one
+    primitive idempotent (fplin.primitive_idempotents).  A summand that is
+    not local is reported with a pair (e, unit - e) of idempotents that both
+    act on it nontrivially.  Violations come back as report data."""
     k, n, p = window.k, window.n, window.p
     violations = []
     summands = result.summands
@@ -368,6 +306,10 @@ def verify_decomposition(window: SubquotientAlgebra,
     for i, s in enumerate(summands):
         if s.element.degree != k:
             violations.append(f"summand {i} element has degree {s.element.degree}")
+            continue
+        if len(s.element.coeffs) != window.dim(k):
+            violations.append(f"summand {i} element has {len(s.element.coeffs)} "
+                              f"coordinates, need {window.dim(k)}")
             continue
         xiv = s.element.as_vector()
         for u in range(1, n):

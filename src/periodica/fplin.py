@@ -42,10 +42,6 @@ class NotSemisimple(ValueError):
     pass
 
 
-class OrderCapExceeded(RuntimeError):
-    pass
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact below 3.18 * 10^23)."""
     if n < 2:
@@ -281,10 +277,6 @@ def image(mat, p: int) -> Subspace:
     return Subspace(p, m.shape[0], red, pivots)
 
 
-def mat_mul(a, b, p: int) -> np.ndarray:
-    return (as_matrix(a, p) @ as_matrix(b, p)) % p
-
-
 def mat_pow(mat, e: int, p: int) -> np.ndarray:
     m = as_matrix(mat, p)
     d = m.shape[0]
@@ -496,25 +488,73 @@ def semisimple_power(mat, p: int) -> tuple[np.ndarray, int]:
     return g, l
 
 
-def operator_order(mat, p: int, cap: int = 10**6) -> int:
-    """Multiplicative order of an invertible matrix mod p."""
-    m = as_matrix(mat, p)
-    d = m.shape[0]
-    if m.shape != (d, d):
-        raise ValueError("operator_order expects a square matrix")
-    if d == 0:
-        return 1
-    if rank(m, p) != d:
-        raise NotInvertible("singular matrix has no multiplicative order")
-    ident = np.eye(d, dtype=np.int64)
-    cur = m
-    r = 1
-    while not np.array_equal(cur, ident):
-        cur = (cur @ m) % p
-        r += 1
-        if r > cap:
-            raise OrderCapExceeded(f"order exceeds cap {cap}")
-    return r
+def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
+    """Primitive idempotents of a commutative algebra of matrices over GF(p).
+
+    mats are d linearly independent m x m matrices whose span A holds the
+    identity; an element of A is its coordinate vector in that basis.
+    Frobenius a -> a^p is linear on A, and its fixed subalgebra
+    B = ker(Frobenius - id) is a product of copies of GF(p), one per local
+    factor of A (Berlekamp 1967; Ronyai, J. Symb. Comput. 1990).  Starting
+    from the unit, every basis vector b of B splits each current idempotent
+    e into the nonzero e * [b = c], [b = c] = 1 - (b - c)^(p-1), c running
+    over the roots of the minimal polynomial of b on B.
+
+    Returns B, the primitive idempotents sorted by their coordinates, and
+    every split into two or more parts as (e, b, parts), parts in ascending
+    order of c.  Raises ValueError when the matrices are not square and
+    linearly independent, do not commute, or a product or the identity
+    lies outside their span.
+    """
+    stack = np.array(mats, dtype=np.int64) % p
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    d, m = stack.shape[0], stack.shape[1]
+    flat = stack.reshape(d, m * m)
+    pivots = list(rref(flat, p)[1])
+    if len(pivots) != d:
+        raise ValueError("the matrices are linearly dependent")
+    to_coords = mat_inv(flat[:, pivots], p)
+
+    def coords(rows):
+        x = (rows[:, pivots] @ to_coords) % p
+        if not np.array_equal((x @ flat) % p, rows):
+            raise ValueError("a product of the matrices lies outside their span")
+        return x
+
+    products = (stack[:, None] @ stack[None]) % p
+    if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
+        raise ValueError("the matrices do not commute")
+    # mult[i] multiplies by the i-th basis element: its column j is M_i M_j.
+    mult = coords(products.reshape(d * d, m * m)).reshape(d, d, d).transpose(0, 2, 1)
+    unit = coords(np.eye(m, dtype=np.int64).reshape(1, m * m))[0]
+
+    def times(a):
+        return np.tensordot(a, mult, 1) % p
+
+    def power(a, e):
+        return (mat_pow(times(a), e, p) @ unit) % p
+
+    frobenius = np.array([power(a, p) for a in np.eye(d, dtype=np.int64)],
+                         dtype=np.int64).reshape(d, d).T
+    fixed = kernel((frobenius - np.eye(d, dtype=np.int64)) % p, p)
+    parts, splits = [unit], []
+    for b in fixed.basis:
+        if len(parts) == fixed.dim:
+            break
+        roots = split_roots(minimal_polynomial(restricted_matrix(times(b), fixed, fixed), p), p)
+        indicators = [(unit - power((b - c * unit) % p, p - 1)) % p for c in roots]
+        refined = []
+        for e in parts:
+            pieces = [q for q in ((times(e) @ ind) % p for ind in indicators) if q.any()]
+            if len(pieces) > 1:
+                splits.append((e, b, pieces))
+            refined += pieces
+        parts = refined
+    if len(parts) != fixed.dim:
+        raise ConsistencyFailure(
+            f"{len(parts)} idempotents for a {fixed.dim}-dimensional fixed subalgebra")
+    return fixed, sorted(parts, key=lambda v: tuple(int(t) for t in v)), splits
 
 
 def invariant_complement_of_kernel(mat, p: int) -> Subspace:

@@ -255,6 +255,16 @@ def test_composite_modulus_file_is_bad_input(capsys, cp4_file, tmp_path):
     assert code == 2 and "not prime" in err
 
 
+def test_decompose_verifies_once(capsys, monkeypatch, cs_file):
+    calls = []
+    verify = decomposition.verify_decomposition
+    monkeypatch.setattr(decomposition, "verify_decomposition",
+                        lambda *args: calls.append(args) or verify(*args))
+    code, out, _ = run(capsys, "decompose", cs_file, "--x", "2:1,1")
+    assert code == 0 and report(out)["payload"]["verified"] is True
+    assert len(calls) == 1
+
+
 def _raises(exc):
     def boom(*args, **kwargs):
         raise exc("injected")
@@ -267,7 +277,6 @@ FAILURES = [
     (steenrod, "induced_action_on_window", steenrod.InducedActionFailure, "subquotient",
      "violation"),
     (periodicity, "minimum_period", fplin.ConsistencyFailure, "min-period", "violation"),
-    (periodicity, "minimum_period", fplin.OrderCapExceeded, "min-period", "inconclusive"),
     (periodicity, "search_degrees", periodicity.HypothesisNotMet, "periodicity", "inconclusive"),
 ]
 
@@ -307,6 +316,24 @@ def test_derive_golden_output(capsys, tmp_path, name, make):
     code, out, _ = run(capsys, "derive", str(path))
     assert code == 0
     assert out == (GOLDEN / f"derive_{name}.json").read_text(encoding="utf-8")
+
+
+WINDOW_GOLDEN = {
+    "cs2": ("ConnectedSum(ComplexProj(4),ComplexProj(4))@2", "2:1,1"),
+    "cs3_3": ("ConnectedSum(ConnectedSum(ComplexProj(4),ComplexProj(4)),ComplexProj(4))@3",
+              "2:1,2,1"),
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "irreducible"])
+@pytest.mark.parametrize("name", WINDOW_GOLDEN)
+def test_window_golden_output(capsys, tmp_path, command, name):
+    spec, x = WINDOW_GOLDEN[name]
+    path = str(tmp_path / "alg.json")
+    assert run(capsys, "corpus", "export", spec, "--out", path)[0] == 0
+    code, out, _ = run(capsys, command, path, "--x", x)
+    assert code == 0
+    assert out == (GOLDEN / f"{command}_{name}.json").read_text(encoding="utf-8")
 
 
 def _with_first_fact(doc, fact):

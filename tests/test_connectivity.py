@@ -137,6 +137,14 @@ def test_fact_constructors_refuse_what_they_would_have_to_coerce():
     assert dimension("M", 12).args == ("M", 12)
 
 
+def test_templates_refuse_what_they_would_have_to_coerce():
+    for make in (lambda: C.four_weight_scenario(40, (2, 4.9, 6, 8)),
+                 lambda: C.four_weight_scenario(40, (True, 4, 6, 8)),
+                 lambda: C.codim_cascade_scenario(80.0)):
+        with pytest.raises(ValueError, match="expected ints"):
+            make()
+
+
 def test_fact_rendering():
     assert str(periodic("M", 4, 1, 79, "rational")) == "Periodic(M, 4, 1, 79; rational)"
     assert str(dimension("M", 32)) == "Dim(M, 32)"
@@ -184,6 +192,7 @@ def test_codimension_cascade_grid():
         assert params["f3_lower_bound"] == math.ceil(Fraction(3 * n, 8))
         assert params["f3"] >= params["f3_lower_bound"]
         der = derive(scenario.goal, scenario.facts)
+        assert params["derivation"] == der, n
         assert der.final == periodic("M", 4, 1, n - 1, "rational")
         assert verify_derivation(der, scenario.facts), n
 

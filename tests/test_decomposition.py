@@ -20,6 +20,7 @@ from periodica import periodicity as P
 from periodica.algebra import Element
 from periodica.decomposition import VerificationFailure
 from rebasing import rebased
+from test_fplin import random_semisimple
 
 
 def build(text):
@@ -54,7 +55,7 @@ def replay(w, record):
     p = w.p
     unit = w.to_window(w.k, w.certificate.element.as_vector())
     e, b = record.split_element.as_vector(), record.separator.as_vector()
-    assert np.array_equal(D.frobenius_matrix(w) @ b % p, b)
+    assert np.array_equal(D.ring_power(w, b, p), b)
     values = []
     for part in record.replacements:
         q = part.as_vector()
@@ -275,13 +276,56 @@ def _splitting_witness(window, element, spaces, cap, memo):
     return None
 
 
+def operator_order(mat, p, cap=10**6):
+    """Multiplicative order of an invertible matrix mod p."""
+    m = fplin.as_matrix(mat, p)
+    d = m.shape[0]
+    if m.shape != (d, d):
+        raise ValueError("operator_order expects a square matrix")
+    if d == 0:
+        return 1
+    if fplin.rank(m, p) != d:
+        raise fplin.NotInvertible("singular matrix has no multiplicative order")
+    ident = np.eye(d, dtype=np.int64)
+    cur = m
+    r = 1
+    while not np.array_equal(cur, ident):
+        cur = (cur @ m) % p
+        r += 1
+        if r > cap:
+            raise RuntimeError(f"order exceeds cap {cap}")
+    return r
+
+
+def test_operator_order():
+    assert operator_order(np.zeros((0, 0), dtype=np.int64), 3) == 1
+    assert operator_order(np.eye(4, dtype=np.int64), 2) == 1
+    cyc = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert operator_order(cyc, 2) == 3
+    assert operator_order(2 * np.eye(1, dtype=np.int64), 5) == 4
+    with pytest.raises(fplin.NotInvertible):
+        operator_order(np.zeros((2, 2), dtype=np.int64), 2)
+    with pytest.raises(RuntimeError):
+        operator_order(3 * np.eye(1, dtype=np.int64), 7, cap=2)
+    rng = np.random.default_rng(22)
+    for p in (2, 3):
+        for _ in range(10):
+            m = random_semisimple(rng, int(rng.integers(1, 5)), p)
+            if fplin.rank(m, p) < m.shape[0]:
+                continue
+            r = operator_order(m, p)
+            assert np.array_equal(fplin.mat_pow(m, r, p), np.eye(m.shape[0], dtype=np.int64))
+            for q in range(1, r):
+                assert not np.array_equal(fplin.mat_pow(m, q, p), np.eye(m.shape[0], dtype=np.int64))
+
+
 def _family_order(window, op, spaces):
     order = 1
     for u, space in spaces.items():
         if space.dim == 0:
             continue
         m = fplin.restricted_matrix(op.blocks[u], space, space)
-        order = math.lcm(order, fplin.operator_order(m, window.p))
+        order = math.lcm(order, operator_order(m, window.p))
     return order
 
 
@@ -444,6 +488,14 @@ def test_decompose_matches_the_split_loop_on_random_specs(text, seed, rebase):
     the idempotents carry coefficients other than 0 and 1.  In a random
     basis the old loop's order is no longer sorted, so there only the sets
     must agree."""
+    w = random_window(text, seed, rebase)
+    assert_matches_oracle(w, in_order=not rebase)
+    assert_flags_merged_forgeries(w)
+
+
+def random_window(text, seed, rebase):
+    """The window of a random inducing element of a random degree of the
+    spec, in a random basis when rebase is set."""
     alg = build(text).algebra
     if rebase:
         alg = rebased(alg, seed)
@@ -460,9 +512,7 @@ def test_decompose_matches_the_split_loop_on_random_specs(text, seed, rebase):
             cert = out
             break
     assume(cert is not None)
-    w = P.subquotient(alg, cert)
-    assert_matches_oracle(w, in_order=not rebase)
-    assert_flags_merged_forgeries(w)
+    return P.subquotient(alg, cert)
 
 
 def test_large_prime_window_answers_without_a_cap():
@@ -483,3 +533,144 @@ def test_large_prime_window_answers_without_a_cap():
     forged, _ = merged(result, 0, 2, p)
     report = D.verify_decomposition(w, forged)
     assert any(v.startswith("summand 0 splits further at") for v in report.violations)
+
+
+# The idempotent code that fplin.primitive_idempotents replaced, kept
+# verbatim as its reference: the Frobenius matrix of the window ring from
+# ring powers, the indicator idempotents, and the local-factor count from
+# the Frobenius kernel of the span of the restricted operators.
+
+def old_frobenius_matrix(window):
+    """Matrix of a -> a^p on the degree-k ring, linear because p is prime."""
+    k, p = window.k, window.p
+    d = window.dim(k)
+    columns = [D.ring_power(window, window.basis_element(k, i), p) for i in range(d)]
+    return np.array(columns, dtype=np.int64).reshape(d, d).T
+
+
+def old_indicator(window, unit, b, c):
+    """[b = c] = unit - (b - c * unit)^(p-1).
+
+    For b fixed by Frobenius this is the idempotent on whose local factors
+    b takes the value c.
+    """
+    p = window.p
+    return (unit - D.ring_power(window, (b - c * unit) % p, p - 1)) % p
+
+
+def old_primitive_idempotents(window):
+    """The primitive idempotents of the degree-k ring, sorted by coefficients,
+    and the splits that found them.
+
+    They are the primitive idempotents of the Frobenius-fixed subalgebra B.
+    Starting from the unit, every basis vector b of B splits each current
+    idempotent e into the nonzero e * [b = c], c running over the roots of
+    the minimal polynomial of b on B.  Each split into two or more parts is
+    listed as (e, b, parts), parts in ascending order of c.
+    """
+    k, p = window.k, window.p
+    unit = D._unit(window)
+    d = window.dim(k)
+    fixed = fplin.kernel((old_frobenius_matrix(window) - np.eye(d, dtype=np.int64)) % p, p)
+    parts, splits = [unit], []
+    for b in fixed.basis:
+        if len(parts) == fixed.dim:
+            break
+        on_b = fplin.restricted_matrix(D._action_block(window, b, k), fixed, fixed)
+        indicators = [old_indicator(window, unit, b, c)
+                      for c in fplin.split_roots(fplin.minimal_polynomial(on_b, p), p)]
+        refined = []
+        for e in parts:
+            pieces = [q for q in (D.ring_product(window, e, ind) for ind in indicators) if q.any()]
+            if len(pieces) > 1:
+                splits.append((e, b, pieces))
+            refined += pieces
+        parts = refined
+    if len(parts) != fixed.dim:
+        raise VerificationFailure(
+            f"{len(parts)} idempotents for a {fixed.dim}-dimensional fixed subalgebra")
+    return sorted(parts, key=D._key), splits
+
+
+def old_local_factor_count(window, operators, spaces):
+    """dim ker(Frobenius - id) on the algebra A the given operators span on
+    the summand; 1 exactly when A is local, 0 when the summand is zero.
+
+    ValueError when an operator does not map the summand into itself or A
+    is not closed under p-th powers.
+    """
+    p = window.p
+    degrees = [u for u, s in sorted(spaces.items()) if s.dim]
+    if not degrees:
+        return 0
+    sizes = [spaces[u].dim for u in degrees]
+    flat = [np.concatenate([fplin.restricted_matrix(op.blocks[u], spaces[u], spaces[u]).ravel()
+                            for u in degrees]) for op in operators]
+    algebra = fplin.Subspace.from_vectors(flat, p, sum(s * s for s in sizes))
+    frobenius = []
+    for row in algebra.basis:
+        blocks, at = [], 0
+        for s in sizes:
+            blocks.append(fplin.mat_pow(row[at:at + s * s].reshape(s, s), p, p).ravel())
+            at += s * s
+        frobenius.append(algebra.coords_of(np.concatenate(blocks)))
+    frob = np.array(frobenius, dtype=np.int64).reshape(algebra.dim, algebra.dim).T
+    return fplin.kernel((frob - np.eye(algebra.dim, dtype=np.int64)) % p, p).dim
+
+
+def _same_vectors(got, want):
+    return [v.dtype.str + v.tobytes().hex() for v in got] == [
+        v.dtype.str + v.tobytes().hex() for v in want]
+
+
+def assert_idempotents_match_the_parent(w):
+    """Same idempotents, splits and fixed subalgebra as the old code, byte
+    for byte, and the same local-factor count on the whole window, on every
+    summand, on every merge of two summands and on every degree of one."""
+    p, k, d = w.p, w.k, w.dim(w.k)
+    got, got_splits = D.primitive_idempotents(w)
+    want, want_splits = old_primitive_idempotents(w)
+    assert _same_vectors(got, want)
+    assert len(got_splits) == len(want_splits)
+    for (e, b, parts), (e0, b0, parts0) in zip(got_splits, want_splits):
+        assert _same_vectors([e, b, *parts], [e0, b0, *parts0])
+    basis = np.eye(d, dtype=np.int64)
+    fixed = fplin.primitive_idempotents([D._action_block(w, v, k) for v in basis], p)[0]
+    assert fixed == fplin.kernel((old_frobenius_matrix(w) - basis) % p, p)
+    operators = [D.multiplication_operator(w, v) for v in basis]
+    result = D.decompose(w)
+    full = {u: fplin.Subspace.full(p, w.dim(u)) for u in range(1, w.n)}
+    cases = [full] + [s.spaces for s in result.summands]
+    for i in range(result.summand_count):
+        cases += [merged(result, i, j, p)[1].spaces for j in range(i + 1, result.summand_count)]
+    cases += [{**{u: fplin.Subspace.zero(p, w.dim(u)) for u in full}, u: full[u]} for u in full]
+    for spaces in cases:
+        try:
+            want_count = old_local_factor_count(w, operators, spaces)
+        except ValueError:
+            with pytest.raises(ValueError):
+                D._local_factor_count(w, operators, spaces)
+            continue
+        assert D._local_factor_count(w, operators, spaces) == want_count
+    assert D._local_factor_count(w, operators, full) == result.summand_count
+
+
+@pytest.mark.parametrize("text", [t for t in ORACLE_WINDOWS if not t.startswith("Sphere")])
+def test_idempotents_match_the_parent(text):
+    assert_idempotents_match_the_parent(window_of(text))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_periodic_specs(), st.integers(0, 2**16), st.booleans())
+def test_idempotents_match_the_parent_on_random_specs(text, seed, rebase):
+    assert_idempotents_match_the_parent(random_window(text, seed, rebase))
+
+
+def test_malformed_element_is_a_violation():
+    w = window_of("ConnectedSum(ComplexProj(4),ComplexProj(4))@2")
+    a, b = D.decompose(w).summands
+    for coeffs in ((1,), (1, 0, 0)):
+        forged = D.DecompositionResult([D.Summand(Element(2, coeffs), a.spaces), b], [])
+        report = D.verify_decomposition(w, forged)
+        assert not report.ok
+        assert f"summand 0 element has {len(coeffs)} coordinates, need 2" in report.violations

@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodica import fplin
 from periodica.fplin import Subspace
@@ -248,26 +250,85 @@ def test_semisimple_power():
             assert fplin.is_semisimple(g, p)
 
 
-def test_operator_order():
-    assert fplin.operator_order(np.zeros((0, 0), dtype=np.int64), 3) == 1
-    assert fplin.operator_order(np.eye(4, dtype=np.int64), 2) == 1
-    cyc = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    assert fplin.operator_order(cyc, 2) == 3
-    assert fplin.operator_order(2 * np.eye(1, dtype=np.int64), 5) == 4
-    with pytest.raises(fplin.NotInvertible):
-        fplin.operator_order(np.zeros((2, 2), dtype=np.int64), 2)
-    with pytest.raises(fplin.OrderCapExceeded):
-        fplin.operator_order(3 * np.eye(1, dtype=np.int64), 7, cap=2)
-    rng = np.random.default_rng(22)
-    for p in (2, 3):
-        for _ in range(10):
-            m = random_semisimple(rng, int(rng.integers(1, 5)), p)
-            if fplin.rank(m, p) < m.shape[0]:
-                continue
-            r = fplin.operator_order(m, p)
-            assert np.array_equal(fplin.mat_pow(m, r, p), np.eye(m.shape[0], dtype=np.int64))
-            for q in range(1, r):
-                assert not np.array_equal(fplin.mat_pow(m, q, p), np.eye(m.shape[0], dtype=np.int64))
+def polynomial_algebra(factors, p):
+    """GF(p)[t]/(f) for f the product of the given factors, as the powers
+    1, C, ..., C^(deg f - 1) of the companion matrix C of f."""
+    f = (1,)
+    for g in factors:
+        f = fplin._poly_mul(f, g, p)
+    c = companion(f, p)
+    return np.array([fplin.mat_pow(c, i, p) for i in range(len(f) - 1)], dtype=np.int64)
+
+
+def assert_idempotents_split_the_algebra(mats, p, count):
+    """count primitive idempotents, orthogonal, summing to the identity,
+    each split's parts summing to the part split."""
+    fixed, idempotents, splits = fplin.primitive_idempotents(mats, p)
+    assert fixed.dim == len(idempotents) == count
+    assert [tuple(e) for e in idempotents] == sorted(tuple(e) for e in idempotents)
+    as_matrix = [np.tensordot(e, mats, 1) % p for e in idempotents]
+    for i, a in enumerate(as_matrix):
+        assert a.any()
+        for j, b in enumerate(as_matrix):
+            assert np.array_equal(a @ b % p, a if i == j else 0 * a)
+    assert np.array_equal(sum(as_matrix) % p, np.eye(mats.shape[1], dtype=np.int64))
+    for e, _, parts in splits:
+        assert len(parts) >= 2 and np.array_equal(sum(parts) % p, e)
+
+
+def test_primitive_idempotents_of_polynomial_quotients():
+    """One primitive idempotent per distinct irreducible factor of f."""
+    for p in (2, 3, 5):
+        irr = irreducible_polys(p)
+        linear, quadratic, cubic = ([g for g in irr if len(g) == n] for n in (2, 3, 4))
+        cases = [
+            ([linear[0]], 1),
+            ([linear[0]] * 4, 1),
+            ([quadratic[0]] * 2, 1),
+            (linear[:2] + quadratic[:1] + cubic[:1], 4),
+            ([linear[0], linear[0], quadratic[0]], 2),
+            ([linear[1]] * 2 + [cubic[0]] * 2 + [linear[0]], 3),
+        ]
+        for factors, count in cases:
+            assert_idempotents_split_the_algebra(polynomial_algebra(factors, p), p, count)
+
+
+@st.composite
+def _polynomial_algebras(draw):
+    """p, factors of f (irreducibles, each once or twice), and their count."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    irr = irreducible_polys(p)
+    chosen = draw(st.lists(st.sampled_from(irr), min_size=1, max_size=3, unique=True))
+    factors = [g for g in chosen for _ in range(draw(st.integers(1, 2)))]
+    return p, factors, len(chosen)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polynomial_algebras(), st.integers(0, 2**16))
+def test_primitive_idempotents_in_a_random_basis(case, seed):
+    """GF(p)[t]/(f) for a random f, given in a random basis of the algebra."""
+    p, factors, count = case
+    mats = polynomial_algebra(factors, p)
+    t = random_invertible(np.random.default_rng(seed), mats.shape[0], p)
+    assert_idempotents_split_the_algebra(np.tensordot(t, mats, 1) % p, p, count)
+
+
+def test_primitive_idempotents_refuse_what_is_not_an_algebra():
+    c = companion((1, 0, 0, 1), 2)
+    eye = np.eye(3, dtype=np.int64)
+    nilpotent = np.array([[0, 1], [0, 0]])
+    cases = {
+        "a product leaves the span": [eye, c],
+        "dependent": [eye, c, (eye + c) % 2],
+        "no identity": [nilpotent],
+        "not commutative": [np.eye(2, dtype=np.int64), nilpotent, nilpotent.T,
+                            np.array([[1, 0], [0, 0]])],
+        "not square": [np.zeros((2, 3), dtype=np.int64)],
+        "not a stack": [],
+    }
+    for name, mats in cases.items():
+        with pytest.raises(ValueError):
+            fplin.primitive_idempotents(mats, 2)
 
 
 def test_invariant_complement_contract():
