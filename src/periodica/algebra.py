@@ -3,12 +3,15 @@
 A GradedAlgebra stores one multiplication matrix per degree pair (i, j):
 shape (dim(i+j), dim(i) * dim(j)), column a * dim(j) + b holding the
 product of the a-th degree-i and b-th degree-j basis vectors.  Degrees
-outside 0..top_degree are zero.  Missing tables are zero maps.
+outside 0..top_degree are zero.  Missing tables are zero maps.  Tables
+are read-only once built, so the generators and the associativity verdict
+are computed once per algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +20,13 @@ from . import fplin
 
 class AlgebraDefect(ValueError):
     """The multiplication tables violate a ring axiom."""
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int; ValueError for a bool, float or str instead of int()."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -41,17 +51,19 @@ class Element:
 class GradedAlgebra:
     def __init__(self, p: int, top_degree: int, dims, mult, labels=None):
         p = fplin.check_modulus(p)
+        top_degree = _as_int(top_degree, "top_degree")
         if top_degree < 0:
             raise ValueError("need top_degree >= 0")
         self.p = p
         self.n = top_degree
         if isinstance(dims, dict):
-            self.dims = tuple(int(dims.get(i, 0)) for i in range(top_degree + 1))
+            self.dims = tuple(_as_int(dims.get(i, 0), "a dimension")
+                              for i in range(top_degree + 1))
         else:
             dims = list(dims)
             if len(dims) != top_degree + 1:
                 raise ValueError("dims must cover degrees 0..top_degree")
-            self.dims = tuple(int(d) for d in dims)
+            self.dims = tuple(_as_int(d, "a dimension") for d in dims)
         if any(d < 0 for d in self.dims):
             raise ValueError("negative dimension")
         self.mult: dict[tuple[int, int], np.ndarray] = {}
@@ -138,38 +150,85 @@ class GradedAlgebra:
             terms.append(name if c == 1 else f"{c}*{name}")
         return " + ".join(terms) if terms else "0"
 
-    def validate(self) -> None:
-        """Check unit, graded commutativity and associativity; raise AlgebraDefect."""
-        p, n = self.p, self.n
+    @cached_property
+    def unit_defect(self) -> str | None:
+        """None when degree 0 is spanned by a two-sided unit, else why not."""
         if self.dim(0) != 1:
-            raise AlgebraDefect(f"degree 0 must be one-dimensional, got {self.dim(0)}")
-        one = self.basis_element(0, 0)
-        for j in range(n + 1):
-            if self.dim(j) == 0:
-                continue
-            if not np.array_equal(self.cup_matrix(0, one, j), np.eye(self.dim(j), dtype=np.int64)):
-                raise AlgebraDefect(f"unit fails on the left in degree {j}")
-            right = np.einsum("tab,b->ta", self.mult3(j, 0), one) % p
-            if not np.array_equal(right, np.eye(self.dim(j), dtype=np.int64)):
-                raise AlgebraDefect(f"unit fails on the right in degree {j}")
-        for i in range(n + 1):
-            for j in range(i, n + 1 - i):
-                if self.dim(i) == 0 or self.dim(j) == 0:
+            return f"degree 0 must be one-dimensional, got {self.dim(0)}"
+        for j in range(self.n + 1):
+            eye = np.eye(self.dim(j), dtype=np.int64)
+            if not np.array_equal(self.mult3(0, j)[:, 0], eye):
+                return f"unit fails on the left in degree {j}"
+            if not np.array_equal(self.mult3(j, 0)[:, :, 0], eye):
+                return f"unit fails on the right in degree {j}"
+        return None
+
+    @cached_property
+    def generators(self) -> dict[int, tuple[int, ...]]:
+        """Per degree, the basis indices outside the pivots of the decomposables.
+
+        The decomposables of degree d are spanned by the products of degrees
+        (i, d - i) with 0 < i < d.  The basis vectors at the returned indices
+        span a complement of them, so by induction on the degree they
+        generate the algebra.  Degrees without generators are left out, and
+        so is degree 0 when it is spanned by a two-sided unit: the unit
+        passes every check that runs over the generators by itself.
+        """
+        out = {}
+        for d in range(0 if self.unit_defect else 1, self.n + 1):
+            products = [self.mult[(i, d - i)].T for i in range(1, d) if (i, d - i) in self.mult]
+            pivots = fplin.rref(np.vstack(products), self.p)[1] if products else ()
+            gens = tuple(t for t in range(self.dim(d)) if t not in pivots)
+            if gens:
+                out[d] = gens
+        return out
+
+    @cached_property
+    def associativity_defect(self) -> str | None:
+        """None when the product is associative, else the degrees where it fails.
+
+        Light's test: the g with (xg)y = x(gy) for all x, y are closed under
+        products, so checking g over the generators covers every element.
+        """
+        p, n, mult = self.p, self.n, self.mult
+        degrees = [d for d in range(n + 1) if self.dim(d)]
+        for i, gens in self.generators.items():
+            g = list(gens)
+            for j in degrees:
+                for k in degrees:
+                    if i + j + k > n:
+                        break
+                    # each side is zero when one of its two tables is absent
+                    if ((j, i) not in mult or (j + i, k) not in mult) and \
+                            ((i, k) not in mult or (j, i + k) not in mult):
+                        continue
+                    left = np.einsum("tuc,uag->tagc", self.mult3(j + i, k), self.mult3(j, i)[:, :, g]) % p
+                    right = np.einsum("tav,vgc->tagc", self.mult3(j, i + k), self.mult3(i, k)[:, g]) % p
+                    if not np.array_equal(left, right):
+                        return f"associativity fails for degrees ({j}, {i}, {k})"
+        return None
+
+    def validate(self) -> None:
+        """Check unit, associativity and graded commutativity; raise AlgebraDefect.
+
+        Both products are checked with a generator on one side only.  That
+        is exact: the graded centre of an associative algebra is closed under
+        products as well.
+        """
+        if self.unit_defect is not None:
+            raise AlgebraDefect(self.unit_defect)
+        if self.associativity_defect is not None:
+            raise AlgebraDefect(self.associativity_defect)
+        p, n = self.p, self.n
+        for i, gens in self.generators.items():
+            g = list(gens)
+            for j in range(n + 1 - i):
+                if self.dim(j) == 0 or ((i, j) not in self.mult and (j, i) not in self.mult):
                     continue
                 sign = p - 1 if (i % 2 and j % 2 and p != 2) else 1
-                m_ij = self.mult3(i, j)
-                m_ji = self.mult3(j, i)
-                if not np.array_equal((sign * m_ji.transpose(0, 2, 1)) % p, m_ij):
+                if not np.array_equal((sign * self.mult3(j, i)[:, :, g].transpose(0, 2, 1)) % p,
+                                      self.mult3(i, j)[:, g]):
                     raise AlgebraDefect(f"graded commutativity fails for degrees ({i}, {j})")
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                for k in range(n + 1 - i - j):
-                    if self.dim(i) == 0 or self.dim(j) == 0 or self.dim(k) == 0:
-                        continue
-                    left = np.einsum("tuk,uij->tijk", self.mult3(i + j, k), self.mult3(i, j)) % p
-                    right = np.einsum("tiv,vjk->tijk", self.mult3(i, j + k), self.mult3(j, k)) % p
-                    if not np.array_equal(left, right):
-                        raise AlgebraDefect(f"associativity fails for degrees ({i}, {j}, {k})")
 
     def pairing_matrix(self, i: int) -> np.ndarray:
         """Pairing H^i x H^(n-i) -> H^n as a dim(i) x dim(n-i) matrix (dim(n) must be 1)."""
@@ -195,7 +254,7 @@ class GradedAlgebra:
             i, j = (int(s) for s in key.split(","))
             mult[(i, j)] = m
         labels = {int(k): v for k, v in data.get("labels", {}).items()} or None
-        return cls(int(data["p"]), int(data["top_degree"]), data["dims"], mult, labels)
+        return cls(data["p"], data["top_degree"], data["dims"], mult, labels)
 
     def __repr__(self) -> str:
         return f"GradedAlgebra(p={self.p}, top_degree={self.n}, dims={list(self.dims)})"

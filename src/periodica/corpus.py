@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplin
-from .algebra import GradedAlgebra, verify_poincare_duality
+from .algebra import AlgebraDefect, GradedAlgebra, verify_poincare_duality
 from .steenrod import SteenrodAction, operation_shift, verify_action
 
 DEFAULT_TOP_BOUND = 64
@@ -412,7 +412,10 @@ def _expectation(spec: FixtureSpec) -> Expectation:
 
 
 def build(spec: FixtureSpec, bound: int = DEFAULT_TOP_BOUND) -> Fixture:
-    """Build, validate and package a fixture with its expectation record."""
+    """Build, validate and package a fixture with its expectation record.
+
+    Raises AlgebraDefect or ActionDefect if the built tables fail a check.
+    """
     top = top_degree_of(spec)
     if top > bound:
         raise SizeBound(f"top degree {top} exceeds the bound {bound}")
@@ -432,7 +435,7 @@ def build(spec: FixtureSpec, bound: int = DEFAULT_TOP_BOUND) -> Fixture:
     alg, act = rec(spec)
     alg.validate()
     if not verify_poincare_duality(alg):
-        raise AssertionError(f"fixture {spec} fails the duality pairing check")
+        raise AlgebraDefect(f"fixture {spec} fails the duality pairing check")
     if act is not None:
         verify_action(alg, act)
     return Fixture(spec, alg, act, _expectation(spec))

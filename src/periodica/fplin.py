@@ -79,15 +79,35 @@ def check_modulus(p) -> int:
     return p
 
 
+def _holds_bool(data) -> bool:
+    """True if nested lists or tuples hold a bool: numpy reads [True, 2] as
+    integers, so the dtype alone does not show it."""
+    if isinstance(data, (list, tuple)):
+        return not set(map(type, data)) <= {int} and any(map(_holds_bool, data))
+    return isinstance(data, (bool, np.bool_))
+
+
+def _int_array(data) -> np.ndarray:
+    """data as an int64 array; ValueError for a bool, float or string entry
+    instead of the truncation np.asarray(data, dtype=np.int64) would make."""
+    if type(data) is np.ndarray and data.dtype == np.int64:  # the package's own arrays
+        return data
+    arr = np.asarray(data)
+    if arr.size and (arr.dtype.kind not in "iu" or _holds_bool(data)):
+        kind = "bool" if arr.dtype.kind in "iu" else arr.dtype
+        raise ValueError(f"entries must be integers, got {kind} entries")
+    return arr.astype(np.int64, copy=False)
+
+
 def as_vector(data, p: int) -> np.ndarray:
-    v = np.asarray(data, dtype=np.int64) % p
+    v = _int_array(data) % p
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return v
 
 
 def as_matrix(data, p: int) -> np.ndarray:
-    m = np.asarray(data, dtype=np.int64) % p
+    m = _int_array(data) % p
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     return m

@@ -357,3 +357,51 @@ def test_malformed_scenario_is_bad_input(capsys, tmp_path, doc):
     code, out, err = run(capsys, "derive", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
     assert "not a scenario file" in err and "Traceback" not in err
+
+
+def _degree1_document(entry, dims=(1, 1, 1), action=None):
+    """A class x in degree 1 with x * x = entry * (the top class)."""
+    one = [[1]]
+    mult = {"0,0": one, "0,1": one, "1,0": one, "0,2": one, "2,0": one, "1,1": [[entry]]}
+    return {"algebra": {"p": 2, "top_degree": 2, "dims": list(dims), "mult": mult},
+            "action": action}
+
+
+MALFORMED_ALGEBRAS = {
+    "float-entry": _degree1_document(0.9),
+    "bool-entry": _degree1_document(True),
+    "string-entry": _degree1_document("1"),
+    "float-dimension": _degree1_document(1, dims=(1, 1.5, 1)),
+    "string-modulus": {"algebra": {**_degree1_document(1)["algebra"], "p": "2"}, "action": None},
+    "float-top-degree": {"algebra": {**_degree1_document(1)["algebra"], "top_degree": 2.0},
+                         "action": None},
+    "bool-action-entry": _degree1_document(1, action={"maps": {"1,1": [[True]]}}),
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_ALGEBRAS.values(), ids=MALFORMED_ALGEBRAS)
+def test_malformed_algebra_is_bad_input(capsys, tmp_path, doc):
+    """Entries and sizes are not truncated to integers: a float, bool or
+    string is refused as input."""
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "does not hold an algebra document" in err and "Traceback" not in err
+
+
+def test_well_formed_degree1_document_passes(capsys, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(_degree1_document(1, action={"maps": {"1,1": [[1]]}})))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0 and report(out)["status"] == "ok"
+
+
+def test_steenrod_check_refuses_a_nonassociative_algebra(capsys, cp4_file, tmp_path):
+    doc = json.loads(open(cp4_file).read())
+    del doc["algebra"]["mult"]["2,4"]
+    path = tmp_path / "nonassociative.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "steenrod-check", str(path))
+    assert code == 1
+    assert "associative" in report(out)["payload"]["problem"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from periodica import corpus, decomposition, fplin, periodicity
-from periodica.algebra import GradedAlgebra, verify_poincare_duality
+from periodica.algebra import AlgebraDefect, GradedAlgebra, verify_poincare_duality
 from periodica.corpus import Expectation, SizeBound, build, parse_spec
 from periodica.steenrod import verify_action
 
@@ -199,3 +199,9 @@ def test_random_nested_specs_build_clean():
         assert verify_poincare_duality(fx.algebra)
         if fx.action is not None:
             verify_action(fx.algebra, fx.action)
+
+
+def test_failed_duality_check_is_a_typed_defect(monkeypatch):
+    monkeypatch.setattr(corpus, "verify_poincare_duality", lambda alg: False)
+    with pytest.raises(AlgebraDefect, match="duality"):
+        build(parse_spec("ComplexProj(4)@2"))

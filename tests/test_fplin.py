@@ -84,6 +84,21 @@ def brute_image_vectors(m, p):
     return {tuple((m @ v) % p) for v in fplin.enumerate_vectors(m.shape[1], p)}
 
 
+@pytest.mark.parametrize("data", [[[0.9]], [[True]], [["1"]], [[True, 2]], [[1, 2.0]],
+                                  np.array([[1.0]]), np.array([[True]]), [2**70]])
+def test_non_integer_entries_are_refused(data):
+    with pytest.raises(ValueError, match="integers"):
+        (fplin.as_vector if np.ndim(data) == 1 else fplin.as_matrix)(data, 3)
+
+
+def test_integer_entries_pass():
+    assert fplin.as_matrix([[4, -1]], 3).tolist() == [[1, 2]]
+    assert fplin.as_matrix(np.array([[4, 5]], dtype=np.int32), 3).dtype == np.int64
+    assert fplin.as_vector([np.int64(4), 5], 3).tolist() == [1, 2]
+    assert fplin.as_vector(np.array([7], dtype=np.uint8), 3).tolist() == [1]
+    assert fplin.as_vector([], 3).shape == (0,)
+
+
 def test_rref_canonical():
     rng = np.random.default_rng(11)
     for p in (2, 3, 5):
