@@ -211,9 +211,9 @@ class GradedAlgebra:
     def validate(self) -> None:
         """Check unit, associativity and graded commutativity; raise AlgebraDefect.
 
-        Both products are checked with a generator on one side only.  That
-        is exact: the graded centre of an associative algebra is closed under
-        products as well.
+        Both identities are checked with one factor a generator only.  For
+        commutativity that is exact as well: the graded centre of an
+        associative algebra is closed under products.
         """
         if self.unit_defect is not None:
             raise AlgebraDefect(self.unit_defect)
