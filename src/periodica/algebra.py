@@ -11,7 +11,6 @@ are computed once per algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +19,27 @@ from . import fplin
 
 class AlgebraDefect(ValueError):
     """The multiplication tables violate a ring axiom."""
+
+
+class _computed_once:
+    """An attribute computed on first use, like functools.cached_property,
+    but stored with setattr: cached_property writes through the instance's
+    __dict__, which on CPython 3.11 leaves every later attribute lookup on
+    that instance about twice as slow."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        setattr(obj, self.name, value)
+        return value
 
 
 def _as_int(value, what: str) -> int:
@@ -150,7 +170,7 @@ class GradedAlgebra:
             terms.append(name if c == 1 else f"{c}*{name}")
         return " + ".join(terms) if terms else "0"
 
-    @cached_property
+    @_computed_once
     def unit_defect(self) -> str | None:
         """None when degree 0 is spanned by a two-sided unit, else why not."""
         if self.dim(0) != 1:
@@ -163,7 +183,7 @@ class GradedAlgebra:
                 return f"unit fails on the right in degree {j}"
         return None
 
-    @cached_property
+    @_computed_once
     def generators(self) -> dict[int, tuple[int, ...]]:
         """Per degree, the basis indices outside the pivots of the decomposables.
 
@@ -183,7 +203,7 @@ class GradedAlgebra:
                 out[d] = gens
         return out
 
-    @cached_property
+    @_computed_once
     def associativity_defect(self) -> str | None:
         """None when the product is associative, else the degrees where it fails.
 

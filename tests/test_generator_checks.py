@@ -10,7 +10,6 @@ type, on fixtures, windows and single-entry mutants of tables and actions.
 """
 
 import functools
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -433,10 +432,12 @@ def test_checks_are_computed_once_per_instance(monkeypatch):
     fx = build("Product(ComplexProj(3),ComplexProj(2))@3")
     calls = []
     for name in ("unit_defect", "generators", "associativity_defect"):
-        def counted(self, func=getattr(GradedAlgebra, name).func, name=name):
+        once = GradedAlgebra.__dict__[name]
+
+        def counted(self, func=once.func, name=name):
             calls.append(name)
             return func(self)
-        prop = cached_property(counted)
+        prop = type(once)(counted)
         prop.__set_name__(GradedAlgebra, name)
         monkeypatch.setattr(GradedAlgebra, name, prop)
     alg = GradedAlgebra.from_dict(fx.algebra.to_dict())
