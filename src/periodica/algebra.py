@@ -4,8 +4,8 @@ A GradedAlgebra stores one multiplication matrix per degree pair (i, j):
 shape (dim(i+j), dim(i) * dim(j)), column a * dim(j) + b holding the
 product of the a-th degree-i and b-th degree-j basis vectors.  Degrees
 outside 0..top_degree are zero.  Missing tables are zero maps.  Tables
-are read-only once built, so the generators and the associativity verdict
-are computed once per algebra.
+are read-only once built, so the generators and the axiom verdicts are
+computed once per algebra.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class Element:
 
     @classmethod
     def of(cls, degree: int, vec) -> "Element":
-        return cls(degree, tuple(int(c) for c in np.asarray(vec, dtype=np.int64)))
+        """Element from integer coordinates; ValueError for a bool, float or str entry."""
+        return cls(degree, tuple(fplin._int_array(vec).tolist()))
 
     def as_vector(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=np.int64)
@@ -228,17 +229,11 @@ class GradedAlgebra:
                         return f"associativity fails for degrees ({j}, {i}, {k})"
         return None
 
-    def validate(self) -> None:
-        """Check unit, associativity and graded commutativity; raise AlgebraDefect.
-
-        Both identities are checked with one factor a generator only.  For
-        commutativity that is exact as well: the graded centre of an
-        associative algebra is closed under products.
-        """
-        if self.unit_defect is not None:
-            raise AlgebraDefect(self.unit_defect)
-        if self.associativity_defect is not None:
-            raise AlgebraDefect(self.associativity_defect)
+    @_computed_once
+    def commutativity_defect(self) -> str | None:
+        """None when gy = (-1)^(|g||y|) yg for every generator g and every y,
+        else the degrees where it fails.  For an associative algebra that is
+        graded commutativity: the graded centre is closed under products."""
         p, n = self.p, self.n
         for i, gens in self.generators.items():
             g = list(gens)
@@ -248,7 +243,20 @@ class GradedAlgebra:
                 sign = p - 1 if (i % 2 and j % 2 and p != 2) else 1
                 if not np.array_equal((sign * self.mult3(j, i)[:, :, g].transpose(0, 2, 1)) % p,
                                       self.mult3(i, j)[:, g]):
-                    raise AlgebraDefect(f"graded commutativity fails for degrees ({i}, {j})")
+                    return f"graded commutativity fails for degrees ({i}, {j})"
+        return None
+
+    def validate(self) -> None:
+        """Check unit, associativity and graded commutativity; raise AlgebraDefect.
+
+        Both identities are checked with one factor a generator only.
+        """
+        if self.unit_defect is not None:
+            raise AlgebraDefect(self.unit_defect)
+        if self.associativity_defect is not None:
+            raise AlgebraDefect(self.associativity_defect)
+        if self.commutativity_defect is not None:
+            raise AlgebraDefect(self.commutativity_defect)
 
     def pairing_matrix(self, i: int) -> np.ndarray:
         """Pairing H^i x H^(n-i) -> H^n as a dim(i) x dim(n-i) matrix (dim(n) must be 1)."""

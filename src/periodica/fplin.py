@@ -376,16 +376,6 @@ def _poly_gcd(a, b, p: int) -> tuple[int, ...]:
     return _poly_monic(a, p)
 
 
-def _poly_lcm(a, b, p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    g = _poly_gcd(a, b, p)
-    q, r = _poly_divmod(_poly_mul(a, b, p), g, p)
-    if r:
-        raise ConsistencyFailure("the gcd does not divide the product")
-    return _poly_monic(q, p)
-
-
 def _poly_deriv(a, p: int) -> tuple[int, ...]:
     return _poly_norm([(i * a[i]) % p for i in range(1, len(a))], p)
 
@@ -459,29 +449,22 @@ def poly_eval_matrix(coeffs, mat, p: int) -> np.ndarray:
 
 
 def minimal_polynomial(mat, p: int) -> tuple[int, ...]:
-    """Monic minimal polynomial, coefficients lowest degree first."""
+    """Monic minimal polynomial, coefficients lowest degree first.
+
+    Row-reduces the powers I, mat, ..., mat^d as the columns of one
+    d^2 x (d+1) matrix: the first column that is not a pivot is the first
+    power the lower ones span, and its reduced entries are the coefficients.
+    """
     m = as_matrix(mat, p)
     d = m.shape[0]
     if m.shape != (d, d):
         raise ValueError("minimal_polynomial expects a square matrix")
-    result = (1,)
-    for i in range(d):
-        if len(result) == d + 1:
-            break
-        v = np.zeros(d, dtype=np.int64)
-        v[i] = 1
-        krylov = [v]
-        w = (m @ v) % p
-        while True:
-            a = np.array(krylov, dtype=np.int64)
-            c = solve(a.T, w, p)
-            if c is not None:
-                local = _poly_norm([(-int(x)) % p for x in c] + [1], p)
-                break
-            krylov.append(w)
-            w = (m @ w) % p
-        result = _poly_lcm(result, local, p)
-    return result
+    powers = [np.eye(d, dtype=np.int64)]
+    for _ in range(d):
+        powers.append((powers[-1] @ m) % p)
+    red, pivots = rref(np.array(powers).reshape(d + 1, d * d).T, p)
+    j = len(pivots)
+    return _poly_norm([(-int(c)) % p for c in red[:j, j]] + [1], p)
 
 
 def is_semisimple(mat, p: int) -> bool:
@@ -548,9 +531,10 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
     # mult[i] multiplies by the i-th basis element: its column j is M_i M_j.
     mult = coords(products.reshape(d * d, m * m)).reshape(d, d, d).transpose(0, 2, 1)
     unit = coords(np.eye(m, dtype=np.int64).reshape(1, m * m))[0]
+    flat_mult = mult.reshape(d, d * d)
 
     def times(a):
-        return np.tensordot(a, mult, 1) % p
+        return (a @ flat_mult).reshape(d, d) % p
 
     def power(a, e):
         return (mat_pow(times(a), e, p) @ unit) % p
@@ -628,3 +612,15 @@ def enumerate_vectors(dim: int, p: int):
     """All vectors of GF(p)^dim in lexicographic order, first coordinate most significant."""
     for tup in itertools.product(range(p), repeat=dim):
         yield np.array(tup, dtype=np.int64)
+
+
+def vector_blocks(dim: int, p: int, rows: int):
+    """enumerate_vectors' sequence as row blocks: each block fixes the leading
+    coordinates and runs the last t over all of GF(p)^t, for the largest t
+    with p^t <= rows (t = 1 when p > rows)."""
+    t = min(dim, 1)
+    while t < dim and p ** (t + 1) <= rows:
+        t += 1
+    tail = np.array(list(itertools.product(range(p), repeat=t)), dtype=np.int64).reshape(p ** t, t)
+    for head in itertools.product(range(p), repeat=dim - t):
+        yield np.hstack([np.tile(np.array(head, dtype=np.int64), (len(tail), 1)), tail])

@@ -98,12 +98,23 @@ def window_gap(alg, k: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n) if i not in covered and alg.dim(i) > 0)
 
 
+def _check_degree(alg, k: int) -> None:
+    if not 1 <= k <= alg.n - 1:
+        raise ValueError(f"degree {k} outside 1..{alg.n - 1}")
+
+
+def _check_limits(cap: int, samples: int) -> None:
+    if cap < 1:
+        raise ValueError(f"the search cap must be at least 1, got {cap}")
+    if samples < 0:
+        raise ValueError(f"the sample count must be at least 0, got {samples}")
+
+
 def induces_periodicity(alg, x: Element):
     """Direct window test; a certificate or a refusal naming the first failure."""
     k = x.degree
     n = alg.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"degree {k} outside 1..{n - 1}")
+    _check_degree(alg, k)
     if 3 * k > n - 1:
         raise DegreeBoundViolated(f"direct test needs 3k <= n-1, got 3*{k} > {n - 1}")
     xv = fplin.as_vector(x.as_vector(), alg.p)
@@ -149,6 +160,110 @@ def verify_certificate(alg, cert: PeriodicityCertificate) -> bool:
     return False
 
 
+def _ruled_out(alg, k: int) -> bool:
+    """True when the dimensions alone fail a window condition for k.
+
+    Cupping from degree i to i + k has rank at most min(dim i, dim i+k), so
+    no degree-k element is surjective where dim i < dim i+k, or injective
+    where dim i+k < dim i.  A product of direct inducers passes the window
+    conditions too, so no product certificate reaches k either.
+    """
+    top = alg.n - 1 - k
+    return any((i < top and alg.dim(i) < alg.dim(i + k))
+               or (i > 1 and alg.dim(i + k) < alg.dim(i)) for i in range(1, top + 1))
+
+
+def _centroid_decides(alg, k: int) -> bool:
+    """Whether _unit_test decides the direct degree k: 2 <= k, 3k <= n-1,
+    degree k is nonzero and the tables pass the ring axioms its proof uses."""
+    return (2 <= k and 3 * k <= alg.n - 1 and alg.dim(k) > 0
+            and alg.associativity_defect is None and alg.commutativity_defect is None)
+
+
+@dataclass(frozen=True)
+class _UnitTest:
+    """The vectors v that generate V = A^k over the centroid E.
+
+    v generates V exactly when tests[j] @ v is nonzero for every j: the
+    rows of tests[j] span the functionals that vanish on
+    N_j = rad(E) V + (1 - e_j) V.  generator is one such v.
+    """
+    p: int
+    tests: np.ndarray
+    generator: np.ndarray
+
+    def units(self):
+        """The generators among all of V, in lexicographic order, one block
+        of at most _TILE candidates at a time."""
+        m, r, d = self.tests.shape
+        for block in fplin.vector_blocks(d, self.p, _TILE):
+            hits = (block @ self.tests.reshape(m * r, d).T) % self.p
+            yield block[hits.reshape(len(block), m, r).any(axis=2).all(axis=1)]
+
+
+def _unit_test(alg, k: int) -> _UnitTest | None:
+    """The centroid's test for degree-k direct inducers; None when there are none.
+
+    Let V = A^k and E = {T in End(V) : a T(b) = T(a) b for all a, b in V},
+    the centroid of the product V x V -> A^(2k) (Wilson, J. Algebra 322,
+    2009; Brooksbank and Wilson, Trans. AMS 364, 2012).  Suppose x0
+    induces, with 2 <= k and 3k <= n-1, in an associative graded-commutative
+    algebra.  Cupping with x0 is then a bijection from A^k onto A^(2k) and
+    from A^(2k) into A^(3k), so a * b = (x0 .)^(-1)(ab) makes V a
+    commutative ring R with unit x0.  Every T in E is multiplication by
+    T(x0) in R (put a = x0), and every multiplication lies in E (cancel x0
+    from x0 (a (r * b)) = x0 ((r * a) b)), so E is R acting on itself:
+    dim E = dim V and E is commutative.  The inducers are then the units of
+    R: an inducer's cup is bijective onto A^(2k); a unit u with inverse v
+    has uv = x0 x0, which makes cupping with u injective and, by counting
+    dimensions, surjective across the window (k >= 2 is needed at degree
+    1).  The units of R are the generators of V as an E-module, and by
+    Nakayama's lemma on each local factor E e_j these are the v outside
+    every N_j = rad(E) V + (1 - e_j) V.
+
+    So this returns None when dim E != dim V or E is not commutative, and
+    otherwise the linear test for lying outside every N_j, with one vector
+    that passes it: the sum over j of the first column of e_j outside N_j.
+    If any inducer exists the passing vectors are exactly the inducers, so
+    window-testing one of them decides them all.  rad(E) is the kernel of
+    a -> a^(p^m) for p^m >= dim E, a linear map on a commutative algebra
+    over GF(p), and v lies in N_j exactly when e_j v lies in rad(E) V.
+    """
+    p, d = alg.p, alg.dim(k)
+    m3 = alg.mult3(k, k)
+    # Equation (t, a, b) reads (a T(b) - T(a) b)_t = (M_t T - T^T M_t)[a, b]
+    # = 0, with M_t = m3[t]; its row holds the coefficient of T[c, e] at
+    # c * d + e.  Only equations with a nonzero term are built.
+    t, a, b = np.nonzero(m3.any(axis=2)[:, :, None] | m3.any(axis=1)[:, None, :])
+    rows, each = np.zeros((len(t), d, d), dtype=np.int64), np.arange(len(t))
+    rows[each, :, b] = m3[t, a, :]
+    rows[each, :, a] -= m3[t, :, b]
+    system = rows.reshape(len(t), d * d) % p
+    centroid = fplin.kernel(system[system.any(axis=1)], p)
+    if centroid.dim != d:
+        return None
+    mats = centroid.basis.reshape(d, d, d)
+    if not np.array_equal((mats[:, None] @ mats[None]) % p, (mats[None] @ mats[:, None]) % p):
+        return None
+    fixed, idempotents, _ = fplin.primitive_idempotents(mats, p)
+    # Rows of quotient: the functionals that vanish on rad(E) V.  When the
+    # Frobenius-fixed subalgebra is all of E, E is GF(p)^d and rad(E) = 0.
+    quotient = np.eye(d, dtype=np.int64)
+    if fixed.dim < d:
+        exponent = 1
+        while exponent < d:
+            exponent *= p
+        powers = np.array([fplin.mat_pow(m, exponent, p) for m in mats]).reshape(d, d * d)
+        radical = (fplin.kernel(powers.T, p).basis @ centroid.basis) % p
+        quotient = fplin.kernel(radical.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d), p).basis
+    tests, generator = [], np.zeros(d, dtype=np.int64)
+    for coords in idempotents:
+        ej = (coords @ centroid.basis).reshape(d, d) % p
+        tests.append((quotient @ ej) % p)
+        generator += next(col for col in ej.T if ((tests[-1] @ col) % p).any())
+    return _UnitTest(p, np.array(tests), generator % p)
+
+
 # Products per einsum block; bounds the memory one block of the span takes.
 _TILE = 4096
 
@@ -189,8 +304,8 @@ class _ProductSpan:
     reach of degree a is its direct inducers (when 3a <= n-1) followed by
     the degree-a products not among them.  Each (a, b) block is two matrix
     products, deduplicated with np.unique.  Direct inducers, products and
-    reaches are kept per degree for the engine's lifetime only; nothing is
-    stored on the algebra.
+    reaches are kept per degree for the engine's lifetime only, with the
+    centroid tests of the direct degrees; nothing is stored on the algebra.
     """
 
     def __init__(self, alg, cap: int):
@@ -201,6 +316,8 @@ class _ProductSpan:
         self._products = {}  # d -> (key -> row, [(b, reach row, inducer row)])
         self._reach = {}     # a -> (sorted keys as rows, product row or -1 - inducer row)
         self._spans = {}     # k -> span(k), or the message of the refusal
+        self._tests = {}     # d -> _unit_test(alg, d)
+        self._least = {}     # d -> least_unit(d)
 
     def span(self, k: int) -> dict:
         """Degree-k products as key -> row, in the order they were found.
@@ -230,6 +347,23 @@ class _ProductSpan:
         head = ((Element.of(d - b, keys[r]),) if origin[r] < 0
                 else self._factors(d - b, origin[r]))
         return head + (Element.of(b, self._inducers[b][s]),)
+
+    def unit_test(self, d: int) -> _UnitTest | None:
+        """_unit_test(alg, d), computed once per search."""
+        if d not in self._tests:
+            self._tests[d] = _unit_test(self.alg, d)
+        return self._tests[d]
+
+    def least_unit(self, d: int) -> np.ndarray | None:
+        """The least degree-d unit when it passes the window test; None
+        when it fails, and then no degree-d vector passes (see _unit_test)."""
+        if d not in self._least:
+            test = self.unit_test(d)
+            rows = () if test is None else next(
+                (block[:1] for block in test.units() if len(block)), ())
+            self._least[d] = next(
+                (v for v in rows if _window_failure(self.alg, d, v) is None), None)
+        return self._least[d]
 
     def _grow_to(self, k):
         alg, cap = self.alg, self.cap
@@ -291,10 +425,22 @@ class _ProductSpan:
         return self._reach[a][0]
 
     def _direct(self, d):
+        """The direct inducers of degree d, one per row, in lexicographic order.
+
+        Empty when the dimensions rule d out.  Where the centroid decides d,
+        they are the units if the least unit passes the window test, and
+        nothing otherwise; elsewhere each vector is window-tested.
+        """
         if d not in self._inducers:
             alg, dim = self.alg, self.alg.dim(d)
-            found = [v for v in fplin.enumerate_vectors(dim, alg.p)
-                     if _window_failure(alg, d, v) is None]
+            if _ruled_out(alg, d):
+                found = []
+            elif _centroid_decides(alg, d):
+                found = ([] if self.least_unit(d) is None
+                         else np.vstack(list(self.unit_test(d).units())))
+            else:
+                found = [v for v in fplin.enumerate_vectors(dim, alg.p)
+                         if _window_failure(alg, d, v) is None]
             self._inducers[d] = np.array(found, dtype=np.int64).reshape(len(found), dim)
         return self._inducers[d]
 
@@ -307,14 +453,49 @@ def _induces(span: _ProductSpan, k: int, v) -> bool:
     return tuple(int(c) for c in v) in span.span(k)
 
 
-def _exhaustive(alg, k: int, mode: str):
-    """Scan degree k in lexicographic order for a window pass."""
-    for v in fplin.enumerate_vectors(alg.dim(k), alg.p):
-        if _window_failure(alg, k, v) is None:
-            return PeriodicityCertificate(k, Element.of(k, v), mode)
+def _exhausted(alg, k: int) -> SearchVerdict:
     return SearchVerdict(
         k, "exhausted",
         f"all {alg.p ** alg.dim(k)} degree-{k} candidates fail the window conditions")
+
+
+def _exhaustive(span: _ProductSpan, k: int, mode: str):
+    """The lexicographically least degree-k window pass, or the exhausted verdict.
+
+    Nothing is tested when the dimensions rule k out.  Where the centroid
+    decides k, only its least unit is window-tested; elsewhere every vector
+    is, in lexicographic order.
+    """
+    alg = span.alg
+    if _ruled_out(alg, k):
+        found = None
+    elif mode == "direct" and _centroid_decides(alg, k):
+        found = span.least_unit(k)
+    else:
+        found = next((v for v in fplin.enumerate_vectors(alg.dim(k), alg.p)
+                      if _window_failure(alg, k, v) is None), None)
+    if found is None:
+        return _exhausted(alg, k)
+    return PeriodicityCertificate(k, Element.of(k, found), mode)
+
+
+def _past_cap(span: _ProductSpan, k: int, mode: str, samples: int, seed: int, reason: str):
+    """Degree k when its candidates exceed the cap.
+
+    Exhausted when the dimensions rule k out.  Where the centroid decides
+    k, its Nakayama generator is window-tested: a certificate or exhausted.
+    Elsewhere (window mode, degree 1, tables that fail the ring axioms) it
+    samples.
+    """
+    alg = span.alg
+    if _ruled_out(alg, k):
+        return _exhausted(alg, k)
+    if mode == "direct" and _centroid_decides(alg, k):
+        test = span.unit_test(k)
+        if test is not None and _window_failure(alg, k, test.generator) is None:
+            return PeriodicityCertificate(k, Element.of(k, test.generator), mode)
+        return _exhausted(alg, k)
+    return _sampled(alg, k, mode, samples, seed, reason)
 
 
 def _sampled(alg, k: int, mode: str, samples: int, seed: int, reason: str):
@@ -335,19 +516,29 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
 
     Returns a PeriodicityCertificate or a SearchVerdict with status
     "exhausted" (provably none) or "inconclusive" (capped search found
-    nothing).  Exhaustive scans visit vectors in lexicographic order, so
-    the certificate found is the lexicographically least one.  _span lets
+    nothing).  A degree whose dimensions fail a window condition is
+    exhausted at once, at any cap.  When p^dim(k) <= cap the answer is the
+    lexicographically least window pass: a direct degree k >= 2 (3k <= n-1)
+    of an algebra that passes the ring axioms is decided by the centroid of
+    A^k x A^k -> A^(2k), which names the least candidate and needs one
+    window test (see _unit_test); other degrees scan every vector.  Past
+    the cap, a product of direct inducers is tried first; then a direct
+    degree k >= 2 window-tests the centroid's Nakayama generator, an exact
+    answer, while degree 1, window mode and tables that fail the axioms
+    window-test `samples` random vectors drawn from `seed`, and end
+    inconclusive when none passes.  _span lets
     calls on one algebra and cap share one product span (search_degrees).
+    Raises ValueError for k outside 1..n-1, cap < 1 or samples < 0.
     """
     n = alg.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"degree {k} outside 1..{n - 1}")
+    _check_degree(alg, k)
+    _check_limits(cap, samples)
     space = alg.p ** alg.dim(k)
     direct = 3 * k <= n - 1
-    if direct and space <= cap:
-        return _exhaustive(alg, k, "direct")
     if _span is None:
         _span = _ProductSpan(alg, cap)
+    if direct and space <= cap:
+        return _exhaustive(_span, k, "direct")
     try:
         products, complete = _span.span(k), True
     except SearchCapExceeded:
@@ -356,26 +547,27 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
         t = min(products)
         return PeriodicityCertificate(k, Element.of(k, t), "product", _span.factors(k, t))
     if direct:
-        return _sampled(alg, k, "direct", samples, seed,
-                        f"{space} candidates exceed cap {cap}; products and {samples} "
-                        "samples found nothing")
+        return _past_cap(_span, k, "direct", samples, seed,
+                         f"{space} candidates exceed cap {cap}; products and {samples} "
+                         "samples found nothing")
     # 3k > n-1: only product certificates or a gap-free window pass remain.
     gap = window_gap(alg, k)
     if gap:
-        if complete:
+        if complete or _ruled_out(alg, k):
             return SearchVerdict(
                 k, "exhausted",
                 f"no product of inducers reaches degree {k} and degrees {gap} escape the window")
         return SearchVerdict(k, "inconclusive", "product search passed the cap")
     if space <= cap:
-        return _exhaustive(alg, k, "window")
-    return _sampled(alg, k, "window", samples, seed,
-                    f"{space} candidates exceed cap {cap}; {samples} samples found nothing")
+        return _exhaustive(_span, k, "window")
+    return _past_cap(_span, k, "window", samples, seed,
+                     f"{space} candidates exceed cap {cap}; {samples} samples found nothing")
 
 
 def search_degrees(alg, degrees, cap: int = DEFAULT_SEARCH_CAP,
                    samples: int = DEFAULT_SAMPLE_COUNT, seed: int = 0) -> dict:
     """find_inducing_element for each degree, all sharing one product span."""
+    _check_limits(cap, samples)
     span = _ProductSpan(alg, cap)
     return {k: find_inducing_element(alg, k, cap=cap, samples=samples, seed=seed, _span=span)
             for k in degrees}
@@ -548,9 +740,14 @@ def element_induces(alg, k: int, vec, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """Membership test for the set of degree-k inducing elements.
 
     The direct window test when 3k <= n-1; otherwise membership in the set
-    of degree-k products of lower-degree direct inducers.
+    of degree-k products of lower-degree direct inducers.  Raises
+    ValueError for k outside 1..n-1 or a vector of the wrong length.
     """
-    return _induces(_ProductSpan(alg, cap), k, fplin.as_vector(vec, alg.p))
+    _check_degree(alg, k)
+    v = fplin.as_vector(vec, alg.p)
+    if v.shape[0] != alg.dim(k):
+        raise ValueError("element length does not match its degree")
+    return _induces(_ProductSpan(alg, cap), k, v)
 
 
 @dataclass(frozen=True)

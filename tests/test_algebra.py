@@ -19,6 +19,13 @@ def test_element_round_trip():
     assert np.array_equal(e.as_vector(), np.array([2, 0, 1]))
     assert not e.is_zero
     assert Element.of(3, [0, 0, 0]).is_zero
+    assert Element.of(1, np.array([4], dtype=np.uint8)).coeffs == (4,)
+
+
+@pytest.mark.parametrize("entries", [[0.9], [True], [1, False], ["1"], np.array([1.0])])
+def test_element_refuses_non_integer_entries(entries):
+    with pytest.raises(ValueError, match="must be integers"):
+        Element.of(2, entries)
 
 
 def test_truncated_polynomial_cup_products():

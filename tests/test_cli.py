@@ -222,8 +222,10 @@ def test_usage_error_exits_two(capsys):
 
 def test_search_cap_env(capsys, tmp_path, monkeypatch):
     path = str(tmp_path / "mixed.json")
+    # degree 2 is past the direct bound 3k <= n-1 = 5, so a capped search samples
     code, _, _ = run(capsys, "corpus", "export",
-                     "ConnectedSum(ComplexProj(8),QuatProj(4))@2", "--out", path)
+                     "ConnectedSum(Product(Sphere(2),Sphere(4)),Product(Sphere(2),Sphere(4)))@2",
+                     "--out", path)
     assert code == 0
     monkeypatch.setenv("PERIODICA_SEARCH_CAP", "1")
     code, out, _ = run(capsys, "periodicity", path, "--k", "2")

@@ -1,0 +1,250 @@
+"""Direct degrees decided by the dimension bound and the centroid, checked
+against the enumeration they replaced.
+
+_reference_exhaustive and _reference_direct are the scans that
+periodicity._exhaustive and periodicity._ProductSpan._direct made before:
+one window test per candidate.  reference_search() patches them back in,
+with sampling past the cap and no dimension bound, so a search run inside
+it gives the answers the enumeration gave.
+"""
+
+import contextlib
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from periodica import corpus, fplin
+from periodica import periodicity as P
+from periodica.algebra import Element, GradedAlgebra
+from periodica.periodicity import PeriodicityCertificate, SearchVerdict, _window_failure
+from rebasing import rebased
+
+
+def _reference_exhaustive(alg, k: int, mode: str):
+    """Scan degree k in lexicographic order for a window pass."""
+    for v in fplin.enumerate_vectors(alg.dim(k), alg.p):
+        if _window_failure(alg, k, v) is None:
+            return PeriodicityCertificate(k, Element.of(k, v), mode)
+    return SearchVerdict(
+        k, "exhausted",
+        f"all {alg.p ** alg.dim(k)} degree-{k} candidates fail the window conditions")
+
+
+def _reference_direct(self, d):
+    if d not in self._inducers:
+        alg, dim = self.alg, self.alg.dim(d)
+        found = [v for v in fplin.enumerate_vectors(dim, alg.p)
+                 if _window_failure(alg, d, v) is None]
+        self._inducers[d] = np.array(found, dtype=np.int64).reshape(len(found), dim)
+    return self._inducers[d]
+
+
+@contextlib.contextmanager
+def reference_search():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "_exhaustive", lambda span, k, mode: _reference_exhaustive(span.alg, k, mode))
+        mp.setattr(P._ProductSpan, "_direct", _reference_direct)
+        mp.setattr(P, "_past_cap", lambda span, k, mode, samples, seed, reason:
+                   P._sampled(span.alg, k, mode, samples, seed, reason))
+        mp.setattr(P, "_ruled_out", lambda alg, k: False)
+        yield
+
+
+def build(text):
+    return corpus.build(corpus.parse_spec(text)).algebra
+
+
+def nested(k, leaf):
+    return functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", [leaf] * k)
+
+
+def assert_matches_reference(alg, cap=P.DEFAULT_SEARCH_CAP, samples=20):
+    """Every degree's answer equals the enumeration's, except that past the
+    cap an inconclusive answer may become a certificate or exhausted (as
+    the uncapped enumeration says), and a sampled direct certificate may
+    become another one.  Every certificate re-verifies."""
+    degrees = range(1, alg.n)
+    got = P.search_degrees(alg, degrees, cap=cap, samples=samples)
+    with reference_search():
+        want = P.search_degrees(alg, degrees, cap=cap, samples=samples)
+        truth = None
+        for k in degrees:
+            if got[k] == want[k]:
+                continue
+            if isinstance(want[k], SearchVerdict):
+                assert want[k].status == "inconclusive", k
+                truth = truth or P.search_degrees(alg, degrees, samples=0)
+                assert type(got[k]) is type(truth[k]), k
+                if isinstance(truth[k], SearchVerdict):
+                    assert got[k].status == "exhausted", k
+            else:
+                assert want[k].mode == got[k].mode == "direct", k
+                assert alg.p ** alg.dim(k) > cap, k
+    for out in got.values():
+        assert not isinstance(out, PeriodicityCertificate) or P.verify_certificate(alg, out)
+    return got
+
+
+def assert_direct_sets_match(alg):
+    """_ProductSpan._direct gives the enumeration's inducers, row for row."""
+    for d in range(1, (alg.n - 1) // 3 + 1):
+        if alg.p ** alg.dim(d) > 5**5:
+            continue
+        span, reference = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP), P._ProductSpan(alg, 1)
+        assert np.array_equal(span._direct(d), _reference_direct(reference, d)), d
+
+
+# The specs of the benchmark's period and decompose workloads.
+BENCHMARK_SPECS = (
+    f"{nested(2, 'ComplexProj(5)')}@5", f"{nested(2, 'ComplexProj(7)')}@5",
+    f"{nested(2, 'ComplexProj(8)')}@5", f"{nested(3, 'ComplexProj(4)')}@5",
+    f"{nested(3, 'ComplexProj(8)')}@3", f"{nested(4, 'ComplexProj(5)')}@3",
+    f"{nested(3, 'QuatProj(3)')}@5", "Product(Sphere(2),ComplexProj(8))@3",
+    "Product(Sphere(2),ComplexProj(10))@3", "Product(Sphere(3),QuatProj(3))@3",
+    "Product(ComplexProj(3),ComplexProj(4))@5", "Product(ComplexProj(3),ComplexProj(4))@3",
+    "Product(ComplexProj(2),ComplexProj(5))@3",
+    *(f"{nested(k, 'ComplexProj(6)')}@2" for k in (2, 3, 4, 5)),
+    f"{nested(2, 'ComplexProj(6)')}@5",
+    *(f"{nested(k, 'ComplexProj(4)')}@2" for k in (4, 6)),
+    *(f"{nested(k, 'ComplexProj(4)')}@3" for k in (3, 4)),
+)
+
+# Fixtures the other test modules use.
+CORPUS_SPECS = (
+    "ComplexProj(4)@2", "ComplexProj(6)@3", "ComplexProj(8)@2", "QuatProj(4)@3",
+    "QuatProj(5)@2", "Sphere(8)@2", "Sphere(6)@5", "TruncatedPoly(2,5)@3",
+    "TruncatedPoly(4,4)@5", "TruncatedPoly(6,3)@7",
+    "ConnectedSum(ComplexProj(4),QuatProj(2))@2", "ConnectedSum(ComplexProj(8),QuatProj(4))@2",
+    "ConnectedSum(QuatProj(5),QuatProj(5))@2",
+    "ConnectedSum(Product(Sphere(2),ComplexProj(4)),ComplexProj(5))@3",
+    "ConnectedSum(Product(Sphere(2),ComplexProj(4)),Product(Sphere(2),ComplexProj(4)))@2",
+    "Product(ComplexProj(2),ComplexProj(3))@2", "Product(ComplexProj(3),QuatProj(2))@5",
+    "Product(Product(Sphere(1),Sphere(3)),Sphere(2))@2",
+    "Product(Product(Sphere(3),Sphere(3)),Sphere(5))@5", "Product(Sphere(2),ComplexProj(5))@5",
+    "Product(Sphere(3),ComplexProj(3))@3", "Product(Sphere(3),Sphere(5))@3",
+    "Product(Sphere(1),Sphere(5))@2",
+    "ConnectedSum(ComplexProj(2),Product(Sphere(1),Sphere(3)))@2",
+)
+
+
+@pytest.mark.parametrize("text", BENCHMARK_SPECS + CORPUS_SPECS)
+def test_fixtures_match_the_enumeration(text):
+    alg = build(text)
+    assert_matches_reference(alg)
+    assert_matches_reference(rebased(alg, 5))
+    assert_direct_sets_match(rebased(alg, 6))
+
+
+@pytest.mark.parametrize("text", BENCHMARK_SPECS)
+def test_minimum_period_and_degree_two_are_unchanged(text):
+    alg = build(text)
+    got = P.minimum_period(alg), P.find_inducing_element(alg, 2)
+    with reference_search():
+        assert got == (P.minimum_period(alg), P.find_inducing_element(alg, 2))
+
+
+def _closed(top):
+    bodies = [f"Sphere({top})"]
+    if top % 2 == 0:
+        bodies.append(f"ComplexProj({top // 2})")
+    if top % 4 == 0:
+        bodies.append(f"QuatProj({top // 4})")
+    bodies += [f"Product(Sphere({i}),Sphere({top - i}))" for i in range(1, top // 2 + 1)]
+    return st.sampled_from(bodies)
+
+
+@st.composite
+def _specs(draw):
+    if draw(st.booleans()):
+        parts = draw(st.lists(_closed(draw(st.integers(4, 10))), min_size=2, max_size=4))
+        body = functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", parts)
+    else:
+        body = f"Product({draw(_closed(draw(st.integers(1, 8))))},{draw(_closed(draw(st.integers(1, 6))))})"
+    return f"{body}@{draw(st.sampled_from((2, 3, 5)))}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_specs(), st.integers(0, 2**16), st.sampled_from((1, 4, 30, P.DEFAULT_SEARCH_CAP)),
+       st.booleans())
+def test_random_specs_match_the_enumeration(text, seed, cap, rebase):
+    alg = build(text)
+    if max(alg.p ** d for d in alg.dims) > 5**5:
+        return
+    if rebase:
+        alg = rebased(alg, seed)
+    assert_matches_reference(alg, cap=cap)
+
+
+def test_degree_one_stays_on_the_enumerator():
+    period_one = build("Product(Sphere(1),Sphere(5))@2")
+    assert not P._centroid_decides(period_one, 1)
+    assert assert_matches_reference(period_one)[1].mode == "direct"
+    none = build("ConnectedSum(ComplexProj(2),Product(Sphere(1),Sphere(3)))@2")
+    assert assert_matches_reference(none)[1].status == "exhausted"
+
+
+def test_zero_dimensional_direct_degree():
+    alg = build("Sphere(8)@2")
+    assert not P._centroid_decides(alg, 2)
+    assert assert_matches_reference(alg)[2] == PeriodicityCertificate(2, Element(2, ()), "direct")
+
+
+def _degree_two_algebra(m3, p):
+    """Degrees 0, 2 and 4 of dimensions 1, dim V and dim W, top degree 7,
+    with the products m3 : V x V -> W and a unit; every triple product is zero."""
+    m3 = np.array(m3)
+    w, d, _ = m3.shape
+    dims = [1, 0, d, 0, w, 0, 0, 0]
+    mult = {(0, j): np.eye(dims[j], dtype=np.int64) for j in (0, 2, 4)}
+    mult.update({(j, 0): np.eye(dims[j], dtype=np.int64) for j in (2, 4)})
+    mult[(2, 2)] = m3.reshape(w, d * d)
+    return GradedAlgebra(p, 7, dims, mult)
+
+
+def test_noncommutative_centroid_means_no_inducer():
+    # A symmetric product GF(2)^4 x GF(2)^4 -> GF(2)^3 whose centroid has
+    # dimension 4 but does not commute.
+    m3 = [[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+          [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 1]],
+          [[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]]
+    alg = _degree_two_algebra(m3, 2)
+    alg.validate()
+    assert P._centroid_decides(alg, 2)
+    assert P._unit_test(alg, 2) is None
+    assert assert_matches_reference(alg)[2].status == "exhausted"
+
+
+def test_tables_failing_the_axioms_stay_on_the_enumerator():
+    # x_a x_b = y_a, a product that is not commutative
+    m3 = np.array([[[1, 1], [0, 0]], [[0, 0], [1, 1]]])
+    alg = _degree_two_algebra(m3, 3)
+    assert alg.commutativity_defect is not None
+    assert not P._centroid_decides(alg, 2)
+    assert_matches_reference(alg)
+
+
+def test_unit_test_passes_exactly_the_direct_inducers():
+    """Where an inducer exists, the linear test passes exactly the window passes."""
+    for text in ("ConnectedSum(ComplexProj(5),ComplexProj(5))@5",
+                 "Product(Sphere(2),ComplexProj(8))@3", f"{nested(3, 'ComplexProj(4)')}@3"):
+        alg = rebased(build(text), 2)
+        test = P._unit_test(alg, 2)
+        units = np.vstack(list(test.units()))
+        assert np.array_equal(units, _reference_direct(P._ProductSpan(alg, 1), 2))
+        assert _window_failure(alg, 2, test.generator) is None
+
+
+def test_past_the_cap_direct_degrees_are_decided():
+    """Past the cap the Nakayama generator answers a direct degree exactly,
+    with no samples drawn."""
+    big = build(f"{nested(21, 'ComplexProj(6)')}@2")
+    assert P.find_inducing_element(big, 2, samples=0) == \
+        PeriodicityCertificate(2, Element(2, (1,) * 21), "direct")
+    alg = build(f"{nested(6, 'ComplexProj(6)')}@5")
+    out = P.find_inducing_element(alg, 2, cap=100, samples=0)
+    assert out.mode == "direct" and P.verify_certificate(alg, out)
+    none = build("Product(ComplexProj(3),ComplexProj(4))@5")
+    assert P.find_inducing_element(none, 2, cap=4, samples=0).status == "exhausted"

@@ -508,6 +508,3 @@ def test_consistency_checks_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(fplin, "is_semisimple", lambda mat, p: True)
     with pytest.raises(fplin.ConsistencyFailure):
         fplin.invariant_complement_of_kernel(m, 2)
-    monkeypatch.setattr(fplin, "_poly_gcd", lambda a, b, p: (0, 1))
-    with pytest.raises(fplin.ConsistencyFailure):
-        fplin._poly_lcm((1, 1), (1, 1), 2)

@@ -190,6 +190,23 @@ def test_element_induces_uses_products_above_the_bound():
     assert not P.element_induces(cs, 2, np.array([1, 0], dtype=np.int64))
 
 
+@pytest.mark.parametrize("k, vec", [(0, [1]), (12, [1]), (-1, [1]), (6, [1, 1]), (6, [])])
+def test_element_induces_refuses_out_of_range_input(k, vec):
+    alg = build("ComplexProj(6)@2").algebra
+    with pytest.raises(ValueError):
+        P.element_induces(alg, k, vec)
+
+
+@pytest.mark.parametrize("cap, samples", [(0, 10), (-5, 10), (1, -1), (-5, -1)])
+def test_searches_refuse_a_cap_below_one_or_negative_samples(cap, samples):
+    alg = build("ComplexProj(4)@2").algebra
+    for search in (lambda: P.find_inducing_element(alg, 2, cap=cap, samples=samples),
+                   lambda: P.search_degrees(alg, [], cap=cap, samples=samples),
+                   lambda: P.minimum_period(alg, cap=cap, samples=samples)):
+        with pytest.raises(ValueError, match="cap|sample"):
+            search()
+
+
 def test_irreducibility_reports():
     w = window_of(build("ComplexProj(4)@2"))
     rep = P.is_irreducible(w, Element(2, (1,)))
@@ -296,10 +313,16 @@ def test_search_verdicts():
     alg = build("Product(Sphere(3),Sphere(3))@2").algebra
     out = P.find_inducing_element(alg, 3)
     assert out.status == "exhausted"
-    # a tiny cap forces sampling, which cannot prove absence
-    cs = build("ConnectedSum(ComplexProj(4),ComplexProj(4))@2").algebra
-    out = P.find_inducing_element(cs, 2, cap=1, samples=0)
-    assert out.status == "inconclusive"
+    # past a tiny cap a window-mode degree is sampled, which cannot prove absence
+    hs = build("ConnectedSum(QuatProj(3),QuatProj(3))@2").algebra
+    out = P.find_inducing_element(hs, 4, cap=1, samples=0)
+    assert out.status == "inconclusive" and "0 samples found nothing" in out.reason
+    assert P.find_inducing_element(hs, 4).mode == "window"
+    # and so is degree 1, which the centroid does not decide
+    one = build("ConnectedSum(ComplexProj(2),Product(Sphere(1),Sphere(3)))@2").algebra
+    out = P.find_inducing_element(one, 1, cap=1, samples=50)
+    assert out.status == "inconclusive" and "50 samples found nothing" in out.reason
+    assert P.find_inducing_element(one, 1).status == "exhausted"
 
 
 def test_period_divisibility_failure_is_typed(monkeypatch):
