@@ -17,8 +17,9 @@ from .steenrod import SteenrodAction, operation_shift, verify_action
 
 DEFAULT_TOP_BOUND = 64
 
-ATOM_FAMILIES = ("Sphere", "ComplexProj", "QuatProj", "TruncatedPoly")
-FAMILIES = ATOM_FAMILIES + ("Product", "ConnectedSum")
+# The number of int arguments each atomic family takes.
+ATOM_ARITY = {"Sphere": 1, "ComplexProj": 1, "QuatProj": 1, "TruncatedPoly": 2}
+FAMILIES = tuple(ATOM_ARITY) + ("Product", "ConnectedSum")
 
 
 class SizeBound(ValueError):
@@ -32,8 +33,25 @@ class FixtureSpec:
     p: int
 
     def __post_init__(self):
+        """Refuse a family with the wrong number or kind of arguments."""
+        args, want = self.args, ATOM_ARITY.get(self.family)
+        if want is not None:
+            # want is 1 or 2, so the first and the last argument are all of them
+            if type(args) is tuple and len(args) == want and int is type(args[0]) is type(args[-1]):
+                return
+            raise ValueError(f"{self.family} takes {want} int argument"
+                             f"{'s' if want > 1 else ''}, got {self._args_text()}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if not (type(args) is tuple and len(args) == 2 and isinstance(args[0], FixtureSpec)
+                and isinstance(args[1], FixtureSpec) and args[0].p == self.p == args[1].p):
+            raise ValueError(f"{self.family} takes two fixture specs at the prime {self.p}, "
+                             f"got {self._args_text()}")
+
+    def _args_text(self) -> str:
+        if type(self.args) is not tuple:
+            return repr(self.args)
+        return "(" + ",".join(str(a) for a in self.args) + ")"
 
     def _body(self) -> str:
         inner = ",".join(a._body() if isinstance(a, FixtureSpec) else str(a)
@@ -78,30 +96,23 @@ def truncated_poly(g: int, t: int, p: int = 2) -> FixtureSpec:
 
 
 def product(a: FixtureSpec, b: FixtureSpec) -> FixtureSpec:
-    if a.p != b.p:
-        raise ValueError("product factors must share the prime")
     return FixtureSpec("Product", (a, b), a.p)
 
 
 def connected_sum(a: FixtureSpec, b: FixtureSpec) -> FixtureSpec:
-    if a.p != b.p:
-        raise ValueError("connected summands must share the prime")
     return FixtureSpec("ConnectedSum", (a, b), a.p)
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z]+|\d+|[(),@])")
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")
 
 
 def parse_spec(text: str, default_p: int = 2) -> FixtureSpec:
     """Parse strings like "ConnectedSum(ComplexProj(4),ComplexProj(4))@2"."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ValueError(f"bad spec syntax at {text[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
+    end = _TOKENS.match(text).end()
+    if end < len(text):
+        raise ValueError(f"bad spec syntax at {text[end:]!r}")
+    tokens = _TOKEN.findall(text)
     idx = 0
 
     def peek():
@@ -154,15 +165,15 @@ def _atom_shape(spec: FixtureSpec) -> tuple[int, int]:
     """(generator degree, truncation exponent) of an atomic family."""
     if spec.family == "Sphere":
         (n,) = spec.args
-        return int(n), 1
+        return n, 1
     if spec.family == "ComplexProj":
         (m,) = spec.args
-        return 2, int(m)
+        return 2, m
     if spec.family == "QuatProj":
         (m,) = spec.args
-        return 4, int(m)
+        return 4, m
     (g, t) = spec.args
-    return int(g), int(t)
+    return g, t
 
 
 def top_degree_of(spec: FixtureSpec) -> int:
@@ -232,82 +243,93 @@ def _build_truncated(p: int, g: int, t: int):
 
 
 def _kunneth_blocks(A: GradedAlgebra, B: GradedAlgebra):
-    """Per degree k, {i: offset} of the nonzero blocks A_i (x) B_(k-i).
+    """Offsets [k, i] of the blocks A_i (x) B_(k-i) in degree k, and the dims.
 
     Blocks run in ascending i; inside a block the basis vector
     a (x) b sits at offset + a * B.dim(k-i) + b.
     """
-    blocks, dims = [], []
+    offsets = np.zeros((A.n + B.n + 1, A.n + 1), dtype=np.int64)
+    dims = []
     for k in range(A.n + B.n + 1):
-        offsets, size = {}, 0
+        size = 0
         for i in range(max(0, k - B.n), min(A.n, k) + 1):
-            if A.dim(i) and B.dim(k - i):
-                offsets[i] = size
-                size += A.dim(i) * B.dim(k - i)
-        blocks.append(offsets)
+            offsets[k, i] = size
+            size += A.dim(i) * B.dim(k - i)
         dims.append(size)
-    return blocks, dims
+    return offsets, dims
+
+
+def _entries(arrays, width: int) -> np.ndarray:
+    """The nonzero entries of the (key, array) pairs as the columns of a
+    (width, count) array, each column (*key, *index, value)."""
+    keys, counts, parts = [], [], [np.zeros((width - 2, 0), dtype=np.int64)]
+    for key, m in arrays:
+        index = np.nonzero(m)
+        keys.append(key)
+        counts.append(index[0].size)
+        parts.append(np.array([*index, m[index]]))
+    key_rows = np.repeat(np.array(keys, dtype=np.int64).reshape(-1, 2).T, counts, axis=1)
+    return np.concatenate([key_rows, np.concatenate(parts, axis=1)])
+
+
+def _scatter(codes, rows, cols, vals, shape) -> dict:
+    """{code: table} in ascending code, where entry e puts vals[e] at
+    (rows[e], cols[e]) of table codes[e], and shape(code) is a table's shape.
+    No two entries may share a position."""
+    shapes = {int(c): shape(int(c)) for c in np.flatnonzero(np.bincount(codes))}
+    width = np.zeros(max(shapes, default=-1) + 1, dtype=np.int64)
+    base = np.zeros_like(width)
+    size = 0
+    for c, (r, w) in shapes.items():
+        base[c], width[c] = size, w
+        size += r * w
+    buf = np.zeros(size, dtype=np.int64)
+    buf[base[codes] + rows * width[codes] + cols] = vals
+    return {c: buf[base[c]:base[c] + r * w].reshape(r, w) for c, (r, w) in shapes.items()}
 
 
 def _build_product(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
     """Tensor product; (a (x) b)(c (x) d) = (-1)^(deg b * deg c) ac (x) bd.
 
-    Each table and each operation is filled block by block from the
-    factors' nonzero tables and maps.
+    Each nonzero product entry comes from one pair of nonzero factor table
+    entries, and each nonzero operation entry from one pair of nonzero
+    factor operation entries under the Cartan formula
+    P^s(a (x) b) = sum over h of P^h a (x) P^(s-h) b (P^0 the identity),
+    so both are filled from all entry pairs at once.  Tables are keyed
+    (k, l) ascending, operations by source degree and then s.
     """
     p = A.p
-    n = A.n + B.n
-    blocks, dims = _kunneth_blocks(A, B)
-    m3a = {key: A.mult3(*key) for key in A.mult}
-    m3b = {key: B.mult3(*key) for key in B.mult}
-    mult = {}
-    for k in range(n + 1):
-        for l in range(n + 1 - k):
-            if not (dims[k] and dims[l] and dims[k + l]):
-                continue
-            table = np.zeros((dims[k + l], dims[k], dims[l]), dtype=np.int64)
-            for i1, u in blocks[k].items():
-                for i2, v in blocks[l].items():
-                    ma, mb = m3a.get((i1, i2)), m3b.get((k - i1, l - i2))
-                    if ma is None or mb is None:
-                        continue
-                    (ta, a1, a2), (tb, b1, b2) = ma.shape, mb.shape
-                    block = np.einsum("xac,ybd->xyabcd", ma, mb).reshape(ta * tb, a1 * b1, a2 * b2)
-                    if (k - i1) * i2 % 2:
-                        block = -block
-                    row = blocks[k + l][i1 + i2]
-                    table[row:row + ta * tb, u:u + a1 * b1, v:v + a2 * b2] = block % p
-            if table.any():
-                mult[(k, l)] = table.reshape(dims[k + l], dims[k] * dims[l])
-    alg = GradedAlgebra(p, n, dims, mult)
+    w = A.n + B.n + 1  # a key (hi, lo) is coded hi * w + lo
+    off, dims = _kunneth_blocks(A, B)
+    dB, dk = np.array(B.dims), np.array(dims)
+    # (i, j, c, a, b, v): v at row c, column (a, b) of table (i, j)
+    (i1, i2, c1, a1, b1, v1) = _entries(((key, A.mult3(*key)) for key in A.mult), 6)[:, :, None]
+    (j1, j2, c2, a2, b2, v2) = _entries(((key, B.mult3(*key)) for key in B.mult), 6)[:, None, :]
+    k, l = i1 + j1, i2 + j2
+    row = off[k + l, i1 + i2] + c1 * dB[j1 + j2] + c2
+    col = (off[k, i1] + a1 * dB[j1] + a2) * dk[l] + off[l, i2] + b1 * dB[j2] + b2
+    val = np.where(j1 * i2 % 2, -v1 * v2, v1 * v2) % p
+    tables = _scatter((k * w + l).ravel(), row.ravel(), col.ravel(), val.ravel(),
+                      lambda c: (dims[c // w + c % w], dims[c // w] * dims[c % w]))
+    alg = GradedAlgebra(p, w - 1, dims, {divmod(c, w): t for c, t in tables.items()})
     if actA is None or actB is None:
         return alg, None
 
-    def op(act, s, j):
-        """Operation s on degree j, or None when it is zero."""
-        return act.op_matrix(s, j) if s == 0 else act.maps.get((s, j))
+    def op_entries(act):
+        """(s, j, x, a, v): v at row x, column a of operation s on degree j."""
+        eye = [((0, j), np.eye(act.alg.dim(j), dtype=np.int64)) for j in range(act.alg.n + 1)]
+        return _entries(eye + list(act.maps.items()), 5)
 
-    maps = {}
-    for k in range(1, n + 1):
-        if dims[k] == 0:
-            continue
-        s = 1
-        while k + operation_shift(p, s) <= n:
-            t = k + operation_shift(p, s)
-            table = np.zeros((dims[t], dims[k]), dtype=np.int64)
-            for i, u in blocks[k].items():
-                for h in range(s + 1):
-                    oa, ob = op(actA, h, i), op(actB, s - h, k - i)
-                    if oa is None or ob is None:
-                        continue
-                    (xa, ya), (xb, yb) = oa.shape, ob.shape
-                    row = blocks[t][i + operation_shift(p, h)]
-                    table[row:row + xa * xb, u:u + ya * yb] = (
-                        np.einsum("xa,yb->xyab", oa, ob).reshape(xa * xb, ya * yb) % p)
-            if table.any():
-                maps[(s, k)] = table
-            s += 1
-    return alg, SteenrodAction(alg, maps)
+    (h, i, x, a, va) = op_entries(actA)[:, :, None]
+    (r, j, y, b, vb) = op_entries(actB)[:, None, :]
+    s, k = h + r, i + j
+    ti, tj = i + operation_shift(p, h), j + operation_shift(p, r)
+    row = off[ti + tj, ti] + x * dB[tj] + y
+    col = off[k, i] + a * dB[j] + b
+    keep = (s >= 1) & (k >= 1)
+    ops = _scatter((k * w + s)[keep], row[keep], col[keep], (va * vb % p)[keep],
+                   lambda c: (dims[c // w + operation_shift(p, c % w)], dims[c // w]))
+    return alg, SteenrodAction(alg, {divmod(c, w)[::-1]: m for c, m in ops.items()})
 
 
 def _build_connected_sum(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
@@ -390,7 +412,7 @@ def _expectation(spec: FixtureSpec) -> Expectation:
         if a.family == "Sphere" and b.family == "Sphere":
             return Expectation(False, None, None, None)
         if a == sphere(2, a.p) and b.family == "ComplexProj":
-            return _sphere_plane_expectation(int(b.args[0]))
+            return _sphere_plane_expectation(b.args[0])
         return Expectation(None, None, None, None)
     if spec.family == "ConnectedSum":
         leaves = _leaves(spec)

@@ -213,6 +213,16 @@ def test_input_errors_exit_two(capsys, cs_file, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec, family", [
+    ("Product(ComplexProj(4))@2", "Product"), ("ConnectedSum(ComplexProj(2))@2", "ConnectedSum"),
+    ("ComplexProj(ComplexProj(2))@2", "ComplexProj"), ("Product(ComplexProj(2),7)@2", "Product"),
+    ("ComplexProj()@2", "ComplexProj")])
+def test_malformed_specs_exit_two(capsys, spec, family):
+    code, out, err = run(capsys, "corpus", "export", spec)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {family} takes ")
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

@@ -39,10 +39,33 @@ def test_parse_defaults_and_prime_stamping():
     assert all(arg.p == 3 for arg in spec.args)
 
 
+MALFORMED = {
+    "Product(ComplexProj(4))@2": "Product", "ConnectedSum(ComplexProj(2))@2": "ConnectedSum",
+    "ComplexProj(ComplexProj(2))@2": "ComplexProj", "Product(ComplexProj(2),7)@2": "Product",
+    "ComplexProj()@2": "ComplexProj", "TruncatedPoly(2)@3": "TruncatedPoly",
+    "Sphere(2,3)@2": "Sphere", "QuatProj(1,1)@2": "QuatProj",
+    "ConnectedSum(Sphere(2),Sphere(2),Sphere(2))@2": "ConnectedSum",
+}
+
+
 def test_parse_rejects_garbage():
     for text in ("Sphere", "Sphere(3", "Blob(2)@2", "Sphere(3)@4x", "Sphere(-1)@2"):
         with pytest.raises(ValueError):
             parse_spec(text)
+    for text, family in MALFORMED.items():
+        with pytest.raises(ValueError, match=f"^{family} takes"):
+            parse_spec(text)
+    for args in ((True,), (2.0,), ("2",), (np.int64(2),)):
+        with pytest.raises(ValueError, match="^Sphere takes 1 int argument"):
+            corpus.FixtureSpec("Sphere", args, 2)
+    with pytest.raises(ValueError, match=r"^Sphere takes 1 int argument, got \[2\]"):
+        corpus.FixtureSpec("Sphere", [2], 2)
+    with pytest.raises(ValueError, match="^Product takes two fixture specs at the prime 2"):
+        corpus.product(corpus.sphere(2, 2), corpus.sphere(2, 3))
+    with pytest.raises(ValueError, match="^ConnectedSum takes two fixture specs at the prime 3"):
+        corpus.FixtureSpec("ConnectedSum", (corpus.sphere(2, 2), corpus.sphere(2, 2)), 3)
+    assert str(corpus.connected_sum(corpus.sphere(2, 3), corpus.sphere(2, 3))) == (
+        "ConnectedSum(Sphere(2),Sphere(2))@3")
 
 
 def test_size_bound():
