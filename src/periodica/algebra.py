@@ -49,6 +49,13 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
+def _object(value, what: str) -> dict:
+    """value when it is a dict; ValueError for a list or any other JSON value."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Element:
     """Homogeneous element: degree plus coordinates in the degree basis."""
@@ -77,14 +84,10 @@ class GradedAlgebra:
             raise ValueError("need top_degree >= 0")
         self.p = p
         self.n = top_degree
-        if isinstance(dims, dict):
-            self.dims = tuple(_as_int(dims.get(i, 0), "a dimension")
-                              for i in range(top_degree + 1))
-        else:
-            dims = list(dims)
-            if len(dims) != top_degree + 1:
-                raise ValueError("dims must cover degrees 0..top_degree")
-            self.dims = tuple(_as_int(d, "a dimension") for d in dims)
+        dims = list(dims)
+        if len(dims) != top_degree + 1:
+            raise ValueError("dims must cover degrees 0..top_degree")
+        self.dims = tuple(_as_int(d, "a dimension") for d in dims)
         if any(d < 0 for d in self.dims):
             raise ValueError("negative dimension")
         self.mult: dict[tuple[int, int], np.ndarray] = {}
@@ -149,27 +152,6 @@ class GradedAlgebra:
         v = np.zeros(self.dim(i), dtype=np.int64)
         v[t] = 1
         return v
-
-    def element(self, degree: int, coeffs) -> Element:
-        v = fplin.as_vector(coeffs, self.p)
-        if v.shape[0] != self.dim(degree):
-            raise ValueError(f"degree {degree} has dimension {self.dim(degree)}, got {v.shape[0]}")
-        return Element.of(degree, v)
-
-    def label(self, i: int, t: int) -> str:
-        if i in self.labels:
-            return self.labels[i][t]
-        return f"e{i}_{t}"
-
-    def format_element(self, el: Element) -> str:
-        terms = []
-        for t, c in enumerate(el.coeffs):
-            if c % self.p == 0:
-                continue
-            c = c % self.p
-            name = self.label(el.degree, t)
-            terms.append(name if c == 1 else f"{c}*{name}")
-        return " + ".join(terms) if terms else "0"
 
     @_computed_once
     def unit_defect(self) -> str | None:
@@ -277,11 +259,12 @@ class GradedAlgebra:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradedAlgebra":
+        data = _object(data, "the algebra")
         mult = {}
-        for key, m in data.get("mult", {}).items():
+        for key, m in _object(data.get("mult", {}), "mult").items():
             i, j = (int(s) for s in key.split(","))
             mult[(i, j)] = m
-        labels = {int(k): v for k, v in data.get("labels", {}).items()} or None
+        labels = {int(k): v for k, v in _object(data.get("labels", {}), "labels").items()} or None
         return cls(data["p"], data["top_degree"], data["dims"], mult, labels)
 
     def __repr__(self) -> str:

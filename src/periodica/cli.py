@@ -92,7 +92,7 @@ def _element_payload(e: Element) -> dict:
     return {"degree": e.degree, "coeffs": list(e.coeffs)}
 
 
-def _certificate_for(alg, x: Element, cap):
+def _certificate_for(alg, x: Element):
     """Certificate for a user-supplied element, or a refusal payload."""
     k = x.degree
     if 3 * k <= alg.n - 1:
@@ -193,10 +193,10 @@ def _cmd_min_period(args, cap):
     return status, payload, human
 
 
-def _window_for(args, cap):
+def _window_for(args):
     alg, act = load_algebra_file(args.file)
     x = parse_element(args.x, alg)
-    cert, refusal = _certificate_for(alg, x, cap)
+    cert, refusal = _certificate_for(alg, x)
     if cert is None:
         return None, ("violation", {"inducing": False, "refusal": refusal},
                       [f"element does not induce degree-{x.degree} periodicity: {refusal}"])
@@ -205,7 +205,7 @@ def _window_for(args, cap):
 
 
 def _cmd_subquotient(args, cap):
-    window, failure = _window_for(args, cap)
+    window, failure = _window_for(args)
     if failure:
         return failure
     payload = {"k": window.k, "mode": window.certificate.mode,
@@ -218,7 +218,7 @@ def _cmd_subquotient(args, cap):
 
 
 def _cmd_irreducible(args, cap):
-    window, failure = _window_for(args, cap)
+    window, failure = _window_for(args)
     if failure:
         return failure
     x = parse_element(args.x, window.parent)
@@ -236,9 +236,11 @@ def _cmd_irreducible(args, cap):
 
 
 def _cmd_decompose(args, cap):
-    window, failure = _window_for(args, cap)
+    window, failure = _window_for(args)
     if failure:
         return failure
+    if 3 * window.k > window.n - 1:
+        raise InputError(f"decompose needs 3k <= n-1, got k = {window.k}, n = {window.n}")
     # decompose raises VerificationFailure unless its result verifies.
     result = decomposition.decompose(window)
     payload = result.to_dict()

@@ -453,60 +453,19 @@ def _induces(span: _ProductSpan, k: int, v) -> bool:
     return tuple(int(c) for c in v) in span.span(k)
 
 
-def _exhausted(alg, k: int) -> SearchVerdict:
-    return SearchVerdict(
-        k, "exhausted",
-        f"all {alg.p ** alg.dim(k)} degree-{k} candidates fail the window conditions")
+def _certificate(alg, k: int, v, mode: str):
+    """The certificate for the degree-k window pass v; exhausted when v is None."""
+    if v is None:
+        return SearchVerdict(
+            k, "exhausted",
+            f"all {alg.p ** alg.dim(k)} degree-{k} candidates fail the window conditions")
+    return PeriodicityCertificate(k, Element.of(k, v), mode)
 
 
-def _exhaustive(span: _ProductSpan, k: int, mode: str):
-    """The lexicographically least degree-k window pass, or the exhausted verdict.
-
-    Nothing is tested when the dimensions rule k out.  Where the centroid
-    decides k, only its least unit is window-tested; elsewhere every vector
-    is, in lexicographic order.
-    """
-    alg = span.alg
-    if _ruled_out(alg, k):
-        found = None
-    elif mode == "direct" and _centroid_decides(alg, k):
-        found = span.least_unit(k)
-    else:
-        found = next((v for v in fplin.enumerate_vectors(alg.dim(k), alg.p)
-                      if _window_failure(alg, k, v) is None), None)
-    if found is None:
-        return _exhausted(alg, k)
-    return PeriodicityCertificate(k, Element.of(k, found), mode)
-
-
-def _past_cap(span: _ProductSpan, k: int, mode: str, samples: int, seed: int, reason: str):
-    """Degree k when its candidates exceed the cap.
-
-    Exhausted when the dimensions rule k out.  Where the centroid decides
-    k, its Nakayama generator is window-tested: a certificate or exhausted.
-    Elsewhere (window mode, degree 1, tables that fail the ring axioms) it
-    samples.
-    """
-    alg = span.alg
-    if _ruled_out(alg, k):
-        return _exhausted(alg, k)
-    if mode == "direct" and _centroid_decides(alg, k):
-        test = span.unit_test(k)
-        if test is not None and _window_failure(alg, k, test.generator) is None:
-            return PeriodicityCertificate(k, Element.of(k, test.generator), mode)
-        return _exhausted(alg, k)
-    return _sampled(alg, k, mode, samples, seed, reason)
-
-
-def _sampled(alg, k: int, mode: str, samples: int, seed: int, reason: str):
-    """Test random degree-k vectors; a hit certifies, a miss is inconclusive."""
-    rng = np.random.default_rng(seed)
-    dk = alg.dim(k)
-    for _ in range(samples):
-        v = rng.integers(0, alg.p, size=dk).astype(np.int64)
-        if _window_failure(alg, k, v) is None:
-            return PeriodicityCertificate(k, Element.of(k, v), mode)
-    return SearchVerdict(k, "inconclusive", reason)
+def _first_window_pass(alg, k: int, mode: str):
+    """The lexicographically least degree-k window pass, or the exhausted verdict."""
+    return _certificate(alg, k, next((v for v in fplin.enumerate_vectors(alg.dim(k), alg.p)
+                                      if _window_failure(alg, k, v) is None), None), mode)
 
 
 def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
@@ -516,29 +475,37 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
 
     Returns a PeriodicityCertificate or a SearchVerdict with status
     "exhausted" (provably none) or "inconclusive" (capped search found
-    nothing).  A degree whose dimensions fail a window condition is
-    exhausted at once, at any cap.  When p^dim(k) <= cap the answer is the
-    lexicographically least window pass: a direct degree k >= 2 (3k <= n-1)
-    of an algebra that passes the ring axioms is decided by the centroid of
-    A^k x A^k -> A^(2k), which names the least candidate and needs one
-    window test (see _unit_test); other degrees scan every vector.  Past
-    the cap, a product of direct inducers is tried first; then a direct
-    degree k >= 2 window-tests the centroid's Nakayama generator, an exact
-    answer, while degree 1, window mode and tables that fail the axioms
-    window-test `samples` random vectors drawn from `seed`, and end
-    inconclusive when none passes.  _span lets
-    calls on one algebra and cap share one product span (search_degrees).
-    Raises ValueError for k outside 1..n-1, cap < 1 or samples < 0.
+    nothing), from the first rule that answers:
+
+    1. Direct (3k <= n-1) with p^dim(k) <= cap: exhausted when the
+       dimensions fail a window condition (_ruled_out); else the least
+       unit of the centroid where it decides k (see _unit_test); else the
+       least window pass in lexicographic order.
+    2. The least degree-k product of direct inducers.
+    3. Window mode (3k > n-1) with nonzero degrees no window condition
+       touches: exhausted when the product search ends or _ruled_out,
+       else inconclusive.
+    4. Exhausted when the dimensions rule k out, at any cap.
+    5. Direct where the centroid decides k: its Nakayama generator.
+    6. Window mode with p^dim(k) <= cap: the least window pass.
+    7. Window-test `samples` random vectors drawn from `seed`, else inconclusive.
+
+    _span shares one product span across calls (search_degrees).  Raises
+    ValueError for k outside 1..n-1, cap < 1 or samples < 0.
     """
-    n = alg.n
     _check_degree(alg, k)
     _check_limits(cap, samples)
     space = alg.p ** alg.dim(k)
-    direct = 3 * k <= n - 1
+    direct = 3 * k <= alg.n - 1
+    mode = "direct" if direct else "window"
     if _span is None:
         _span = _ProductSpan(alg, cap)
     if direct and space <= cap:
-        return _exhaustive(_span, k, "direct")
+        if _ruled_out(alg, k):
+            return _certificate(alg, k, None, mode)
+        if _centroid_decides(alg, k):
+            return _certificate(alg, k, _span.least_unit(k), mode)
+        return _first_window_pass(alg, k, mode)
     try:
         products, complete = _span.span(k), True
     except SearchCapExceeded:
@@ -546,22 +513,30 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
     if products:
         t = min(products)
         return PeriodicityCertificate(k, Element.of(k, t), "product", _span.factors(k, t))
-    if direct:
-        return _past_cap(_span, k, "direct", samples, seed,
-                         f"{space} candidates exceed cap {cap}; products and {samples} "
-                         "samples found nothing")
-    # 3k > n-1: only product certificates or a gap-free window pass remain.
-    gap = window_gap(alg, k)
+    gap = () if direct else window_gap(alg, k)
     if gap:
         if complete or _ruled_out(alg, k):
             return SearchVerdict(
                 k, "exhausted",
                 f"no product of inducers reaches degree {k} and degrees {gap} escape the window")
         return SearchVerdict(k, "inconclusive", "product search passed the cap")
+    if _ruled_out(alg, k):
+        return _certificate(alg, k, None, mode)
+    if direct and _centroid_decides(alg, k):
+        test = _span.unit_test(k)
+        passes = test is not None and _window_failure(alg, k, test.generator) is None
+        return _certificate(alg, k, test.generator if passes else None, mode)
     if space <= cap:
-        return _exhaustive(_span, k, "window")
-    return _past_cap(_span, k, "window", samples, seed,
-                     f"{space} candidates exceed cap {cap}; {samples} samples found nothing")
+        return _first_window_pass(alg, k, mode)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        v = rng.integers(0, alg.p, size=alg.dim(k)).astype(np.int64)
+        if _window_failure(alg, k, v) is None:
+            return PeriodicityCertificate(k, Element.of(k, v), mode)
+    tried = "products and " if direct else ""
+    return SearchVerdict(
+        k, "inconclusive",
+        f"{space} candidates exceed cap {cap}; {tried}{samples} samples found nothing")
 
 
 def search_degrees(alg, degrees, cap: int = DEFAULT_SEARCH_CAP,
@@ -610,7 +585,7 @@ class SubquotientAlgebra(GradedAlgebra):
     window degree i <= n-k-1 onto window degree i+k.
     """
 
-    def __init__(self, parent, certificate, spaces, shifts, mult, degree1_kernel):
+    def __init__(self, parent, certificate, spaces, shifts, shift_invs, mult, degree1_kernel):
         n = parent.n
         super().__init__(parent.p, n, [0] + [spaces[i].dim for i in range(1, n)] + [0], mult)
         self.parent = parent
@@ -618,7 +593,7 @@ class SubquotientAlgebra(GradedAlgebra):
         self.k = certificate.k
         self.spaces = spaces
         self.shifts = shifts
-        self.shift_invs = {i: fplin.mat_inv(m, self.p) for i, m in shifts.items()}
+        self.shift_invs = shift_invs
         self.degree1_kernel = degree1_kernel
         self.action = None
         if parent.dim(1):
@@ -709,7 +684,7 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
             raise WellDefinednessFailure(
                 "a product in the top window degree escapes the image "
                 "of the inducing element")
-    shifts = {}
+    shifts, shift_invs = {}, {}
     for i in range(1, n - k):
         src, tgt = spaces[i], spaces[i + k]
         if src.dim != tgt.dim:
@@ -721,7 +696,7 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
             raise WellDefinednessFailure(
                 f"multiplication image escapes the window at degree {i}: {exc}")
         try:
-            fplin.mat_inv(m, p)
+            shift_invs[i] = fplin.mat_inv(m, p)
         except fplin.NotInvertible:
             raise WellDefinednessFailure(f"shift map at degree {i} is not bijective")
         shifts[i] = m
@@ -730,7 +705,7 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
         table = prods[:, list(spaces[i + j].pivots)].T.copy()
         if table.any():
             mult[(i, j)] = table
-    window = SubquotientAlgebra(alg, cert, spaces, shifts, mult, ker1)
+    window = SubquotientAlgebra(alg, cert, spaces, shifts, shift_invs, mult, ker1)
     if action is not None and p * k <= n - 1:
         window.action = steenrod.induced_action_on_window(window, action)
     return window

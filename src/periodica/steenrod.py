@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fplin
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, _object
 
 
 class ActionDefect(ValueError):
@@ -74,8 +74,9 @@ class SteenrodAction:
 
     @classmethod
     def from_dict(cls, alg: GradedAlgebra, data: dict) -> "SteenrodAction":
+        data = _object(data, "the action")
         maps = {}
-        for key, m in data.get("maps", {}).items():
+        for key, m in _object(data.get("maps", {}), "maps").items():
             s, j = (int(v) for v in key.split(","))
             maps[(s, j)] = m
         return cls(alg, maps)
@@ -158,10 +159,6 @@ def verify_action(alg: GradedAlgebra, act: SteenrodAction) -> None:
 def binom_odd(n: int, k: int) -> bool:
     """True iff C(n, k) is odd."""
     return 0 <= k <= n and (k & (n - k)) == 0
-
-
-def is_admissible(mono: tuple[int, ...]) -> bool:
-    return all(mono[t] >= 2 * mono[t + 1] for t in range(len(mono) - 1))
 
 
 @lru_cache(maxsize=None)

@@ -388,18 +388,42 @@ MALFORMED_ALGEBRAS = {
     "float-top-degree": {"algebra": {**_degree1_document(1)["algebra"], "top_degree": 2.0},
                          "action": None},
     "bool-action-entry": _degree1_document(1, action={"maps": {"1,1": [[True]]}}),
+    "algebra-array": {"algebra": [_degree1_document(1)["algebra"]], "action": None},
+    "mult-array": {"algebra": {**_degree1_document(1)["algebra"], "mult": [[[1]]]},
+                   "action": None},
+    "labels-array": {"algebra": {**_degree1_document(1)["algebra"], "labels": [["1"], ["x"]]},
+                     "action": None},
+    "action-array": _degree1_document(1, action=[{"1,1": [[1]]}]),
+    "maps-array": _degree1_document(1, action={"maps": [[[1]]]}),
+    # With no tables, dims read as zeros would pass as an algebra.
+    "dims-object": {"algebra": {"p": 2, "top_degree": 4, "dims": {"0": 1, "2": 1, "4": 1},
+                                "mult": {}}, "action": None},
+    "empty-dims-object": {"algebra": {"p": 2, "top_degree": 4, "dims": {}, "mult": {}},
+                          "action": None},
 }
 
 
 @pytest.mark.parametrize("doc", MALFORMED_ALGEBRAS.values(), ids=MALFORMED_ALGEBRAS)
 def test_malformed_algebra_is_bad_input(capsys, tmp_path, doc):
     """Entries and sizes are not truncated to integers: a float, bool or
-    string is refused as input."""
+    string is refused as input, and so is an array or object in the wrong
+    place."""
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "validate", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
     assert "does not hold an algebra document" in err and "Traceback" not in err
+
+
+def test_decompose_refuses_a_window_mode_element(capsys, tmp_path):
+    """x = 4:1 induces periodicity on QuatProj(3) (n = 12) by the window
+    test, but 3k > n-1, so there is no degree-k ring to split."""
+    path = str(tmp_path / "alg.json")
+    assert run(capsys, "corpus", "export", "QuatProj(3)@2", "--out", path)[0] == 0
+    assert run(capsys, "subquotient", path, "--x", "4:1")[0] == 0
+    code, out, err = run(capsys, "decompose", path, "--x", "4:1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: decompose needs 3k <= n-1")
 
 
 def test_well_formed_degree1_document_passes(capsys, tmp_path):

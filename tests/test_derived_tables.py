@@ -285,7 +285,8 @@ def old_subquotient(alg, cert: PeriodicityCertificate, action=None) -> Subquotie
                     table[:, a * dj + b] = spaces[i + j].coords_of(v)
             if table.any():
                 mult[(i, j)] = table
-    window = SubquotientAlgebra(alg, cert, spaces, shifts, mult, ker1)
+    shift_invs = {i: fplin.mat_inv(m, p) for i, m in shifts.items()}
+    window = SubquotientAlgebra(alg, cert, spaces, shifts, shift_invs, mult, ker1)
     if action is not None and p * k <= n - 1:
         window.action = old_induced_action_on_window(window, action)
     return window

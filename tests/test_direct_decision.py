@@ -1,15 +1,19 @@
 """Direct degrees decided by the dimension bound and the centroid, checked
 against the enumeration they replaced.
 
-_reference_exhaustive and _reference_direct are the scans that
-periodicity._exhaustive and periodicity._ProductSpan._direct made before:
-one window test per candidate.  reference_search() patches them back in,
-with sampling past the cap and no dimension bound, so a search run inside
-it gives the answers the enumeration gave.
+_reference_exhaustive and _reference_direct are the scans the search made
+before the dimension bound and the centroid: one window test per
+candidate.  reference_search() patches them in for
+periodicity._first_window_pass and periodicity._ProductSpan._direct and
+turns the dimension bound and the centroid off, so that past the cap only
+sampling is left and a search run inside it gives the answers the
+enumeration gave.
 """
 
 import contextlib
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,10 +49,9 @@ def _reference_direct(self, d):
 @contextlib.contextmanager
 def reference_search():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(P, "_exhaustive", lambda span, k, mode: _reference_exhaustive(span.alg, k, mode))
+        mp.setattr(P, "_first_window_pass", _reference_exhaustive)
         mp.setattr(P._ProductSpan, "_direct", _reference_direct)
-        mp.setattr(P, "_past_cap", lambda span, k, mode, samples, seed, reason:
-                   P._sampled(span.alg, k, mode, samples, seed, reason))
+        mp.setattr(P, "_centroid_decides", lambda alg, k: False)
         mp.setattr(P, "_ruled_out", lambda alg, k: False)
         yield
 
@@ -248,3 +251,39 @@ def test_past_the_cap_direct_degrees_are_decided():
     assert out.mode == "direct" and P.verify_certificate(alg, out)
     none = build("Product(ComplexProj(3),ComplexProj(4))@5")
     assert P.find_inducing_element(none, 2, cap=4, samples=0).status == "exhausted"
+
+
+VERDICTS = Path(__file__).parent / "golden" / "search_verdicts.json"
+
+
+def _as_json(out):
+    if isinstance(out, SearchVerdict):
+        return {"status": out.status, "reason": out.reason}
+    return {"mode": out.mode, "element": list(out.element.coeffs),
+            "factors": [[f.degree, list(f.coeffs)] for f in out.factors]}
+
+
+def search_verdicts():
+    """search_degrees over every degree of each CORPUS_SPECS algebra, for
+    each cap and sample count, as JSON-ready lists keyed by spec, cap and
+    samples."""
+    doc = {}
+    for text in CORPUS_SPECS:
+        alg = build(text)
+        for cap in (1, 4, 30, 500, P.DEFAULT_SEARCH_CAP):
+            for samples in (0, 20):
+                found = P.search_degrees(alg, range(1, alg.n), cap=cap, samples=samples, seed=3)
+                doc[f"{text} cap={cap} samples={samples}"] = [
+                    _as_json(out) for out in found.values()]
+    return doc
+
+
+def test_search_verdicts_are_pinned():
+    assert search_verdicts() == json.loads(VERDICTS.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    # Rewrite the pinned verdicts: PYTHONPATH=src python tests/test_direct_decision.py
+    cases = (f"{json.dumps(key)}: [\n" + ",\n".join(json.dumps(v) for v in found) + "\n]"
+             for key, found in search_verdicts().items())
+    VERDICTS.write_text("{\n" + ",\n".join(cases) + "\n}\n", encoding="utf-8")
