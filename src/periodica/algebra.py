@@ -105,6 +105,8 @@ class GradedAlgebra:
         if labels:
             for i, names in labels.items():
                 i = int(i)
+                if not 0 <= i <= top_degree:
+                    raise ValueError(f"labels for degree {i} outside 0..{top_degree}")
                 if len(names) != self.dim(i):
                     raise ValueError(f"labels for degree {i} do not match dim {self.dim(i)}")
                 self.labels[i] = tuple(str(s) for s in names)

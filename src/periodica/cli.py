@@ -17,8 +17,8 @@ from . import connectivity, corpus, decomposition, periodicity, steenrod
 from .algebra import AlgebraDefect, Element, GradedAlgebra, verify_poincare_duality
 from .decomposition import OverlapMismatch, VerificationFailure
 from .fplin import ConsistencyFailure
-from .periodicity import (DegreeBoundViolated, HypothesisNotMet, PeriodicityCertificate,
-                          SearchCapExceeded, WellDefinednessFailure)
+from .periodicity import (HypothesisNotMet, PeriodicityCertificate, SearchCapExceeded,
+                          WellDefinednessFailure)
 from .steenrod import ActionDefect, InducedActionFailure, IsPowerOfTwo, SteenrodAction
 
 _EXIT = {"ok": 0, "violation": 1, "inconclusive": 1, "error": 2}
@@ -26,8 +26,8 @@ _EXIT = {"ok": 0, "violation": 1, "inconclusive": 1, "error": 2}
 # Library failures reported as JSON: a check that failed on computed data
 # is a violation; a cap that fired or a theorem whose hypotheses fail
 # leaves the question open.
-_VIOLATIONS = (ConsistencyFailure, DegreeBoundViolated, WellDefinednessFailure,
-               VerificationFailure, OverlapMismatch, InducedActionFailure)
+_VIOLATIONS = (ConsistencyFailure, WellDefinednessFailure, VerificationFailure,
+               OverlapMismatch, InducedActionFailure)
 _INCONCLUSIVE = (SearchCapExceeded, HypothesisNotMet)
 
 
@@ -81,8 +81,8 @@ def parse_element(text: str, alg) -> Element:
         coeffs = tuple(int(c) for c in tail.split(","))
     except ValueError:
         raise InputError(f"element {text!r} has non-integer entries")
-    if not 1 <= degree <= alg.n:
-        raise InputError(f"element degree {degree} outside 1..{alg.n}")
+    if not 1 <= degree <= alg.n - 1:
+        raise InputError(f"element degree {degree} outside 1..{alg.n - 1}")
     if len(coeffs) != alg.dim(degree):
         raise InputError(f"degree {degree} needs {alg.dim(degree)} coordinates")
     return Element(degree, tuple(c % alg.p for c in coeffs))
@@ -90,21 +90,6 @@ def parse_element(text: str, alg) -> Element:
 
 def _element_payload(e: Element) -> dict:
     return {"degree": e.degree, "coeffs": list(e.coeffs)}
-
-
-def _certificate_for(alg, x: Element):
-    """Certificate for a user-supplied element, or a refusal payload."""
-    k = x.degree
-    if 3 * k <= alg.n - 1:
-        out = periodicity.induces_periodicity(alg, x)
-        if isinstance(out, PeriodicityCertificate):
-            return out, None
-        return None, {"failed_degree": out.failed_degree,
-                      "failed_condition": out.failed_condition}
-    cert = PeriodicityCertificate(k, x, "window")
-    if periodicity.verify_certificate(alg, cert):
-        return cert, None
-    return None, {"failed_condition": "window test failed or gap nonempty"}
 
 
 def _cmd_validate(args, cap):
@@ -193,19 +178,19 @@ def _cmd_min_period(args, cap):
     return status, payload, human
 
 
-def _window_for(args):
+def _window_for(args, cap):
     alg, act = load_algebra_file(args.file)
     x = parse_element(args.x, alg)
-    cert, refusal = _certificate_for(alg, x)
-    if cert is None:
+    out = periodicity.induces_periodicity(alg, x, cap)
+    if not isinstance(out, PeriodicityCertificate):
+        refusal = {"failed_degree": out.failed_degree, "failed_condition": out.failed_condition}
         return None, ("violation", {"inducing": False, "refusal": refusal},
                       [f"element does not induce degree-{x.degree} periodicity: {refusal}"])
-    window = periodicity.subquotient(alg, cert, action=act)
-    return window, None
+    return periodicity.subquotient(alg, out, action=act), None
 
 
 def _cmd_subquotient(args, cap):
-    window, failure = _window_for(args)
+    window, failure = _window_for(args, cap)
     if failure:
         return failure
     payload = {"k": window.k, "mode": window.certificate.mode,
@@ -218,7 +203,7 @@ def _cmd_subquotient(args, cap):
 
 
 def _cmd_irreducible(args, cap):
-    window, failure = _window_for(args)
+    window, failure = _window_for(args, cap)
     if failure:
         return failure
     x = parse_element(args.x, window.parent)
@@ -236,7 +221,7 @@ def _cmd_irreducible(args, cap):
 
 
 def _cmd_decompose(args, cap):
-    window, failure = _window_for(args)
+    window, failure = _window_for(args, cap)
     if failure:
         return failure
     if 3 * window.k > window.n - 1:

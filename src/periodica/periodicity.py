@@ -1,11 +1,14 @@
 """Multiplicative periodicity: window tests, certificates and subquotients.
 
-An element x of degree k makes an algebra with top degree n periodic when
-cupping with x is surjective from degree i for 1 <= i < n-1-k and injective
-for 1 < i <= n-1-k.  Certificates come in three modes: "direct" (the window
-test with 3k <= n-1), "product" (a product of direct inducers), and "window"
-(a bare window pass, accepted only when every degree the window conditions
-never touch vanishes).
+An element x of degree k passes the window test for an algebra with top
+degree n when cupping with x is surjective from degree i for
+1 <= i < n-1-k and injective for 1 < i <= n-1-k.  x induces periodicity
+when induces_periodicity certifies it, in one of three modes tried in
+this order: "direct" (the window test with 3k <= n-1), "window" (a window
+pass whose gap, the nonzero degrees no window condition touches, is
+empty), and "product" (a product of direct inducers).  Every caller that
+asks whether x induces (element_induces, is_irreducible,
+nonperiodic_subspace, the window checkers and the command line) asks it.
 """
 
 import math
@@ -19,10 +22,6 @@ from .fplin import ConsistencyFailure
 
 DEFAULT_SEARCH_CAP = 2**20
 DEFAULT_SAMPLE_COUNT = 10_000
-
-
-class DegreeBoundViolated(ValueError):
-    """Direct window test requested for an element with 3*degree > n-1."""
 
 
 class WellDefinednessFailure(RuntimeError):
@@ -108,22 +107,6 @@ def _check_limits(cap: int, samples: int) -> None:
         raise ValueError(f"the search cap must be at least 1, got {cap}")
     if samples < 0:
         raise ValueError(f"the sample count must be at least 0, got {samples}")
-
-
-def induces_periodicity(alg, x: Element):
-    """Direct window test; a certificate or a refusal naming the first failure."""
-    k = x.degree
-    n = alg.n
-    _check_degree(alg, k)
-    if 3 * k > n - 1:
-        raise DegreeBoundViolated(f"direct test needs 3k <= n-1, got 3*{k} > {n - 1}")
-    xv = fplin.as_vector(x.as_vector(), alg.p)
-    if xv.shape[0] != alg.dim(k):
-        raise ValueError("element length does not match its degree")
-    fail = _window_failure(alg, k, xv)
-    if fail is not None:
-        return WindowRefusal(k, x, fail[0], fail[1])
-    return PeriodicityCertificate(k, x, "direct")
 
 
 def verify_certificate(alg, cert: PeriodicityCertificate) -> bool:
@@ -445,12 +428,40 @@ class _ProductSpan:
         return self._inducers[d]
 
 
-def _induces(span: _ProductSpan, k: int, v) -> bool:
-    """Whether the degree-k vector v induces periodicity (see element_induces)."""
-    alg = span.alg
+def induces_periodicity(alg, x: Element, cap: int = DEFAULT_SEARCH_CAP, *,
+                        _span: _ProductSpan | None = None):
+    """Whether x induces periodicity: a certificate, or a refusal naming why not.
+
+    The first rule that holds gives the certificate:
+    1. Direct (3k <= n-1): x passes the window test.  Nothing else is tried.
+    2. Window: x passes the window test and window_gap(alg, k) is empty.
+    3. Product: x is a product of direct inducers; the certificate names
+       the factors.  Raises SearchCapExceeded when the product search
+       passes cap.
+    Otherwise the WindowRefusal names the first failed window condition,
+    or else the first gap degree with the condition "gap".
+
+    _span shares one product span across calls.  Raises ValueError for a
+    degree outside 1..n-1 or a vector of the wrong length.
+    """
+    k = x.degree
+    _check_degree(alg, k)
+    xv = fplin.as_vector(x.as_vector(), alg.p)
+    if xv.shape[0] != alg.dim(k):
+        raise ValueError("element length does not match its degree")
+    fail = _window_failure(alg, k, xv)
     if 3 * k <= alg.n - 1:
-        return _window_failure(alg, k, v) is None
-    return tuple(int(c) for c in v) in span.span(k)
+        if fail is not None:
+            return WindowRefusal(k, x, *fail)
+        return PeriodicityCertificate(k, x, "direct")
+    gap = window_gap(alg, k)
+    if fail is None and not gap:
+        return PeriodicityCertificate(k, x, "window")
+    span = _ProductSpan(alg, cap) if _span is None else _span
+    key = tuple(xv.tolist())
+    if key in span.span(k):
+        return PeriodicityCertificate(k, x, "product", span.factors(k, key))
+    return WindowRefusal(k, x, *(fail or (gap[0], "gap")))
 
 
 def _certificate(alg, k: int, v, mode: str):
@@ -712,17 +723,11 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
 
 
 def element_induces(alg, k: int, vec, cap: int = DEFAULT_SEARCH_CAP) -> bool:
-    """Membership test for the set of degree-k inducing elements.
+    """Whether the degree-k vector vec induces periodicity (induces_periodicity).
 
-    The direct window test when 3k <= n-1; otherwise membership in the set
-    of degree-k products of lower-degree direct inducers.  Raises
-    ValueError for k outside 1..n-1 or a vector of the wrong length.
+    Raises ValueError for k outside 1..n-1 or a vector of the wrong length.
     """
-    _check_degree(alg, k)
-    v = fplin.as_vector(vec, alg.p)
-    if v.shape[0] != alg.dim(k):
-        raise ValueError("element length does not match its degree")
-    return _induces(_ProductSpan(alg, cap), k, v)
+    return isinstance(induces_periodicity(alg, Element.of(k, vec), cap), PeriodicityCertificate)
 
 
 @dataclass(frozen=True)
@@ -746,9 +751,10 @@ def is_irreducible(window, x: Element, cap: int = DEFAULT_SEARCH_CAP) -> Irreduc
     memo: dict[tuple, bool] = {}
 
     def induces(v):
-        t = tuple(int(c) for c in v)
+        t = tuple(v.tolist())
         if t not in memo:
-            memo[t] = _induces(span, k, v)
+            memo[t] = isinstance(induces_periodicity(window, Element(k, t), cap, _span=span),
+                                 PeriodicityCertificate)
         return memo[t]
 
     for a in fplin.enumerate_vectors(dk, window.p):
@@ -776,7 +782,9 @@ def nonperiodic_subspace(window, k: int, cap: int = DEFAULT_SEARCH_CAP):
     if p ** dk > cap:
         raise SearchCapExceeded(f"{p ** dk} candidates exceed cap {cap}")
     span = _ProductSpan(window, cap)
-    bad = [v for v in fplin.enumerate_vectors(dk, p) if not _induces(span, k, v)]
+    bad = [v for v in fplin.enumerate_vectors(dk, p)
+           if not isinstance(induces_periodicity(window, Element.of(k, v), cap, _span=span),
+                             PeriodicityCertificate)]
     if len(bad) <= 1:
         return fplin.Subspace.zero(p, dk)
     keys = {tuple(int(c) for c in v) for v in bad}

@@ -43,10 +43,10 @@ class SteenrodAction:
         for (s, j), m in maps.items():
             if s < 1:
                 raise ValueError("store only operations with s >= 1; s = 0 is implied")
+            arr = fplin.as_matrix(m, self.p)
             t = j + operation_shift(self.p, s)
             if t > alg.n:
                 continue
-            arr = fplin.as_matrix(m, self.p)
             want = (alg.dim(t), alg.dim(j))
             if arr.shape != want:
                 raise ValueError(f"operation ({s}, {j}) has shape {arr.shape}, expected {want}")

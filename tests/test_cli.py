@@ -400,6 +400,11 @@ MALFORMED_ALGEBRAS = {
                                 "mult": {}}, "action": None},
     "empty-dims-object": {"algebra": {"p": 2, "top_degree": 4, "dims": {}, "mult": {}},
                           "action": None},
+    # Sq1 on degree 5 lands past the top degree, but its entries are still read.
+    "bad-entries-past-the-top": _degree1_document(
+        1, action={"maps": {"1,1": [[1]], "1,5": [["junk", 2.5]]}}),
+    "labels-past-the-top": {"algebra": {**_degree1_document(1)["algebra"], "labels": {"7": []}},
+                            "action": None},
 }
 
 
@@ -424,6 +429,53 @@ def test_decompose_refuses_a_window_mode_element(capsys, tmp_path):
     code, out, err = run(capsys, "decompose", path, "--x", "4:1")
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("error: decompose needs 3k <= n-1")
+
+
+def _export(capsys, tmp_path, spec):
+    path = str(tmp_path / "alg.json")
+    assert run(capsys, "corpus", "export", spec, "--out", path)[0] == 0
+    return path
+
+
+def test_subquotient_accepts_a_product_certificate(capsys, tmp_path):
+    """On ComplexProj(4) (n = 8) x = 4:1 lies past the direct bound and
+    leaves degree 4 outside the window conditions, but it is y*y for the
+    direct inducer y = 2:1."""
+    path = _export(capsys, tmp_path, "ComplexProj(4)@2")
+    code, out, _ = run(capsys, "subquotient", path, "--x", "4:1")
+    assert code == 0
+    assert report(out)["payload"] == {"k": 4, "mode": "product", "action_induced": False,
+                                      "window_dims": [0, 1, 0, 1, 0, 1, 0]}
+
+
+def test_irreducible_accepts_a_window_mode_inducer(capsys, tmp_path):
+    """4:1 induces on QuatProj(3) by the window test with an empty gap, so
+    the splitting (0, 4:1) keeps an inducing summand."""
+    path = _export(capsys, tmp_path, "QuatProj(3)@2")
+    code, out, _ = run(capsys, "irreducible", path, "--x", "4:1")
+    assert code == 0
+    assert report(out)["payload"] == {"irreducible": True, "witness": None}
+
+
+@pytest.mark.parametrize("spec, x, failed", [
+    ("QuatProj(3)@2", "4:0", [4, "surjectivity"]),
+    # 6:0,1,0 passes the window test, but degree 4 escapes the window conditions
+    ("Product(ComplexProj(2),ComplexProj(3))@2", "6:0,1,0", [4, "gap"]),
+])
+def test_window_mode_refusal_names_the_failure(capsys, tmp_path, spec, x, failed):
+    path = _export(capsys, tmp_path, spec)
+    code, out, _ = run(capsys, "subquotient", path, "--x", x)
+    assert code == 1
+    doc = report(out)
+    assert doc["status"] == "violation" and doc["payload"]["inducing"] is False
+    assert "gap nonempty" not in out
+    refusal = doc["payload"]["refusal"]
+    assert [refusal["failed_degree"], refusal["failed_condition"]] == failed
+
+
+def test_element_of_the_top_degree_is_bad_input(capsys, cp4_file):
+    code, out, err = run(capsys, "subquotient", cp4_file, "--x", "8:1")
+    assert code == 2 and out == "" and "outside 1..7" in err
 
 
 def test_well_formed_degree1_document_passes(capsys, tmp_path):

@@ -253,6 +253,21 @@ def test_past_the_cap_direct_degrees_are_decided():
     assert P.find_inducing_element(none, 2, cap=4, samples=0).status == "exhausted"
 
 
+def test_found_certificates_satisfy_the_predicate():
+    """Every certificate the search finds induces periodicity by the one
+    predicate, whatever rule found it."""
+    found = 0
+    for text in BENCHMARK_SPECS + CORPUS_SPECS:
+        alg = build(text)
+        span = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP)
+        for k, out in P.search_degrees(alg, range(1, alg.n)).items():
+            if isinstance(out, PeriodicityCertificate):
+                found += 1
+                verdict = P.induces_periodicity(alg, out.element, _span=span)
+                assert isinstance(verdict, PeriodicityCertificate), (text, k, verdict)
+    assert found == 157
+
+
 VERDICTS = Path(__file__).parent / "golden" / "search_verdicts.json"
 
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from periodica import corpus, fplin
 from periodica import periodicity as P
 from periodica.algebra import Element, GradedAlgebra
-from periodica.periodicity import (ClosureViolation, ConsistencyFailure, DegreeBoundViolated,
-                                   PeriodicityCertificate, SearchCapExceeded,
-                                   WellDefinednessFailure, WindowRefusal, _window_failure)
+from periodica.periodicity import (ClosureViolation, ConsistencyFailure, PeriodicityCertificate,
+                                   SearchCapExceeded, WellDefinednessFailure, WindowRefusal,
+                                   _window_failure)
 from rebasing import rebased
 
 
@@ -44,10 +44,35 @@ def test_refusal_names_first_failure():
     assert out.failed_degree == 2 and out.failed_condition == "surjectivity"
 
 
-def test_degree_bound_guard():
+def test_window_certificate_above_the_direct_bound():
+    """QuatProj(3) (n = 12): 3k > n-1 at k = 4, and 4:1 passes the window
+    test with an empty gap, so it is certified in window mode."""
     alg = build("QuatProj(3)@2").algebra
-    with pytest.raises(DegreeBoundViolated):
-        P.induces_periodicity(alg, Element(4, (1,)))
+    out = P.induces_periodicity(alg, Element(4, (1,)))
+    assert out == PeriodicityCertificate(4, Element(4, (1,)), "window")
+    assert P.verify_certificate(alg, out) and P.element_induces(alg, 4, [1])
+
+
+def test_window_pass_with_an_empty_gap_comes_before_the_product():
+    """y^2 for y = 2:1 is a product of direct inducers on both ComplexProj(4)
+    (n = 8) and ComplexProj(6) (n = 12).  Only on ComplexProj(4) does
+    degree 4 escape the window conditions, so only there is it certified
+    as a product."""
+    y = Element(2, (1,))
+    out = P.induces_periodicity(build("ComplexProj(4)@2").algebra, Element(4, (1,)))
+    assert out == PeriodicityCertificate(4, Element(4, (1,)), "product", (y, y))
+    out = P.induces_periodicity(build("ComplexProj(6)@2").algebra, Element(4, (1,)))
+    assert out == PeriodicityCertificate(4, Element(4, (1,)), "window")
+
+
+def test_window_mode_refusal_names_a_failed_condition_before_the_gap():
+    """On ComplexProj(4) (n = 8) degree 4 escapes the window conditions at
+    k = 4, and 4:0 also fails surjectivity from degree 2."""
+    alg = build("ComplexProj(4)@2").algebra
+    x = Element(4, (0,))
+    assert P.induces_periodicity(alg, x) == WindowRefusal(4, x, 2, "surjectivity")
+    with pytest.raises(SearchCapExceeded):
+        P.induces_periodicity(alg, x, cap=1)
 
 
 def test_minimum_period_oracles():
@@ -217,10 +242,10 @@ def test_irreducibility_reports():
     assert not rep.irreducible
     assert rep.witness == (Element(2, (0, 1)), Element(2, (1, 0)))
 
+    # 4:1 is its own window-mode inducer, so (0, 4:1) keeps an inducing summand
     w = window_of(build("QuatProj(3)@2"))
     rep = P.is_irreducible(w, Element(4, (1,)))
-    assert not rep.irreducible
-    assert rep.witness == (Element(4, (0,)), Element(4, (1,)))
+    assert rep.irreducible and rep.witness is None
 
 
 def test_irreducibility_cap():
@@ -336,7 +361,7 @@ def test_period_divisibility_failure_is_typed(monkeypatch):
 
 def test_nonperiodic_subspace_size_check_is_typed(monkeypatch):
     w = window_of(build("ComplexProj(4)@2"))
-    monkeypatch.setattr(P, "_induces", lambda span, k, v: False)
+    monkeypatch.setattr(P, "induces_periodicity", lambda *args, **kwargs: None)
     monkeypatch.setattr(fplin.Subspace, "from_vectors",
                         classmethod(lambda cls, vs, p, dim: fplin.Subspace.zero(p, dim)))
     with pytest.raises(ConsistencyFailure):
