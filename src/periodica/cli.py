@@ -178,9 +178,13 @@ def _cmd_min_period(args, cap):
     return status, payload, human
 
 
-def _window_for(args, cap):
+def _element_for(args):
+    """The algebra file's algebra and action, and its parsed --x element."""
     alg, act = load_algebra_file(args.file)
-    x = parse_element(args.x, alg)
+    return alg, act, parse_element(args.x, alg)
+
+
+def _window_for(alg, act, x, cap):
     out = periodicity.induces_periodicity(alg, x, cap)
     if not isinstance(out, PeriodicityCertificate):
         refusal = {"failed_degree": out.failed_degree, "failed_condition": out.failed_condition}
@@ -190,7 +194,7 @@ def _window_for(args, cap):
 
 
 def _cmd_subquotient(args, cap):
-    window, failure = _window_for(args, cap)
+    window, failure = _window_for(*_element_for(args), cap)
     if failure:
         return failure
     payload = {"k": window.k, "mode": window.certificate.mode,
@@ -203,10 +207,10 @@ def _cmd_subquotient(args, cap):
 
 
 def _cmd_irreducible(args, cap):
-    window, failure = _window_for(args, cap)
+    alg, act, x = _element_for(args)
+    window, failure = _window_for(alg, act, x, cap)
     if failure:
         return failure
-    x = parse_element(args.x, window.parent)
     xw = window.to_window(x.degree, x.as_vector())
     rep = periodicity.is_irreducible(window, Element.of(x.degree, xw), cap=cap)
     payload = {"irreducible": rep.irreducible,
@@ -221,11 +225,12 @@ def _cmd_irreducible(args, cap):
 
 
 def _cmd_decompose(args, cap):
-    window, failure = _window_for(args, cap)
+    alg, act, x = _element_for(args)
+    if 3 * x.degree > alg.n - 1:
+        raise InputError(f"decompose needs 3k <= n-1, got k = {x.degree}, n = {alg.n}")
+    window, failure = _window_for(alg, act, x, cap)
     if failure:
         return failure
-    if 3 * window.k > window.n - 1:
-        raise InputError(f"decompose needs 3k <= n-1, got k = {window.k}, n = {window.n}")
     # decompose raises VerificationFailure unless its result verifies.
     result = decomposition.decompose(window)
     payload = result.to_dict()

@@ -156,6 +156,18 @@ def _ruled_out(alg, k: int) -> bool:
                or (i > 1 and alg.dim(i + k) < alg.dim(i)) for i in range(1, top + 1))
 
 
+def _product_degree(alg, k: int) -> bool:
+    """Whether k is a sum of at least two degrees e <= (n-1)//3 that
+    _ruled_out leaves open: only such a degree can hold a product of direct
+    inducers, since every factor's degree is one of them."""
+    degrees = [e for e in range(1, (alg.n - 1) // 3 + 1) if not _ruled_out(alg, e)]
+    sums = set()  # the totals below k of at least one such degree
+    for total in range(1, k):
+        if total in degrees or any(total - e in sums for e in degrees):
+            sums.add(total)
+    return any(k - e in sums for e in degrees)
+
+
 def _centroid_decides(alg, k: int) -> bool:
     """Whether _unit_test decides the direct degree k: 2 <= k, 3k <= n-1,
     degree k is nonzero and the tables pass the ring axioms its proof uses."""
@@ -289,6 +301,43 @@ class _ProductSpan:
     products, deduplicated with np.unique.  Direct inducers, products and
     reaches are kept per degree for the engine's lifetime only, with the
     centroid tests of the direct degrees; nothing is stored on the algebra.
+
+    Where a premise holds, degree d is one linear image instead: the
+    products r * U of the first sorted reach row r of degree d - b, with
+    parents (b, 0, s), so a degree costs |U| products, not |reach| * |U|.
+    Let b be the least degree <= min((n-1)//3, d-1) with direct inducers,
+    U those inducers.  The premise: the centroid decides b
+    (_centroid_decides) and every degree <= min((n-1)//3, d-1) with direct
+    inducers is a multiple of b.  Then the degree-d products are empty
+    unless b divides d, and otherwise they are exactly x0^(d/b - 1) U for
+    any x0 in U, all met first in the row r, in the block engine's order.
+
+    Proof.  Every factor degree is a multiple of b, so every reach degree
+    below d is too, and a degree d that b does not divide gets no product.
+    By _unit_test's proof R = A^b is a commutative ring with unit x0 and
+    product u * v = (x0 .)^(-1)(uv), and U is its unit group, so uv =
+    x0 (u * v) and u U = x0 (u * U) = x0 U for every u in U.  Cupping with
+    x0 is bijective from A^(jb) onto A^((j+1)b) while (j+1)b <= (n-1)//3,
+    inside the window, so a direct inducer w of degree mb >= 2b is
+    x0^(m-1) v for one v in A^b; w a = 0 forces a = 0 for a in A^b (w is
+    injective there), so v * is injective, hence bijective, on R, and v is
+    in U.  By induction on the degree, every reach row of degree mb is then
+    in x0^(m-1) U (a product of x0^i u and x0^j v is x0^(i+j+1) (u * v)),
+    the reach of every multiple of b up to d - b is nonempty (the (mb, b)
+    block of degree (m+1)b is), and every block of degree d = (j+1)b lies
+    in x0^j U, while the first row r = x0^(j-1) u of the (d - b, b) block
+    gives r U = x0^(j-1) x0 U = x0^j U, all of it.  The block engine keeps
+    first occurrences with b' ascending (no b' < b has inducers), rows
+    sorted and inducers in enumeration order, so it meets the whole set in
+    row r and nothing new after it: the keys, their order, the parents and
+    the point where a refusal fires are the same.
+
+    Cupping with x0 is injective from degree i for 1 < i <= n-1-b, into
+    every degree up to n-1, so u -> r u is injective on U, but it is not
+    surjective onto degree n-1; the proof uses neither fact, and r * U is
+    deduplicated by first occurrence like every block, so the engine does
+    not rest on injectivity at the top either.  Where the premise fails the
+    block engine runs as above.
     """
 
     def __init__(self, alg, cap: int):
@@ -373,11 +422,27 @@ class _ProductSpan:
             raise SearchCapExceeded(f"product search stored over {self.cap} vectors")
         return count
 
+    def _unit_degree(self, d):
+        """The least degree b <= min((n-1)//3, d-1) with direct inducers when
+        the linear premise holds for degree d, else None (see the class)."""
+        found = [e for e in range(1, min(self.top, d - 1) + 1) if len(self._direct(e))]
+        b = found[0] if found else None
+        if b and _centroid_decides(self.alg, b) and all(e % b == 0 for e in found):
+            return b
+        return None
+
     def _multiply(self, d, held, limit):
-        alg, p, dim = self.alg, self.alg.p, self.alg.dim(d)
+        b = self._unit_degree(d)
+        if b is None:
+            blocks = [(b, self._reach_keys(d - b), self._direct(b))
+                      for b in range(1, min(self.top, d - 1) + 1)]
+        elif d % b:
+            blocks = []
+        else:
+            blocks = [(b, self._reach_keys(d - b)[:1], self._direct(b))]
+        alg, p = self.alg, self.alg.p
         index, parents, fresh = {}, [], 0
-        for b in range(1, min(self.top, d - 1) + 1):
-            keys, inducers = self._reach_keys(d - b), self._direct(b)
+        for b, keys, inducers in blocks:
             m3 = alg.mult3(d - b, b)
             for r0, r1, s0, s1 in _tiles(len(keys), len(inducers)):
                 flat = _block_products(m3, keys[r0:r1], inducers[s0:s1], p)
@@ -494,8 +559,9 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
        least window pass in lexicographic order.
     2. The least degree-k product of direct inducers.
     3. Window mode (3k > n-1) with nonzero degrees no window condition
-       touches: exhausted when the product search ends or _ruled_out,
-       else inconclusive.
+       touches: exhausted when the product search ends, _ruled_out, or k
+       is no sum of product factor degrees (_product_degree), else
+       inconclusive.
     4. Exhausted when the dimensions rule k out, at any cap.
     5. Direct where the centroid decides k: its Nakayama generator.
     6. Window mode with p^dim(k) <= cap: the least window pass.
@@ -526,7 +592,7 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
         return PeriodicityCertificate(k, Element.of(k, t), "product", _span.factors(k, t))
     gap = () if direct else window_gap(alg, k)
     if gap:
-        if complete or _ruled_out(alg, k):
+        if complete or _ruled_out(alg, k) or not _product_degree(alg, k):
             return SearchVerdict(
                 k, "exhausted",
                 f"no product of inducers reaches degree {k} and degrees {gap} escape the window")

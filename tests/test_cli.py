@@ -431,6 +431,24 @@ def test_decompose_refuses_a_window_mode_element(capsys, tmp_path):
     assert err.startswith("error: decompose needs 3k <= n-1")
 
 
+def test_decompose_refuses_a_window_degree_before_building_a_window(capsys, tmp_path,
+                                                                     monkeypatch):
+    """4:0 does not induce on QuatProj(3) (n = 12), but its degree alone
+    puts it past decompose (3k > n-1): bad input, and no window is built."""
+    path = str(tmp_path / "alg.json")
+    assert run(capsys, "corpus", "export", "QuatProj(3)@2", "--out", path)[0] == 0
+    assert run(capsys, "subquotient", path, "--x", "4:0")[0] == 1
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("subquotient called")
+
+    monkeypatch.setattr(periodicity, "subquotient", no_window)
+    code, out, err = run(capsys, "decompose", path, "--x", "4:0")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: decompose needs 3k <= n-1, got k = 4, n = 12")
+    assert run(capsys, "decompose", path, "--x", "4:1")[0] == 2
+
+
 def _export(capsys, tmp_path, spec):
     path = str(tmp_path / "alg.json")
     assert run(capsys, "corpus", "export", spec, "--out", path)[0] == 0

@@ -501,6 +501,73 @@ def test_product_span_refuses_at_every_cap_the_reference_does(text):
     assert_span_matches_reference(build(text).algebra, range(1, 31))
 
 
+def _nested(k, leaf):
+    return functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", [leaf] * k)
+
+
+CP6_4 = f"{_nested(4, 'ComplexProj(6)')}@5"
+
+
+def _every_span(alg, cap):
+    span = P._ProductSpan(alg, cap)
+    return [_refusal_or(lambda: [(t, span.factors(k, t)) for t in span.span(k)])
+            for k in range(1, alg.n)]
+
+
+@pytest.mark.parametrize("text, b", [
+    (CP6_4, 2), ("ConnectedSum(QuatProj(6),QuatProj(6))@3", 4),
+    ("Product(Sphere(3),QuatProj(3))@3", 4),
+    ("Sphere(8)@2", None), ("Product(Sphere(1),Sphere(5))@2", None),
+])
+def test_linear_span_matches_the_block_engine(text, b, monkeypatch):
+    """Where the premise holds (least inducer degree b), every degree past b
+    is grown as one linear image; where it fails, by the blocks.  Either
+    way each degree's keys, order, factors and refusals are the ones the
+    block engine gives with the premise switched off."""
+    alg = build(text).algebra
+    span = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP)
+    span.span(alg.n - 1)
+    assert {span._unit_degree(d) for d in range((b or 1) + 1, alg.n)} == {b}
+    linear = [_every_span(alg, cap) for cap in SPAN_CAPS]
+    monkeypatch.setattr(P._ProductSpan, "_unit_degree", lambda self, d: None)
+    assert linear == [_every_span(alg, cap) for cap in SPAN_CAPS]
+
+
+def test_linear_span_multiplies_one_reach_row(monkeypatch):
+    """On 4 x ComplexProj(6) at p = 5 each even degree d >= 4 passes |U| =
+    256 rows to _block_products, for the unit group U of degree 2, where
+    the block engine passes |reach(d - 2)| * |U| = 65536."""
+    alg = build(CP6_4).algebra
+    rows, grown = {}, []
+    multiply, block = P._ProductSpan._multiply, P._block_products
+
+    def counted_multiply(self, d, held, limit):
+        grown.append(d)
+        return multiply(self, d, held, limit)
+
+    def counted_block(m3, left, right, p):
+        rows[grown[-1]] = rows.get(grown[-1], 0) + len(left) * len(right)
+        return block(m3, left, right, p)
+
+    monkeypatch.setattr(P._ProductSpan, "_multiply", counted_multiply)
+    monkeypatch.setattr(P, "_block_products", counted_block)
+    span = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP)
+    span.span(alg.n - 1)
+    units = len(span._direct(2))
+    assert units == 256 and len(span._reach_keys(2)) == 256
+    assert rows == {d: units for d in range(4, alg.n, 2)}
+
+
+def test_unreachable_window_degrees_are_exhausted_at_any_cap():
+    """On 9 x ComplexProj(6) degree 11 has a nonempty window gap and every
+    inducer degree is even, so no product reaches it: exhausted, although
+    degree 2 alone has 5^9 candidates, past the cap."""
+    alg = build(f"{_nested(9, 'ComplexProj(6)')}@5").algebra
+    out = P.find_inducing_element(alg, 11, samples=0)
+    assert out.status == "exhausted" and out.reason.startswith("no product of inducers")
+    assert P.find_inducing_element(alg, 10, samples=0).status == "inconclusive"
+
+
 def test_block_products_are_exact_near_the_bound():
     """Residues just below p = 2097143: each block product matches Python integers."""
     p = 2097143
