@@ -53,28 +53,49 @@ def multiplication_operator(window: SubquotientAlgebra, a) -> MultOperator:
     """Assemble the degree-preserving operator of a degree-k element.
 
     Low degrees unshift after cupping, high degrees cup after unshifting;
-    the overlap 1+k..n-1-k must agree under both readings.
+    the overlap 1+k..n-1-k must agree under both readings.  Each block
+    contracts the element with the window's ring_action.
     """
     k, n = window.k, window.n
     if 3 * k > n - 1:
         raise ValueError("the action needs 3k <= n-1")
     av = _vector_of(window, a, k)
-    blocks = {u: _action_block(window, av, u) for u in range(1, n)}
+    xv = fplin.as_vector(av, window.p)
+    if xv.shape[0] != window.dim(k):
+        raise ValueError("vector length does not match degree dimension")
+    blocks = {u: _action_block(window, xv, u) for u in range(1, n)}
     return MultOperator(Element.of(k, av), blocks)
 
 
 def _action_block(window: SubquotientAlgebra, av, u: int) -> np.ndarray:
     """Matrix of v -> unshift(a cup v) on window degree u, for a degree-k
-    vector a; in degree k it is multiplication by a on the degree-k ring."""
-    k, n, p = window.k, window.n, window.p
-    low = high = None
-    if u <= n - 1 - k:
-        low = (window.shift_invs[u] @ window.cup_matrix(k, av, u)) % p
-    if u >= 1 + k:
-        high = (window.cup_matrix(k, av, u - k) @ window.shift_invs[u - k]) % p
-    if low is not None and high is not None and not np.array_equal(low, high):
+    vector a; in degree k it is multiplication by a on the degree-k ring.
+    Where the basis's two readings disagree, a's own readings are compared."""
+    p = window.p
+    low, high, agree = window.ring_action[u]
+    block = np.einsum("a,auv->uv", av, low if low is not None else high) % p
+    if not agree and not np.array_equal(block, np.einsum("a,auv->uv", av, high) % p):
         raise OverlapMismatch(f"action formulas disagree in degree {u}")
-    return low if low is not None else high
+    return block
+
+
+def _basis_operators(window: SubquotientAlgebra) -> dict:
+    """Per window degree u, the operator blocks of the degree-k basis
+    elements as one (dim k, dim u, dim u) stack: slices of ring_action.
+    Raises as multiplication_operator would on some basis element."""
+    k, n = window.k, window.n
+    if not window.dim(k):
+        return {u: np.zeros((0, window.dim(u), window.dim(u)), dtype=np.int64)
+                for u in range(1, n)}
+    if 3 * k > n - 1:
+        raise ValueError("the action needs 3k <= n-1")
+    stacks = {}
+    for u in range(1, n):
+        low, high, agree = window.ring_action[u]
+        if not agree:
+            raise OverlapMismatch(f"action formulas disagree in degree {u}")
+        stacks[u] = low if low is not None else high
+    return stacks
 
 
 def ring_product(window: SubquotientAlgebra, a, b) -> np.ndarray:
@@ -133,13 +154,11 @@ def primitive_idempotents(window: SubquotientAlgebra) -> tuple[list, list]:
     and the splits that found them, as (e, b, parts).
 
     fplin.primitive_idempotents on the ring's multiplication matrices, the
-    degree-k blocks of the basis elements' operators; coordinates in that
-    basis are window vectors.
+    degree-k slice of ring_action; coordinates in that basis are window
+    vectors.
     """
-    k = window.k
-    d = window.dim(k)
-    blocks = [_action_block(window, v, k) for v in np.eye(d, dtype=np.int64)]
-    _, idempotents, splits = fplin.primitive_idempotents(blocks, window.p)
+    low = window.ring_action[window.k][0]
+    _, idempotents, splits = fplin.primitive_idempotents(low, window.p)
     return idempotents, splits
 
 
@@ -230,8 +249,9 @@ def decompose(window: SubquotientAlgebra) -> DecompositionResult:
     def dims(q):
         # q is the sum of the primitive idempotents f with q * f = f, so its
         # image is the direct sum of theirs.
+        times_q = _action_block(window, q, k)
         below = [s for s, f in zip(summands, finals)
-                 if np.array_equal(ring_product(window, q, f), f)]
+                 if np.array_equal((times_q @ f) % window.p, f)]
         return [sum(s.spaces[u].dim for s in below) for u in range(1, n)]
 
     trace = [SplitRecord(split_element=Element.of(k, e),
@@ -255,7 +275,9 @@ class DecompositionReport:
 def _local_factor_count(window, operators, spaces) -> int:
     """Number of local factors of the algebra A the given operators span on
     the summand, as block-diagonal matrices over its nonzero degrees: 1
-    exactly when A is local, 0 when the summand is zero.
+    exactly when A is local, 0 when the summand is zero.  operators[u]
+    stacks the operators' blocks on degree u, and each degree is one
+    restricted solve for all of them.
 
     ValueError when an operator does not map the summand into itself or A
     is not closed under products.
@@ -266,14 +288,12 @@ def _local_factor_count(window, operators, spaces) -> int:
         return 0
     ends = np.cumsum([spaces[u].dim for u in degrees])
     size = int(ends[-1])
-    flat = []
-    for op in operators:
-        block = np.zeros((size, size), dtype=np.int64)
-        for u, end in zip(degrees, ends):
-            at = end - spaces[u].dim
-            block[at:end, at:end] = fplin.restricted_matrix(op.blocks[u], spaces[u], spaces[u])
-        flat.append(block.ravel())
-    algebra = Subspace.from_vectors(flat, p, size * size)
+    count = window.dim(window.k)
+    blocks = np.zeros((count, size, size), dtype=np.int64)
+    for u, end in zip(degrees, ends):
+        at = end - spaces[u].dim
+        blocks[:, at:end, at:end] = fplin.restricted_matrix(operators[u], spaces[u], spaces[u])
+    algebra = Subspace.from_vectors(blocks.reshape(count, size * size), p, size * size)
     return fplin.primitive_idempotents(algebra.basis.reshape(-1, size, size), p)[0].dim
 
 
@@ -303,6 +323,10 @@ def verify_decomposition(window: SubquotientAlgebra,
             parts.append(space)
         if not fplin.direct_sum_check(parts, Subspace.full(p, window.dim(u)), full=True):
             violations.append(f"summands do not direct-sum to degree {u}")
+    # Every summand's basis in degree u, stacked; summand j holds rows
+    # starts[u][j]:starts[u][j + 1].
+    stacked = {u: np.vstack([s.spaces[u].basis for s in summands]) for u in range(1, n)}
+    starts = {u: np.cumsum([0] + [s.spaces[u].dim for s in summands]) for u in range(1, n)}
     for i, s in enumerate(summands):
         if s.element.degree != k:
             violations.append(f"summand {i} element has degree {s.element.degree}")
@@ -314,11 +338,13 @@ def verify_decomposition(window: SubquotientAlgebra,
         xiv = s.element.as_vector()
         for u in range(1, n):
             cupm = window.cup_matrix(k, xiv, u)
-            for j, other in enumerate(summands):
-                if j != i and other.spaces[u].dim and (
-                        (cupm @ other.spaces[u].basis.T) % p).any():
-                    violations.append(
-                        f"summand {i} element does not annihilate summand {j} in degree {u}")
+            hit = ((cupm @ stacked[u].T) % p).any(axis=0)
+            hit[starts[u][i]:starts[u][i + 1]] = False
+            if hit.any():
+                for j in range(len(summands)):
+                    if hit[starts[u][j]:starts[u][j + 1]].any():
+                        violations.append(
+                            f"summand {i} element does not annihilate summand {j} in degree {u}")
             if u <= n - 1 - k and s.spaces[u].dim:
                 target = s.spaces[u + k]
                 if s.spaces[u].dim != target.dim:
@@ -335,8 +361,7 @@ def verify_decomposition(window: SubquotientAlgebra,
                     violations.append(
                         f"summand {i} element is not bijective at degree {u}")
     try:
-        operators = [multiplication_operator(window, window.basis_element(k, j))
-                     for j in range(window.dim(k))]
+        operators = _basis_operators(window)
     except (ValueError, OverlapMismatch):
         violations.append("the window does not support the degree-k action")
         return DecompositionReport(False, tuple(violations))

@@ -574,19 +574,22 @@ def invariant_complement_of_kernel(mat, p: int) -> Subspace:
 
 
 def restricted_matrix(op, source: Subspace, target: Subspace) -> np.ndarray:
-    """Matrix of op : source -> target in the canonical bases.
+    """Matrix of op : source -> target in the canonical bases; for a stack
+    of operators, the stack of their matrices, found in one solve.
 
-    Raises ValueError if op does not map source into target.
+    Raises ValueError if an operator does not map source into target.
     """
     if source.p != target.p:
         raise ValueError("mismatched primes")
     p = source.p
-    m = as_matrix(op, p)
-    if m.shape != (target.ambient, source.ambient):
+    m = _int_array(op) % p
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-2:] != (target.ambient, source.ambient):
         raise ValueError("operator shape does not match the given spaces")
     images = (m @ source.basis.T) % p
-    coords = images[list(target.pivots)]
-    if not np.array_equal((coords.T @ target.basis) % p, images.T):
+    coords = images[..., list(target.pivots), :]
+    if not np.array_equal((coords.swapaxes(-1, -2) @ target.basis) % p, images.swapaxes(-1, -2)):
         raise ValueError("vector not in subspace")
     return coords
 
@@ -595,12 +598,15 @@ def direct_sum_check(parts: list[Subspace], ambient: Subspace, full: bool = Fals
     """True iff the parts are independent subspaces of ambient.
 
     With full=True also require that they span all of ambient.  One rank
-    computation over all the parts' bases decides independence.
+    computation over all the parts' bases decides independence.  When
+    ambient is the whole space every part lies in it, so containment is
+    checked only for a proper ambient.
     """
+    whole = ambient.dim == ambient.ambient
     for part in parts:
         if (part.p, part.ambient) != (ambient.p, ambient.ambient):
             raise ValueError("mismatched ambient spaces")
-        if not part.is_subspace_of(ambient):
+        if not whole and not part.is_subspace_of(ambient):
             return False
     total = sum(part.dim for part in parts)
     if total and rank(np.vstack([part.basis for part in parts]), ambient.p) != total:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplin, steenrod
-from .algebra import Element, GradedAlgebra
+from .algebra import Element, GradedAlgebra, _computed_once
 from .fplin import ConsistencyFailure
 
 DEFAULT_SEARCH_CAP = 2**20
@@ -350,6 +350,7 @@ class _ProductSpan:
         self._spans = {}     # k -> span(k), or the message of the refusal
         self._tests = {}     # d -> _unit_test(alg, d)
         self._least = {}     # d -> least_unit(d)
+        self._counts = {}    # (d, below) -> _grow's count of the degree-d products
 
     def span(self, k: int) -> dict:
         """Degree-k products as key -> row, in the order they were found.
@@ -406,18 +407,22 @@ class _ProductSpan:
                 raise SearchCapExceeded(f"degree {d} has {size} candidates, cap {cap}")
         stored = sum(len(self._direct(d)) for d in range(1, low + 1))
         for d in range(1, k + 1):
-            # Below degree k the reach already holds the direct inducers, so
-            # a product equal to one of them is not stored again.
-            held = {tuple(v) for v in self._direct(d).tolist()} if d <= low else set()
-            stored += self._grow(d, held, max(cap - stored, 0))
+            stored += self._grow(d, d <= low, max(cap - stored, 0))
         return self._products[k][0]
 
-    def _grow(self, d, held, limit):
-        """Count the degree-d products outside held; refuse past limit."""
-        if d not in self._products:
-            self._products[d] = self._multiply(d, held, limit)
-        index = self._products[d][0]
-        count = len(index) - sum(t in index for t in held)
+    def _grow(self, d, below, limit):
+        """Count the degree-d products, outside the direct inducers when
+        below (d <= min((n-1)//3, k-1)); refuse past limit.  Below degree k
+        the reach already holds the direct inducers, so a product equal to
+        one of them is not stored again.  Each count is made once per
+        (d, below) and compared with every call's own limit."""
+        if (d, below) not in self._counts:
+            held = {tuple(v) for v in self._direct(d).tolist()} if below else set()
+            if d not in self._products:
+                self._products[d] = self._multiply(d, held, limit)
+            index = self._products[d][0]
+            self._counts[d, below] = len(index) - sum(t in index for t in held)
+        count = self._counts[d, below]
         if count > limit:
             raise SearchCapExceeded(f"product search stored over {self.cap} vectors")
         return count
@@ -704,6 +709,26 @@ class SubquotientAlgebra(GradedAlgebra):
 
     def window_dims(self) -> tuple[int, ...]:
         return self.dims[1:self.n]
+
+    @_computed_once
+    def ring_action(self) -> dict:
+        """The degree-k basis's action on each window degree u, as
+        (low, high, agree): low[a] is v -> unshift(e_a v) for u <= n-1-k,
+        high[a] is v -> e_a unshift(v) for u >= 1+k, each a
+        (dim k, dim u, dim u) stack or None outside its range, and agree
+        says the two readings coincide on every e_a.  Computed once per
+        window; an element's action is the contraction of its coordinates
+        with a stack."""
+        k, n, p = self.k, self.n, self.p
+        out = {}
+        for u in range(1, n):
+            low = high = None
+            if u <= n - 1 - k:
+                low = (self.shift_invs[u] @ self.mult3(k, u).transpose(1, 0, 2)) % p
+            if u >= 1 + k:
+                high = (self.mult3(k, u - k).transpose(1, 0, 2) @ self.shift_invs[u - k]) % p
+            out[u] = (low, high, low is None or high is None or np.array_equal(low, high))
+        return out
 
     def to_dict(self) -> dict:
         return {

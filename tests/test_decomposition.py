@@ -638,6 +638,7 @@ def assert_idempotents_match_the_parent(w):
     fixed = fplin.primitive_idempotents([D._action_block(w, v, k) for v in basis], p)[0]
     assert fixed == fplin.kernel((old_frobenius_matrix(w) - basis) % p, p)
     operators = [D.multiplication_operator(w, v) for v in basis]
+    stacks = D._basis_operators(w)
     result = D.decompose(w)
     full = {u: fplin.Subspace.full(p, w.dim(u)) for u in range(1, w.n)}
     cases = [full] + [s.spaces for s in result.summands]
@@ -649,10 +650,10 @@ def assert_idempotents_match_the_parent(w):
             want_count = old_local_factor_count(w, operators, spaces)
         except ValueError:
             with pytest.raises(ValueError):
-                D._local_factor_count(w, operators, spaces)
+                D._local_factor_count(w, stacks, spaces)
             continue
-        assert D._local_factor_count(w, operators, spaces) == want_count
-    assert D._local_factor_count(w, operators, full) == result.summand_count
+        assert D._local_factor_count(w, stacks, spaces) == want_count
+    assert D._local_factor_count(w, stacks, full) == result.summand_count
 
 
 @pytest.mark.parametrize("text", [t for t in ORACLE_WINDOWS if not t.startswith("Sphere")])
@@ -674,3 +675,310 @@ def test_malformed_element_is_a_violation():
         report = D.verify_decomposition(w, forged)
         assert not report.ok
         assert f"summand 0 element has {len(coeffs)} coordinates, need 2" in report.violations
+
+
+# The operator assembly and verification that the window's ring_action
+# replaced, kept verbatim (renamed old_*) as their reference.  They build
+# every operator block from cup matrices, one element at a time, and solve
+# one restricted matrix per (operator, summand, degree).
+
+def old_multiplication_operator(window, a):
+    """Assemble the degree-preserving operator of a degree-k element.
+
+    Low degrees unshift after cupping, high degrees cup after unshifting;
+    the overlap 1+k..n-1-k must agree under both readings.
+    """
+    k, n = window.k, window.n
+    if 3 * k > n - 1:
+        raise ValueError("the action needs 3k <= n-1")
+    av = D._vector_of(window, a, k)
+    blocks = {u: old_action_block(window, av, u) for u in range(1, n)}
+    return D.MultOperator(Element.of(k, av), blocks)
+
+
+def old_action_block(window, av, u):
+    """Matrix of v -> unshift(a cup v) on window degree u, for a degree-k
+    vector a; in degree k it is multiplication by a on the degree-k ring."""
+    k, n, p = window.k, window.n, window.p
+    low = high = None
+    if u <= n - 1 - k:
+        low = (window.shift_invs[u] @ window.cup_matrix(k, av, u)) % p
+    if u >= 1 + k:
+        high = (window.cup_matrix(k, av, u - k) @ window.shift_invs[u - k]) % p
+    if low is not None and high is not None and not np.array_equal(low, high):
+        raise D.OverlapMismatch(f"action formulas disagree in degree {u}")
+    return low if low is not None else high
+
+
+def old_block_local_factor_count(window, operators, spaces):
+    """Number of local factors of the algebra A the given operators span on
+    the summand, as block-diagonal matrices over its nonzero degrees: 1
+    exactly when A is local, 0 when the summand is zero.
+
+    ValueError when an operator does not map the summand into itself or A
+    is not closed under products.
+    """
+    p = window.p
+    degrees = [u for u, s in sorted(spaces.items()) if s.dim]
+    if not degrees:
+        return 0
+    ends = np.cumsum([spaces[u].dim for u in degrees])
+    size = int(ends[-1])
+    flat = []
+    for op in operators:
+        block = np.zeros((size, size), dtype=np.int64)
+        for u, end in zip(degrees, ends):
+            at = end - spaces[u].dim
+            block[at:end, at:end] = fplin.restricted_matrix(op.blocks[u], spaces[u], spaces[u])
+        flat.append(block.ravel())
+    algebra = fplin.Subspace.from_vectors(flat, p, size * size)
+    return fplin.primitive_idempotents(algebra.basis.reshape(-1, size, size), p)[0].dim
+
+
+def old_verify_decomposition(window, result):
+    """Check a decomposition from scratch: degreewise direct sum, each
+    element a degree-k window vector inducing on its own summand and
+    annihilating the rest, and each summand local: the algebra the degree-k
+    ring induces on it, as block-diagonal restricted operators, has one
+    primitive idempotent (fplin.primitive_idempotents).  A summand that is
+    not local is reported with a pair (e, unit - e) of idempotents that both
+    act on it nontrivially.  Violations come back as report data."""
+    k, n, p = window.k, window.n, window.p
+    violations = []
+    summands = result.summands
+    if not summands:
+        if window.total_dim:
+            violations.append("empty decomposition of a nonzero window")
+        return D.DecompositionReport(not violations, tuple(violations))
+    for u in range(1, n):
+        parts = []
+        for i, s in enumerate(summands):
+            space = s.spaces.get(u)
+            if space is None or space.ambient != window.dim(u):
+                violations.append(f"summand {i} carries no subspace of degree {u}")
+                return D.DecompositionReport(False, tuple(violations))
+            parts.append(space)
+        if not fplin.direct_sum_check(parts, fplin.Subspace.full(p, window.dim(u)), full=True):
+            violations.append(f"summands do not direct-sum to degree {u}")
+    for i, s in enumerate(summands):
+        if s.element.degree != k:
+            violations.append(f"summand {i} element has degree {s.element.degree}")
+            continue
+        if len(s.element.coeffs) != window.dim(k):
+            violations.append(f"summand {i} element has {len(s.element.coeffs)} "
+                              f"coordinates, need {window.dim(k)}")
+            continue
+        xiv = s.element.as_vector()
+        for u in range(1, n):
+            cupm = window.cup_matrix(k, xiv, u)
+            for j, other in enumerate(summands):
+                if j != i and other.spaces[u].dim and (
+                        (cupm @ other.spaces[u].basis.T) % p).any():
+                    violations.append(
+                        f"summand {i} element does not annihilate summand {j} in degree {u}")
+            if u <= n - 1 - k and s.spaces[u].dim:
+                target = s.spaces[u + k]
+                if s.spaces[u].dim != target.dim:
+                    violations.append(
+                        f"summand {i} degrees {u} and {u + k} have unequal dimension")
+                    continue
+                try:
+                    m = fplin.restricted_matrix(cupm, s.spaces[u], target)
+                except ValueError:
+                    violations.append(
+                        f"summand {i} is not stable under its element at degree {u}")
+                    continue
+                if fplin.rank(m, p) < target.dim:
+                    violations.append(
+                        f"summand {i} element is not bijective at degree {u}")
+    try:
+        operators = [old_multiplication_operator(window, window.basis_element(k, j))
+                     for j in range(window.dim(k))]
+    except (ValueError, D.OverlapMismatch):
+        violations.append("the window does not support the degree-k action")
+        return D.DecompositionReport(False, tuple(violations))
+    idempotents = None
+    for i, s in enumerate(summands):
+        if s.element.degree != k:
+            continue
+        try:
+            local = old_block_local_factor_count(window, operators, s.spaces)
+        except ValueError:
+            violations.append(f"summand {i} does not support the degree-k action")
+            continue
+        if local == 0:
+            violations.append(f"summand {i} is zero")
+        elif local > 1:
+            if idempotents is None:
+                idempotents = D.primitive_idempotents(window)[0]
+            violations.append(f"summand {i} splits further" + D._split_witness(
+                window, idempotents, s.spaces))
+    return D.DecompositionReport(not violations, tuple(violations))
+
+
+def _outcome(fn, *args):
+    """fn's result as text, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the reference's failures must be matched too
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _forgeries(w, result):
+    """The decomposition and mutants of it: every merged pair, dropped
+    summand, pair of swapped elements and perturbed element, each degree's
+    space swapped between the first two summands, a space of the first
+    summand the ring does not keep, a wrong-degree element and an appended
+    zero summand."""
+    p, k, d = w.p, w.k, w.dim(w.k)
+    summands = result.summands
+    s = len(summands)
+    out = [result]
+    for i in range(s):
+        out += [merged(result, i, j, p)[0] for j in range(i + 1, s)]
+        out.append(D.DecompositionResult(summands[:i] + summands[i + 1:], []))
+        for j in range(i + 1, s):
+            swapped = list(summands)
+            swapped[i] = D.Summand(summands[j].element, summands[i].spaces)
+            swapped[j] = D.Summand(summands[i].element, summands[j].spaces)
+            out.append(D.DecompositionResult(swapped, []))
+        bumped = summands[i].element.as_vector()
+        bumped[i % d] = (bumped[i % d] + 1) % p
+        out.append(D.DecompositionResult(
+            summands[:i] + [D.Summand(Element.of(k, bumped), summands[i].spaces)]
+            + summands[i + 1:], []))
+    if s >= 2:
+        a, b = summands[:2]
+        for u in range(1, w.n):
+            if a.spaces[u] != b.spaces[u]:
+                out.append(D.DecompositionResult(
+                    [D.Summand(a.element, {**a.spaces, u: b.spaces[u]}),
+                     D.Summand(b.element, {**b.spaces, u: a.spaces[u]})] + summands[2:], []))
+        u = next((u for u in range(1, w.n) if a.spaces[u].dim and b.spaces[u].dim), None)
+        if u is not None:
+            mixed = fplin.Subspace.from_vectors([a.spaces[u].basis[0] + b.spaces[u].basis[0]],
+                                                p, w.dim(u))
+            out.append(D.DecompositionResult(
+                [D.Summand(a.element, {**a.spaces, u: mixed})] + summands[1:], []))
+    if s:
+        out.append(D.DecompositionResult(
+            [D.Summand(Element(k + 1, summands[0].element.coeffs), summands[0].spaces)]
+            + summands[1:], []))
+    zero = D.Summand(Element(k, (0,) * d),
+                     {u: fplin.Subspace.zero(p, w.dim(u)) for u in range(1, w.n)})
+    out.append(D.DecompositionResult(summands + [zero], []))
+    return out
+
+
+def _same_blocks(got, want):
+    assert sorted(got.blocks) == sorted(want.blocks)
+    for u in want.blocks:
+        g, h = got.blocks[u], want.blocks[u]
+        assert (g.dtype, g.shape, g.tobytes()) == (h.dtype, h.shape, h.tobytes()), u
+    assert got.element == want.element
+
+
+@pytest.mark.parametrize("text", ORACLE_WINDOWS)
+def test_verify_decomposition_matches_the_parent(text):
+    """Byte-identical reports on the decomposition and every forgery, all
+    checked on one window, so its ring_action is shared and every report is
+    computed afresh."""
+    w = window_of(text)
+    result = D.decompose(w)
+    for forged in _forgeries(w, result):
+        want = _outcome(old_verify_decomposition, w, forged)
+        assert _outcome(D.verify_decomposition, w, forged) == want
+        assert _outcome(D.verify_decomposition, w, forged) == want
+
+
+def test_verify_decomposition_on_a_zero_ring_matches_the_parent():
+    """Window-mode windows of Sphere(8)@2 have a zero degree-k ring and 3k >
+    n - 1, so the parent built no operator at all; forged summands there get
+    the parent's reports."""
+    alg = build("Sphere(8)@2").algebra
+    for k in range(3, alg.n):
+        cert = P.induces_periodicity(alg, Element(k, ()))
+        assert cert.mode == "window"
+        w = P.subquotient(alg, cert)
+        for forged in _forgeries(w, D.DecompositionResult([], [])):
+            assert (_outcome(D.verify_decomposition, w, forged)
+                    == _outcome(old_verify_decomposition, w, forged))
+
+
+@pytest.mark.parametrize("text", [t for t in ORACLE_WINDOWS if not t.startswith("Sphere")])
+def test_operator_blocks_match_the_parent(text):
+    """Every basis element's and primitive idempotent's operator, and the
+    basis stacks verify_decomposition reads, byte for byte."""
+    w = window_of(text)
+    k, d = w.k, w.dim(w.k)
+    stacks = D._basis_operators(w)
+    for a, v in enumerate(np.eye(d, dtype=np.int64)):
+        want = old_multiplication_operator(w, v)
+        _same_blocks(D.multiplication_operator(w, v), want)
+        for u, block in want.blocks.items():
+            assert stacks[u][a].tobytes() == block.tobytes()
+        _same_blocks(D.multiplication_operator(w, Element.of(k, v)),
+                     old_multiplication_operator(w, Element.of(k, v)))
+    for e in D.primitive_idempotents(w)[0]:
+        _same_blocks(D.multiplication_operator(w, e), old_multiplication_operator(w, e))
+    unit = Element.of(k, D._unit(w) + w.p)  # unreduced coordinates are kept as given
+    _same_blocks(D.multiplication_operator(w, unit), old_multiplication_operator(w, unit))
+
+
+@pytest.mark.parametrize("text", [
+    "ConnectedSum(ComplexProj(6),ComplexProj(6))@3",
+    "ConnectedSum(ConnectedSum(ComplexProj(6),ComplexProj(6)),ComplexProj(6))@2",
+    "Product(Sphere(2),ComplexProj(8))@2",
+])
+def test_overlap_mismatch_is_decided_per_element(text):
+    """A window whose shift_invs are corrupted at one overlap degree before
+    its first operator: each element raises OverlapMismatch exactly when the
+    parent's assembly does, with the same message, and otherwise gets the
+    same blocks; verify_decomposition reports as the parent does."""
+    base = window_of(text)
+    clean = D.decompose(base)
+    k, n = base.k, base.n
+    for u in range(1 + k, n - k):
+        w = window_of(text)
+        if not w.dim(u):
+            continue
+        assert "ring_action" not in vars(w)
+        w.shift_invs[u] = w.shift_invs[u].copy()
+        w.shift_invs[u][0, 0] = (w.shift_invs[u][0, 0] + 1) % w.p
+        raised = 0
+        vectors = list(fplin.enumerate_vectors(w.dim(k), w.p))
+        for v in vectors:
+            want = _outcome(old_multiplication_operator, w, v)
+            if want.startswith("raised"):
+                raised += 1
+                assert _outcome(D.multiplication_operator, w, v) == want
+            else:
+                _same_blocks(D.multiplication_operator(w, v), old_multiplication_operator(w, v))
+        assert 0 < raised < len(vectors), u
+        assert not all(agree for _, _, agree in w.ring_action.values())
+        assert (_outcome(D.verify_decomposition, w, clean)
+                == _outcome(old_verify_decomposition, w, clean))
+
+
+def test_verification_solves_once_per_summand_and_degree(monkeypatch):
+    """On 8xCP(6)@2 one verify_decomposition makes at most s * (n-1)
+    restricted solves and cup matrices (the parent made 352 and 232)."""
+    w = window_of(f"{_chain(8, 'ComplexProj(6)')}@2")
+    result = D.decompose(w)
+    calls = {"restricted_matrix": 0, "cup_matrix": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fplin, "restricted_matrix", counted("restricted_matrix",
+                                                            fplin.restricted_matrix))
+    monkeypatch.setattr(P.SubquotientAlgebra, "cup_matrix", counted("cup_matrix",
+                                                                    P.SubquotientAlgebra.cup_matrix))
+    assert D.verify_decomposition(w, result).ok
+    bound = result.summand_count * (w.n - 1)
+    assert result.summand_count == 8 and bound == 88
+    assert calls["restricted_matrix"] <= bound, calls
+    assert calls["cup_matrix"] <= bound, calls

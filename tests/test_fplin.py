@@ -397,6 +397,55 @@ def test_direct_sum_check():
     assert not fplin.direct_sum_check([out], amb)
 
 
+
+def test_direct_sum_check_tests_containment_only_in_a_proper_ambient(monkeypatch):
+    rng = np.random.default_rng(31)
+    for p in (2, 3, 5):
+        for _ in range(10):
+            d = int(rng.integers(2, 6))
+            t = random_invertible(rng, d, p)
+            cut = int(rng.integers(1, d))
+            inside = Subspace.from_vectors(list(t[:cut]), p, d)
+            outside = Subspace.from_vectors([t[cut]], p, d)
+            both = inside.sum(outside)
+            # a part outside a proper ambient is refused, one inside is not
+            assert not fplin.direct_sum_check([outside], inside)
+            assert not fplin.direct_sum_check([inside, outside], inside)
+            assert fplin.direct_sum_check([inside], inside, full=True)
+            assert fplin.direct_sum_check([inside, outside], both, full=True)
+    # every vector lies in the whole space, so no part is tested against it
+    monkeypatch.setattr(Subspace, "is_subspace_of", lambda self, other: pytest.fail(
+        "containment tested against the whole space"))
+    parts = [Subspace.from_vectors([np.array([1, 1, 0])], 2, 3),
+             Subspace.from_vectors([np.array([0, 1, 1]), np.array([0, 0, 1])], 2, 3)]
+    assert fplin.direct_sum_check(parts, Subspace.full(2, 3), full=True)
+
+
+def test_restricted_matrix_of_a_stack_is_the_stack_of_restricted_matrices():
+    rng = np.random.default_rng(32)
+    for p in (2, 5):
+        for _ in range(20):
+            ds, dt, count = (int(x) for x in rng.integers(1, 5, size=3))
+            source = Subspace.from_vectors(
+                [rng.integers(0, p, size=ds) for _ in range(rng.integers(1, ds + 1))], p, ds)
+            ops = rng.integers(0, p, size=(count, dt, ds))
+            images = ((ops @ source.basis.T) % p).transpose(0, 2, 1).reshape(-1, dt)
+            target = Subspace.from_vectors(list(images), p, dt)
+            got = fplin.restricted_matrix(ops, source, target)
+            want = [fplin.restricted_matrix(op, source, target) for op in ops]
+            assert got.shape == (count, target.dim, source.dim)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            # the images span target, so some operator leaves a proper
+            # subspace of it, and that refuses the whole stack
+            if target.dim:
+                small = Subspace.from_vectors(list(target.basis[1:]), p, dt)
+                with pytest.raises(ValueError):
+                    fplin.restricted_matrix(ops, source, small)
+    with pytest.raises(ValueError):
+        fplin.restricted_matrix(np.zeros((1, 1, 2, 2), dtype=np.int64),
+                                Subspace.full(2, 2), Subspace.full(2, 2))
+
+
 def test_restricted_matrix():
     rng = np.random.default_rng(25)
     for p in (2, 5):
