@@ -11,8 +11,8 @@ conditions with evaluated values and can be replayed independently.
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .periodicity import HypothesisNotMet
 
@@ -73,21 +73,31 @@ class Fact:
         kind, args = d.get("kind"), tuple(d["args"])
         if not isinstance(kind, str) or kind not in FACT_KINDS:
             raise ValueError(f"unknown fact kind {kind!r}")
-        fact = _typed(kind, args)
-        return periodic(*args) if kind == "Periodic" else fact
+        return _typed(kind, args)
 
 
 def _typed(kind: str, args: tuple) -> Fact:
-    """Fact(kind, args) once every argument has exactly its FACT_KINDS type.
+    """Fact(kind, args) once every argument has exactly its FACT_KINDS type
+    and the fact is well formed: a window has lo <= hi and a known
+    coefficient tag, and a codimension is nonnegative.  ValueError otherwise.
 
-    The Fact constructor itself checks only the arity: derive builds many
-    facts from facts already checked.
+    The Fact constructor itself checks only the arity: the rules build their
+    outputs with it, since from well-formed inputs they derive only
+    well-formed facts.  derive and verify_derivation check their axioms.
     """
     types = FACT_KINDS[kind]
     if tuple(map(type, args)) != types:
         raise ValueError(f"{kind} takes ({', '.join(t.__name__ for t in types)}), "
                          f"got {list(args)!r}")
-    return Fact(kind, args)
+    fact = Fact(kind, args)
+    if kind == "Periodic":
+        if args[4] not in ("integral", "rational"):
+            raise ValueError(f"coefficients must be 'integral' or 'rational' in {fact}")
+        if args[2] > args[3]:
+            raise ValueError(f"window must satisfy lo <= hi in {fact}")
+    elif kind == "Codim" and args[2] < 0:
+        raise ValueError(f"codimension must be nonnegative in {fact}")
+    return fact
 
 
 def _check_ints(*values) -> None:
@@ -101,12 +111,7 @@ def connected(sub, amb, c):
 
 
 def periodic(space, k, lo, hi, coefficients="integral"):
-    fact = _typed("Periodic", (space, k, lo, hi, coefficients))
-    if coefficients not in ("integral", "rational"):
-        raise ValueError("coefficients must be 'integral' or 'rational'")
-    if lo > hi:
-        raise ValueError("window must satisfy lo <= hi")
-    return fact
+    return _typed("Periodic", (space, k, lo, hi, coefficients))
 
 
 def dimension(space, n):
@@ -182,7 +187,7 @@ def rule_extend(n: int, k: int, hi: int) -> int:
         raise HypothesisNotMet("extension needs codimension at least 6")
     if hi < k + 3:
         raise HypothesisNotMet(f"need the window to reach k + 3 = {k + 3}")
-    if Fraction(k) <= Fraction(n + 3, 4):
+    if 4 * k <= n + 3:
         return n - 1
     return n - 2 * k + 2
 
@@ -208,15 +213,14 @@ def rule_borel(codims, total: int) -> BorelVerdict:
     return BorelVerdict(sum_matches, residue_ok)
 
 
-@dataclass(frozen=True)
-class Condition:
+# Condition and Step are tuples: a derive records about a hundred of them.
+class Condition(NamedTuple):
     label: str
     value: str
     holds: bool
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     rule: str
     inputs: tuple
     output: Fact
@@ -250,17 +254,27 @@ def _cond(label, value, holds):
     return Condition(label, str(value), bool(holds))
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction(num, den)) prints it (den > 0)."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 # Appliers: (inputs) -> (outputs, conditions).  Outputs are empty whenever a
-# condition fails, so the same code drives both search and replay.
+# condition fails, so the same code drives both search and replay.  They
+# build outputs with the Fact constructor: from well-formed inputs every
+# rule derives well-formed facts, so the checks of periodic() and the other
+# helpers would only repeat themselves.
 
 def _apply_dim_from_codim(inputs):
     cod, dim = inputs
     sub, amb, k = cod.args
     n = dim.args[1]
-    conds = (_cond("codimension below dimension", f"{k} < {n}", k < n),)
-    if not conds[0].holds:
+    ok = k < n
+    conds = (_cond("codimension below dimension", f"{k} < {n}", ok),)
+    if not ok:
         return (), conds
-    return (dimension(sub, n - k),), conds
+    return (Fact("Dim", (sub, n - k)),), conds
 
 
 def _apply_fixed_point_connectedness(inputs):
@@ -276,7 +290,7 @@ def _apply_fixed_point_connectedness(inputs):
     conds += (_cond("connectivity nonnegative", c, c >= 0),)
     if c < 0:
         return (), conds
-    return (connected(sub, amb, c),), conds
+    return (Fact("Connected", (sub, amb, c)),), conds
 
 
 def _apply_intersection_connectedness(inputs):
@@ -285,15 +299,16 @@ def _apply_intersection_connectedness(inputs):
     small, amb, ks = cod_small.args
     big, amb2, kb = cod_big.args
     n = dim.args[1]
-    conds = (_cond("ordered codimensions", f"{ks} <= {kb}", ks <= kb),
-             _cond("intersection nonempty", f"{ks + kb} < {n}", ks + kb < n))
-    if not all(c.holds for c in conds):
+    ordered, nonempty = ks <= kb, ks + kb < n
+    conds = (_cond("ordered codimensions", f"{ks} <= {kb}", ordered),
+             _cond("intersection nonempty", f"{ks + kb} < {n}", nonempty))
+    if not (ordered and nonempty):
         return (), conds
     c = rule_connectedness_intersection(n, ks, kb)
-    return (connected(w, big, c),
-            dimension(w, n - ks - kb),
-            codimension(w, big, ks),
-            codimension(w, small, kb)), conds
+    return (Fact("Connected", (w, big, c)),
+            Fact("Dim", (w, n - ks - kb)),
+            Fact("Codim", (w, big, ks)),
+            Fact("Codim", (w, small, kb))), conds
 
 
 def _apply_ambient_periodicity(inputs):
@@ -302,12 +317,13 @@ def _apply_ambient_periodicity(inputs):
     d = dim.args[1]
     k = cod.args[2]
     l = d - k - c
+    gap = d - k - 2 * l
     conds = (_cond("window offset at least 1", l, l >= 1),
-             _cond("n - k - 2l positive", d - k - 2 * l, d - k - 2 * l > 0))
-    if not all(x.holds for x in conds):
+             _cond("n - k - 2l positive", gap, gap > 0))
+    if l < 1 or gap <= 0:
         return (), conds
     lo, hi = rule_periodicity_window(d, k, l)
-    return (periodic(amb, k, lo, hi, "integral"),), conds
+    return (Fact("Periodic", (amb, k, lo, hi, "integral")),), conds
 
 
 def _apply_torus_fixed_periodicity(inputs):
@@ -317,41 +333,42 @@ def _apply_torus_fixed_periodicity(inputs):
     sub = tfc.args[0]
     n = dim_m.args[1]
     f = dim_f.args[1]
-    bound = Fraction(n + 1, 3)
-    conds = (_cond("torus rank at least 3", rank, rank >= 3),
-             _cond("fixed component large", f"{f} >= {bound}", Fraction(f) >= bound),
-             _cond("window nontrivial", f, f >= 2))
-    if not all(c.holds for c in conds):
+    ranked, large, nontrivial = rank >= 3, 3 * f >= n + 1, f >= 2
+    conds = (_cond("torus rank at least 3", rank, ranked),
+             _cond("fixed component large", f"{f} >= {_ratio(n + 1, 3)}", large),
+             _cond("window nontrivial", f, nontrivial))
+    if not (ranked and large and nontrivial):
         return (), conds
-    return (periodic(sub, 4, 1, f - 1, "rational"),), conds
+    return (Fact("Periodic", (sub, 4, 1, f - 1, "rational")),), conds
 
 
 def _apply_rational_upgrade(inputs):
     per, dim, h2, h3 = inputs
     space, k, lo, hi, tag = per.args
     n = dim.args[1]
-    conds = (_cond("full integral window", f"1..{hi} vs 1..{n - 1}",
-                   lo == 1 and hi == n - 1 and tag == "integral"),
-             _cond("3k <= n - 2", f"3*{k} <= {n - 2}", 3 * k <= n - 2))
-    if not all(c.holds for c in conds):
+    full, short = lo == 1 and hi == n - 1 and tag == "integral", 3 * k <= n - 2
+    conds = (_cond("full integral window", f"1..{hi} vs 1..{n - 1}", full),
+             _cond("3k <= n - 2", f"3*{k} <= {n - 2}", short))
+    if not (full and short):
         return (), conds
     kq = rule_rational_upgrade(n, k)
-    return (periodic(space, kq, 1, n - 1, "rational"),), conds
+    return (Fact("Periodic", (space, kq, 1, n - 1, "rational")),), conds
 
 
 def _apply_transfer(direction, inputs):
     conn, per = inputs
     sub, amb, c = conn.args
     space, k, lo, hi, tag = per.args
-    conds = (_cond("0 < k < c - 1", f"k = {k}, c = {c}", 0 < k < c - 1),
-             _cond("window starts at 1", lo, lo == 1))
-    if not all(x.holds for x in conds):
+    fits, starts = 0 < k < c - 1, lo == 1
+    conds = (_cond("0 < k < c - 1", f"k = {k}, c = {c}", fits),
+             _cond("window starts at 1", lo, starts))
+    if not (fits and starts):
         return (), conds
     out = min(hi, c + 1 if direction == "up" else c)
     conds += (_cond("window longer than period", f"{out} > {k}", out > k),)
     if out <= k:
         return (), conds
-    return (periodic(amb if direction == "up" else sub, k, 1, out, tag),), conds
+    return (Fact("Periodic", (amb if direction == "up" else sub, k, 1, out, tag)),), conds
 
 
 def _apply_extension(inputs):
@@ -360,30 +377,30 @@ def _apply_extension(inputs):
     k = cod.args[2]
     n = dim.args[1]
     space, period, lo, hi, tag = per.args
-    conds = (_cond("period is 4", period, period == 4),
-             _cond("window starts at 1", lo, lo == 1),
-             _cond("codimension at least 6", k, k >= 6),
-             _cond("window reaches k + 3", f"{hi} >= {k + 3}", hi >= k + 3))
-    if not all(c.holds for c in conds):
+    four, starts, deep, reaches = period == 4, lo == 1, k >= 6, hi >= k + 3
+    conds = (_cond("period is 4", period, four),
+             _cond("window starts at 1", lo, starts),
+             _cond("codimension at least 6", k, deep),
+             _cond("window reaches k + 3", f"{hi} >= {k + 3}", reaches))
+    if not (four and starts and deep and reaches):
         return (), conds
-    part2 = Fraction(k) <= Fraction(n + 3, 4)
-    conds += (_cond("k <= (n+3)/4", f"{k} vs {Fraction(n + 3, 4)}", part2),)
+    conds += (_cond("k <= (n+3)/4", f"{k} vs {_ratio(n + 3, 4)}", 4 * k <= n + 3),)
     out = rule_extend(n, k, hi)
     conds += (_cond("extension strictly grows", f"{out} > {hi}", out > hi),)
     if out <= hi:
         return (), conds
-    return (periodic(amb, 4, 1, out, tag),), conds
+    return (Fact("Periodic", (amb, 4, 1, out, tag)),), conds
 
 
 def _apply_odd_betti(inputs):
     per, dim, h1 = inputs
     space, k, lo, hi, tag = per.args
     n = dim.args[1]
+    full = lo == 1 and hi == n - 1 and tag == "rational"
     parity = (k == 4 and n % 4 == 0) or (k == 2 and n % 2 == 0)
-    conds = (_cond("full rational window", f"1..{hi} vs 1..{n - 1}",
-                   lo == 1 and hi == n - 1 and tag == "rational"),
+    conds = (_cond("full rational window", f"1..{hi} vs 1..{n - 1}", full),
              _cond("period-dimension parity", f"k = {k}, n = {n}", parity))
-    if not all(c.holds for c in conds):
+    if not (full and parity):
         return (), conds
     return (Fact("OddBettiVanish", (space,)),), conds
 
@@ -577,7 +594,8 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
     since, so the steps are exactly those of re-applying every tuple.
 
     Returns the pruned derivation whose steps lead to the goal; raises
-    Saturated when the fact set stops growing (or hits the bound) first.
+    Saturated when the fact set stops growing (or hits the bound) first, and
+    ValueError before any rule fires when an axiom is malformed (_typed).
     """
     known = []
     seen = set()
@@ -591,7 +609,7 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
             stronger.setdefault(key, []).append(fact)
 
     for f in facts:
-        learn(f)
+        learn(_typed(f.kind, f.args))
     by_kind = _by_kind(known)
     steps = []
     start = 0
@@ -634,8 +652,9 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
 def verify_derivation(derivation: Derivation, facts) -> bool:
     """Replay a derivation against its axioms: every step's inputs must be
     available, its rule must reproduce the recorded output, and every
-    recorded side condition must re-evaluate identically."""
-    known = set(facts)
+    recorded side condition must re-evaluate identically.  A malformed axiom
+    (_typed) raises ValueError."""
+    known = {_typed(f.kind, f.args) for f in facts}
     for step in derivation.steps:
         if step.rule not in _APPLIERS:
             return False
@@ -685,8 +704,9 @@ class Scenario:
             return Scenario.from_dict(json.load(fh))
 
 
-def _even_floor(x: Fraction) -> int:
-    return (math.floor(x) // 2) * 2
+def _even_floor(num: int, den: int) -> int:
+    """The largest even integer at most num/den (den > 0)."""
+    return num // den // 2 * 2
 
 
 def codim_cascade_scenario(n: int) -> tuple:
@@ -703,11 +723,11 @@ def codim_cascade_scenario(n: int) -> tuple:
         raise HypothesisNotMet("the cascade template needs n >= 24 divisible by 4")
     k1 = 2 * (n // 8)
     f1 = n - k1
-    floor_f3 = math.ceil(Fraction(3 * n, 8))
+    floor_f3 = -(-3 * n // 8)
     goal = periodic("M", 4, 1, n - 1, "rational")
-    for k2 in range(_even_floor(Fraction(2, 7) * f1), 5, -2):
+    for k2 in range(_even_floor(2 * f1, 7), 5, -2):
         f2 = f1 - k2
-        for k3 in range(_even_floor(Fraction(3, 10) * f2), 1, -2):
+        for k3 in range(_even_floor(3 * f2, 10), 1, -2):
             f3 = f2 - k3
             if f3 < floor_f3:
                 continue

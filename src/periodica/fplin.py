@@ -513,6 +513,15 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("expected a stack of square matrices")
     d, m = stack.shape[0], stack.shape[1]
+    if d == 1:
+        # The span of one matrix M holds the identity exactly when M = cI,
+        # c != 0: then A = GF(p) with unit 1/c, and nothing splits.
+        if not stack.any():
+            raise ValueError("the matrices are linearly dependent")
+        c = int(stack[0, 0, 0])
+        if not np.array_equal(stack[0], c * np.eye(m, dtype=np.int64)):
+            raise ValueError("a product of the matrices lies outside their span")
+        return Subspace.full(p, 1), [np.array([pow(c, -1, p)], dtype=np.int64)], []
     flat = stack.reshape(d, m * m)
     pivots = list(rref(flat, p)[1])
     if len(pivots) != d:

@@ -371,6 +371,32 @@ def test_malformed_scenario_is_bad_input(capsys, tmp_path, doc):
     assert "not a scenario file" in err and "Traceback" not in err
 
 
+# Each axiom that derive refuses, in the scenario that once crashed derive
+# with a traceback and exit 1 (ambient-periodicity built a window 3..1).
+MALFORMED_AXIOMS = {
+    "negative-codimension": ({"kind": "Codim", "args": ["W", "M", -5]}, "Codim(W, M, -5)"),
+    "reversed-window": ({"kind": "Periodic", "args": ["M", 4, 4, 3, "integral"]},
+                        "Periodic(M, 4, 4, 3; integral)"),
+    "unknown-coefficients": ({"kind": "Periodic", "args": ["M", 4, 1, 3, "complex"]},
+                             "Periodic(M, 4, 1, 3; complex)"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_AXIOMS)
+def test_malformed_axiom_exits_two_naming_the_fact(capsys, tmp_path, name):
+    bad, shown = MALFORMED_AXIOMS[name]
+    doc = {"description": "malformed axiom",
+           "facts": [{"kind": "Dim", "args": ["M", 4]},
+                     {"kind": "Connected", "args": ["W", "M", 6]}, bad],
+           "goal": {"kind": "Periodic", "args": ["M", 4, 1, 3, "integral"]}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (("derive", str(path)), ("derive", str(path), "--human")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert shown in err and "Traceback" not in err
+
+
 def _degree1_document(entry, dims=(1, 1, 1), action=None):
     """A class x in degree 1 with x * x = entry * (the top class)."""
     one = [[1]]

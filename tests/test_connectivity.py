@@ -26,6 +26,8 @@ from periodica.connectivity import (
 )
 from periodica.periodicity import HypothesisNotMet
 
+import connectivity_reference as R
+
 
 # hand-checked rule values
 
@@ -97,6 +99,12 @@ def test_fact_validation():
         periodic("M", 4, 1, 10, coefficients="complex")
     with pytest.raises(ValueError):
         periodic("M", 4, 5, 3)
+    with pytest.raises(ValueError):
+        periodic("M", 4, 4, 3)
+    assert periodic("M", 4, 3, 3).args == ("M", 4, 3, 3, "integral")
+    with pytest.raises(ValueError, match=r"nonnegative in Codim\(W, M, -5\)"):
+        codimension("W", "M", -5)
+    assert codimension("W", "M", 0).args == ("W", "M", 0)
 
 
 def test_fact_from_dict_checks_argument_types():
@@ -115,6 +123,7 @@ def test_fact_from_dict_checks_argument_types():
         {"kind": "Dim", "args": ["M"]},
         {"kind": "Periodic", "args": ["M", 4, 1, 9, "weird"]},
         {"kind": "Periodic", "args": ["M", 4, 9, 1, "integral"]},
+        {"kind": "Codim", "args": ["W", "M", -5]},
     ]
     for d in bad:
         with pytest.raises(ValueError):
@@ -454,7 +463,7 @@ def _random_fact(draw):
 
 
 @st.composite
-def _fact_sets(draw):
+def _fact_sets(draw, random_fact=_random_fact):
     """A template scenario with facts dropped and random facts mixed in, or
     random facts alone; a goal from the template or drawn; a bound 1..30."""
     base = draw(st.sampled_from(("none", "cascade", "four-weight")))
@@ -465,8 +474,8 @@ def _fact_sets(draw):
     facts = [] if base == "none" else list(scenario.facts)
     facts = [f for f in facts if draw(st.integers(0, 9))]
     for _ in range(draw(st.integers(0, 8 if facts else 16))):
-        facts.insert(draw(st.integers(0, len(facts))), _random_fact(draw))
-    goal = scenario.goal if base != "none" and draw(st.booleans()) else _random_fact(draw)
+        facts.insert(draw(st.integers(0, len(facts))), random_fact(draw))
+    goal = scenario.goal if base != "none" and draw(st.booleans()) else random_fact(draw)
     return goal, tuple(facts), draw(st.integers(1, 30))
 
 
@@ -476,3 +485,203 @@ def test_semi_naive_matches_naive_on_random_fact_sets(case):
     goal, facts, bound = case
     assert_same_as_naive(goal, facts, bound)
     assert_same_as_naive(goal, facts)
+
+
+# byte identity: derive against the records, appliers and cascade template
+# as they stood with Fraction arithmetic (connectivity_reference.py)
+
+def _attempt(run, goal, facts, bound):
+    try:
+        return run(goal, facts, bound)
+    except Saturated as e:
+        return e
+
+
+def _as_data(outcome):
+    return f"Saturated: {outcome}" if isinstance(outcome, Saturated) else outcome.to_dict()
+
+
+def _recast(derivation, step, condition):
+    """derivation with its steps and conditions rebuilt as the given records."""
+    steps = tuple(step(s.rule, s.inputs, s.output,
+                       tuple(condition(c.label, c.value, c.holds) for c in s.conditions))
+                  for s in derivation.steps)
+    return Derivation(derivation.goal, steps, derivation.final)
+
+
+def assert_same_as_reference(goal, facts, bound=C.SATURATION_BOUND):
+    """derive and the reference agree under to_dict (or in the Saturated
+    message), and each side's verify_derivation replays both derivations.
+    Returns derive's derivation or its Saturated."""
+    mine = _attempt(derive, goal, facts, bound)
+    theirs = _attempt(R.derive, goal, facts, bound)
+    assert _as_data(mine) == _as_data(theirs), (goal, facts, bound)
+    if not isinstance(mine, Saturated):
+        for der in (mine, _recast(theirs, Step, C.Condition)):
+            assert verify_derivation(der, facts)
+        for der in (theirs, _recast(mine, R.Step, R.Condition)):
+            assert R.verify_derivation(der, facts)
+    return mine
+
+
+def _template_data(run, n):
+    try:
+        scenario, params = run(n)
+    except Saturated as e:
+        return f"Saturated: {e}"
+    return scenario.to_dict(), {**params, "derivation": params["derivation"].to_dict()}
+
+
+def test_derivations_match_the_reference_on_every_cascade_attempt(monkeypatch):
+    # Every (k2, k3) candidate the template tries, the saturating ones
+    # included, goes through derive by its global name.
+    attempts = []
+
+    def checked(goal, facts, bound=C.SATURATION_BOUND):
+        outcome = assert_same_as_reference(goal, facts, bound)
+        attempts.append(isinstance(outcome, Saturated))
+        if isinstance(outcome, Saturated):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(C, "derive", checked)
+    for n in range(24, 1997, 4):
+        before = len(attempts)
+        assert (_template_data(C.codim_cascade_scenario, n)
+                == _template_data(R.codim_cascade_scenario, n)), n
+        assert len(attempts) > before or n in (24, 28)
+    assert len(attempts) > 500 and any(attempts) and not all(attempts)
+
+
+def test_derivations_match_the_reference_on_the_four_weight_grid():
+    weights = [(a, b, c, d) for a in range(2, 13, 2) for b in range(a, 13, 2)
+               for c in range(b, 13, 2) for d in range(c, 13, 2)]
+    derived = 0
+    for n in range(20, 81, 4):
+        for ws in weights:
+            if n - sum(ws) <= 0 or (n - sum(ws)) % 4:
+                continue
+            scenario, _ = C.four_weight_scenario(n, ws)
+            derived += not isinstance(
+                assert_same_as_reference(scenario.goal, scenario.facts), Saturated)
+    for n, ws in FOUR_WEIGHT_GRID:
+        scenario, _ = C.four_weight_scenario(n, ws)
+        assert not isinstance(assert_same_as_reference(scenario.goal, scenario.facts),
+                              Saturated)
+    assert derived > 500
+
+
+def test_derivations_match_the_reference_with_noise():
+    scenario, _ = C.codim_cascade_scenario(36)
+    noise = (
+        dimension("Q", 7),
+        connected("Q", "M", 2),
+        h1_vanishes("Q", 2),
+        codimension("Q", "M", 29),
+    )
+    stronger = (periodic("F2", 4, 1, 19), periodic("F1", 4, 1, 27, "rational"),
+                connected("F3", "F2", 15))
+    cases = [scenario.facts + noise, noise + scenario.facts, noise + scenario.facts + noise]
+    cases += [facts for extra in stronger
+              for facts in (scenario.facts + (extra,), (extra,) + scenario.facts)]
+    for facts in cases:
+        for goal in (scenario.goal, Fact("OddBettiVanish", ("M",))):
+            assert_same_as_reference(goal, facts)
+
+
+def test_derivations_match_the_reference_at_the_fractional_bounds():
+    """Both sides of 4k <= n + 3 (window-extension) and 3f >= n + 1
+    (torus-fixed-periodicity), which no template reaches with n = 4k - 3."""
+    derived = 0
+    for n in range(20, 61):
+        for k in range(6, 17):
+            facts = (Fact("FixedPointComponent", ("F", "M")), codimension("F", "M", k),
+                     dimension("M", n), periodic("M", 4, 1, k + 3))
+            outcome = assert_same_as_reference(periodic("M", 4, 1, k + 4), facts)
+            derived += 4 * k == n + 3 and not isinstance(outcome, Saturated)
+        for f in range(n // 3 - 2, n // 3 + 3):
+            facts = (Fact("RicciPositive", ("M",)), Fact("TorusSymmetry", ("M", 3)),
+                     Fact("TorusFixedComponent", ("F", "M")), dimension("M", n),
+                     dimension("F", f))
+            outcome = assert_same_as_reference(periodic("F", 4, 1, 1, "rational"), facts)
+            derived += 3 * f == n + 1 and not isinstance(outcome, Saturated)
+    assert derived == 10 + 14
+
+
+def test_integer_rule_values_print_as_fractions_did():
+    for num in range(-40, 41):
+        for den in (1, 2, 3, 4, 7, 8, 10):
+            assert C._ratio(num, den) == str(Fraction(num, den)), (num, den)
+            assert C._even_floor(num, den) == (math.floor(Fraction(num, den)) // 2) * 2
+    for n in range(-10, 60):
+        for k in range(6, 20):
+            assert C.rule_extend(n, k, k + 3) == R.rule_extend(n, k, k + 3), (n, k)
+
+
+# well-formed axioms derive well-formed facts; malformed ones are refused
+
+def _well_formed_fact(draw):
+    """Any well-formed fact: numbers may be negative except codimensions."""
+    kind = draw(st.sampled_from(sorted(C.FACT_KINDS)))
+    if kind == "Periodic":
+        lo = draw(st.integers(-2, 4))
+        return periodic(draw(_NAMES), draw(st.integers(-2, 8)), lo, draw(st.integers(lo, 40)),
+                        draw(st.sampled_from(("integral", "rational"))))
+    numbers = st.integers(0, 40) if kind == "Codim" else st.integers(-8, 40)
+    return Fact.from_dict({"kind": kind, "args": [draw(_NAMES if t is str else numbers)
+                                                  for t in C.FACT_KINDS[kind]]})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fact_sets(_well_formed_fact))
+def test_well_formed_axioms_derive_well_formed_facts(case):
+    goal, facts, bound = case
+    produced = []
+
+    def recording(apply):
+        def run(inputs):
+            outputs, conditions = apply(inputs)
+            produced.extend(outputs)
+            return outputs, conditions
+        return run
+
+    # derive raises nothing but Saturated, matches the reference and replays.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_APPLIERS", {rule: recording(apply)
+                                    for rule, apply in C._APPLIERS.items()})
+        assert_same_as_reference(goal, facts, bound)
+    for fact in produced:
+        assert Fact.from_dict(fact.to_dict()) == fact, fact
+
+
+MALFORMED_AXIOMS = {
+    "negative-codimension": (Fact("Codim", ("W", "M", -5)), "codimension must be nonnegative"),
+    "reversed-window": (Fact("Periodic", ("M", 4, 4, 3, "integral")), "lo <= hi"),
+    "unknown-coefficients": (Fact("Periodic", ("M", 4, 1, 3, "complex")), "coefficients"),
+    "bool-dimension": (Fact("Dim", ("W", True)), "takes"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_AXIOMS)
+def test_malformed_axioms_are_refused_before_any_rule_fires(monkeypatch, name):
+    bad, message = MALFORMED_AXIOMS[name]
+    # With Codim(W, M, -5), ambient-periodicity here would build the window
+    # 3..1 of Periodic(M, -5, 3, 1; integral).
+    facts = (dimension("M", 4), connected("W", "M", 6), bad)
+    goal = periodic("M", 4, 1, 3)
+    with pytest.raises(ValueError, match=message):
+        Fact.from_dict(bad.to_dict())
+    with pytest.raises(ValueError, match=message):
+        Scenario.from_dict(Scenario("bad axiom", facts, goal).to_dict())
+    scenario, _ = C.codim_cascade_scenario(32)
+    der = derive(scenario.goal, scenario.facts)
+
+    def fires(inputs):
+        raise AssertionError("a rule fired on a malformed axiom")
+
+    monkeypatch.setattr(C, "_APPLIERS", dict.fromkeys(C.RULE_ORDER, fires))
+    for axioms in (facts, (bad,) + facts, scenario.facts + (bad,)):
+        with pytest.raises(ValueError, match=message):
+            derive(goal, axioms)
+        with pytest.raises(ValueError, match=message):
+            verify_derivation(der, axioms)

@@ -557,3 +557,101 @@ def test_consistency_checks_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(fplin, "is_semisimple", lambda mat, p: True)
     with pytest.raises(fplin.ConsistencyFailure):
         fplin.invariant_complement_of_kernel(m, 2)
+
+
+# fplin.primitive_idempotents before it decided a one-dimensional algebra
+# directly, verbatim but for the fplin. prefixes: the reference for that
+# fast path.
+def old_primitive_idempotents(mats, p: int):
+    stack = np.array(mats, dtype=np.int64) % p
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    d, m = stack.shape[0], stack.shape[1]
+    flat = stack.reshape(d, m * m)
+    pivots = list(fplin.rref(flat, p)[1])
+    if len(pivots) != d:
+        raise ValueError("the matrices are linearly dependent")
+    to_coords = fplin.mat_inv(flat[:, pivots], p)
+
+    def coords(rows):
+        x = (rows[:, pivots] @ to_coords) % p
+        if not np.array_equal((x @ flat) % p, rows):
+            raise ValueError("a product of the matrices lies outside their span")
+        return x
+
+    products = (stack[:, None] @ stack[None]) % p
+    if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
+        raise ValueError("the matrices do not commute")
+    # mult[i] multiplies by the i-th basis element: its column j is M_i M_j.
+    mult = coords(products.reshape(d * d, m * m)).reshape(d, d, d).transpose(0, 2, 1)
+    unit = coords(np.eye(m, dtype=np.int64).reshape(1, m * m))[0]
+    flat_mult = mult.reshape(d, d * d)
+
+    def times(a):
+        return (a @ flat_mult).reshape(d, d) % p
+
+    def power(a, e):
+        return (fplin.mat_pow(times(a), e, p) @ unit) % p
+
+    frobenius = np.array([power(a, p) for a in np.eye(d, dtype=np.int64)],
+                         dtype=np.int64).reshape(d, d).T
+    fixed = fplin.kernel((frobenius - np.eye(d, dtype=np.int64)) % p, p)
+    parts, splits = [unit], []
+    for b in fixed.basis:
+        if len(parts) == fixed.dim:
+            break
+        roots = fplin.split_roots(fplin.minimal_polynomial(
+            fplin.restricted_matrix(times(b), fixed, fixed), p), p)
+        indicators = [(unit - power((b - c * unit) % p, p - 1)) % p for c in roots]
+        refined = []
+        for e in parts:
+            pieces = [q for q in ((times(e) @ ind) % p for ind in indicators) if q.any()]
+            if len(pieces) > 1:
+                splits.append((e, b, pieces))
+            refined += pieces
+        parts = refined
+    if len(parts) != fixed.dim:
+        raise fplin.ConsistencyFailure(
+            f"{len(parts)} idempotents for a {fixed.dim}-dimensional fixed subalgebra")
+    return fixed, sorted(parts, key=lambda v: tuple(int(t) for t in v)), splits
+
+
+def _idempotents_outcome(run, mats, p):
+    """Everything primitive_idempotents returns, down to dtypes and bytes,
+    or the type and message of what it raised."""
+    def arrays(xs):
+        return [(x.dtype.str, x.shape, x.tobytes()) for x in xs]
+    try:
+        fixed, parts, splits = run(mats, p)
+    except (ValueError, fplin.ConsistencyFailure) as e:
+        return type(e), str(e)
+    return ((fixed.p, fixed.ambient, fixed.pivots, *arrays([fixed.basis])), arrays(parts),
+            [(*arrays([e, b]), arrays(pieces)) for e, b, pieces in splits])
+
+
+def test_one_dimensional_idempotents_match_the_reference():
+    """A single matrix spans an algebra holding the identity exactly when it
+    is a nonzero scalar; everything else raises as it did before."""
+    rng = np.random.default_rng(14)
+    cases = 0
+    for p in (2, 3, 5, 7):
+        for m in range(1, 5):
+            eye = np.eye(m, dtype=np.int64)
+            nilpotent = np.eye(m, k=1, dtype=np.int64)
+            stacks = [[c * eye] for c in range(p)]               # every scalar, zero included
+            stacks += [[(c + p) * eye] for c in range(p)]        # unreduced entries
+            stacks += [[c * eye + nilpotent] for c in range(p)]  # scalar plus nilpotent
+            stacks += [[np.diag(np.arange(m) % p)], [nilpotent],
+                       *([rng.integers(0, p, size=(m, m))] for _ in range(4))]
+            for mats in stacks:
+                got = _idempotents_outcome(fplin.primitive_idempotents, mats, p)
+                assert got == _idempotents_outcome(old_primitive_idempotents, mats, p), \
+                    (p, mats)
+                cases += 1
+            scalar_outcomes = [_idempotents_outcome(fplin.primitive_idempotents, [c * eye], p)
+                               for c in range(1, p)]
+            assert all(isinstance(o[0], tuple) for o in scalar_outcomes)
+        for mats in (np.zeros((1, 2, 3), dtype=np.int64), np.zeros((1, 0, 0), dtype=np.int64)):
+            assert (_idempotents_outcome(fplin.primitive_idempotents, mats, p)
+                    == _idempotents_outcome(old_primitive_idempotents, mats, p))
+    assert cases == 300
