@@ -595,8 +595,10 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
 
     Returns the pruned derivation whose steps lead to the goal; raises
     Saturated when the fact set stops growing (or hits the bound) first, and
-    ValueError before any rule fires when an axiom is malformed (_typed).
+    ValueError before any rule fires when the goal or an axiom is malformed
+    (_typed).
     """
+    _typed(goal.kind, goal.args)
     known = []
     seen = set()
     stronger = {}  # subsumption key -> the known facts with that key
@@ -652,8 +654,9 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
 def verify_derivation(derivation: Derivation, facts) -> bool:
     """Replay a derivation against its axioms: every step's inputs must be
     available, its rule must reproduce the recorded output, and every
-    recorded side condition must re-evaluate identically.  A malformed axiom
-    (_typed) raises ValueError."""
+    recorded side condition must re-evaluate identically.  A malformed goal
+    or axiom (_typed) raises ValueError."""
+    _typed(derivation.goal.kind, derivation.goal.args)
     known = {_typed(f.kind, f.args) for f in facts}
     for step in derivation.steps:
         if step.rule not in _APPLIERS:

@@ -16,6 +16,9 @@ from .algebra import AlgebraDefect, GradedAlgebra, verify_poincare_duality
 from .steenrod import SteenrodAction, operation_shift, verify_action
 
 DEFAULT_TOP_BOUND = 64
+# Specs nest at most this many levels (an atom is one level): printing,
+# comparing and building a spec recurse once or more per level.
+MAX_SPEC_DEPTH = 256
 
 # The number of int arguments each atomic family takes.
 ATOM_ARITY = {"Sphere": 1, "ComplexProj": 1, "QuatProj": 1, "TruncatedPoly": 2}
@@ -31,9 +34,11 @@ class FixtureSpec:
     family: str
     args: tuple
     p: int
+    depth = 1  # levels of nesting, set on each Product and ConnectedSum
 
     def __post_init__(self):
-        """Refuse a family with the wrong number or kind of arguments."""
+        """Refuse a family with the wrong number or kind of arguments, or
+        nested deeper than MAX_SPEC_DEPTH."""
         args, want = self.args, ATOM_ARITY.get(self.family)
         if want is not None:
             # want is 1 or 2, so the first and the last argument are all of them
@@ -47,6 +52,10 @@ class FixtureSpec:
                 and isinstance(args[1], FixtureSpec) and args[0].p == self.p == args[1].p):
             raise ValueError(f"{self.family} takes two fixture specs at the prime {self.p}, "
                              f"got {self._args_text()}")
+        depth = 1 + max(args[0].depth, args[1].depth)
+        if depth > MAX_SPEC_DEPTH:
+            raise _too_deep(self.family)
+        object.__setattr__(self, "depth", depth)
 
     def _args_text(self) -> str:
         if type(self.args) is not tuple:
@@ -103,6 +112,10 @@ def connected_sum(a: FixtureSpec, b: FixtureSpec) -> FixtureSpec:
     return FixtureSpec("ConnectedSum", (a, b), a.p)
 
 
+def _too_deep(family: str) -> ValueError:
+    return ValueError(f"{family} takes fixture specs nested at most {MAX_SPEC_DEPTH} levels deep")
+
+
 _TOKEN = re.compile(r"\s*([A-Za-z]+|\d+|[(),@])")
 _TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")
 
@@ -128,7 +141,7 @@ def parse_spec(text: str, default_p: int = 2) -> FixtureSpec:
         idx += 1
         return tok
 
-    def node():
+    def node(depth):
         name = take()
         if name not in FAMILIES:
             raise ValueError(f"unknown family {name!r}")
@@ -138,13 +151,15 @@ def parse_spec(text: str, default_p: int = 2) -> FixtureSpec:
             tok = peek()
             if tok == ")" or tok is None:
                 break
-            args.append(int(take()) if tok.isdigit() else node())
+            if not tok.isdigit() and depth == MAX_SPEC_DEPTH:
+                raise _too_deep(name)
+            args.append(int(take()) if tok.isdigit() else node(depth + 1))
             if peek() == ",":
                 take(",")
         take(")")
         return name, tuple(args)
 
-    tree = node()
+    tree = node(1)
     p = default_p
     if peek() == "@":
         take("@")
@@ -332,45 +347,48 @@ def _build_product(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
     return alg, SteenrodAction(alg, {divmod(c, w)[::-1]: m for c, m in ops.items()})
 
 
-def _build_connected_sum(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
-    """A and B glued at their ends: positive products of the two sides
-    vanish, and both fundamental classes become the one top class."""
-    p = A.p
-    n = A.n
-    if B.n != n or n < 2:
+def _build_connected_sum(leaves):
+    """The (algebra, action) leaves glued at their ends, in order: products
+    of classes from two different leaves vanish, and every leaf's fundamental
+    class becomes the one top class.
+
+    In each degree 0 < i < n the leaves' blocks follow one another in leaf
+    order, so every table and every operation is filled once, block by block.
+    """
+    algs = [alg for alg, _ in leaves]
+    p, n = algs[0].p, algs[0].n
+    if n < 2 or any(alg.n != n for alg in algs):
         raise ValueError("connected summands must share a top degree >= 2")
-    if A.dim(0) != 1 or B.dim(0) != 1 or A.dim(n) != 1 or B.dim(n) != 1:
+    if any(alg.dim(0) != 1 or alg.dim(n) != 1 for alg in algs):
         raise ValueError("connected summands need one-dimensional ends")
-    dims = [1] + [A.dim(i) + B.dim(i) for i in range(1, n)] + [1]
-
-    def rows(t, side):
-        """Rows of degree t that side 0 (A) or 1 (B) occupies."""
-        if t == n:
-            return slice(0, 1)
-        return slice(0, A.dim(t)) if side == 0 else slice(A.dim(t), dims[t])
-
+    # off[L][i]: where leaf L's block of degree i starts; every leaf's unit
+    # and top class sit at row 0
+    sizes = np.array([alg.dims for alg in algs])
+    sizes[:, [0, n]] = 0
+    off = (np.cumsum(sizes, axis=0) - sizes).tolist()
+    dims = [1, *sizes.sum(axis=0)[1:n].tolist(), 1]
+    blocks = {}
+    for o, alg in zip(off, algs):
+        for i, j in alg.mult:
+            if i and j:
+                blocks.setdefault((i, j), []).append((o, alg.mult3(i, j)))
     mult = {}
-    for i in range(1, n):
-        for j in range(1, n + 1 - i):
-            if not (dims[i] and dims[j] and dims[i + j]):
-                continue
-            table = np.zeros((dims[i + j], dims[i], dims[j]), dtype=np.int64)
-            table[rows(i + j, 0), :A.dim(i), :A.dim(j)] = A.mult3(i, j)
-            table[rows(i + j, 1), A.dim(i):, A.dim(j):] = B.mult3(i, j)
-            if table.any():
-                mult[(i, j)] = table.reshape(dims[i + j], dims[i] * dims[j])
+    for i, j in sorted(blocks):
+        table = np.zeros((dims[i + j], dims[i], dims[j]), dtype=np.int64)
+        for o, m in blocks[(i, j)]:
+            t, a, b = m.shape
+            table[o[i + j]:o[i + j] + t, o[i]:o[i] + a, o[j]:o[j] + b] = m
+        mult[(i, j)] = table.reshape(dims[i + j], dims[i] * dims[j])
     alg = GradedAlgebra(p, n, dims, _with_units(dims, mult))
-    if actA is None or actB is None:
+    if any(act is None for _, act in leaves):
         return alg, None
     maps = {}
-    for side, act in enumerate((actA, actB)):
+    for o, (_, act) in zip(off, leaves):
         for (s, j), m in act.maps.items():
-            if j == 0 or j >= n:
-                continue
-            t = j + operation_shift(p, s)
-            table = maps.setdefault((s, j), np.zeros((dims[t], dims[j]), dtype=np.int64))
-            table[rows(t, side), rows(j, side)] = m
-    maps = {key: m for key, m in maps.items() if m.any()}
+            if j:
+                t = j + operation_shift(p, s)
+                table = maps.setdefault((s, j), np.zeros((dims[t], dims[j]), dtype=np.int64))
+                table[o[t]:o[t] + m.shape[0], o[j]:o[j] + m.shape[1]] = m
     return alg, SteenrodAction(alg, maps)
 
 
@@ -442,17 +460,17 @@ def build(spec: FixtureSpec, bound: int = DEFAULT_TOP_BOUND) -> Fixture:
     if top > bound:
         raise SizeBound(f"top degree {top} exceeds the bound {bound}")
 
+    built = {}  # subtree -> (algebra, action), so identical leaves are built once
+
     def rec(node):
-        if node.family == "Product":
-            la, aa = rec(node.args[0])
-            lb, ab = rec(node.args[1])
-            return _build_product(la, aa, lb, ab)
-        if node.family == "ConnectedSum":
-            la, aa = rec(node.args[0])
-            lb, ab = rec(node.args[1])
-            return _build_connected_sum(la, aa, lb, ab)
-        g, t = _atom_shape(node)
-        return _build_truncated(node.p, g, t)
+        if node not in built:
+            if node.family == "Product":
+                built[node] = _build_product(*rec(node.args[0]), *rec(node.args[1]))
+            elif node.family == "ConnectedSum":
+                built[node] = _build_connected_sum([rec(leaf) for leaf in _leaves(node)])
+            else:
+                built[node] = _build_truncated(node.p, *_atom_shape(node))
+        return built[node]
 
     alg, act = rec(spec)
     alg.validate()

@@ -1,11 +1,12 @@
 """Command-line driver, exercised in process through main(argv)."""
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from periodica import cli, connectivity, decomposition, fplin, periodicity, steenrod
+from periodica import cli, connectivity, corpus, decomposition, fplin, periodicity, steenrod
 
 
 def run(capsys, *argv):
@@ -213,14 +214,36 @@ def test_input_errors_exit_two(capsys, cs_file, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def sphere_chain(k):
+    """A left-nested connected sum of k copies of S^2: k levels deep."""
+    return functools.reduce(lambda a, _: f"ConnectedSum({a},Sphere(2))", range(k - 1),
+                            "Sphere(2)") + "@2"
+
+
 @pytest.mark.parametrize("spec, family", [
     ("Product(ComplexProj(4))@2", "Product"), ("ConnectedSum(ComplexProj(2))@2", "ConnectedSum"),
     ("ComplexProj(ComplexProj(2))@2", "ComplexProj"), ("Product(ComplexProj(2),7)@2", "Product"),
-    ("ComplexProj()@2", "ComplexProj")])
+    ("ComplexProj()@2", "ComplexProj"),
+    # too deep to print (350) or to parse recursively (500) without the depth bound
+    pytest.param(sphere_chain(350), "ConnectedSum", id="350-fold-chain"),
+    pytest.param(sphere_chain(500), "ConnectedSum", id="500-fold-chain")])
 def test_malformed_specs_exit_two(capsys, spec, family):
     code, out, err = run(capsys, "corpus", "export", spec)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {family} takes ")
+
+
+def test_specs_nest_up_to_the_depth_bound(capsys, tmp_path):
+    bound = corpus.MAX_SPEC_DEPTH
+    code, _, _ = run(capsys, "corpus", "export", sphere_chain(bound),
+                     "--out", str(tmp_path / "chain.json"))
+    assert code == 0
+    spec = corpus.parse_spec(sphere_chain(bound))
+    assert spec.depth == bound and str(spec) == sphere_chain(bound)
+    code, out, err = run(capsys, "corpus", "export", sphere_chain(bound + 1))
+    assert code == 2 and out == "" and err.startswith("error: ConnectedSum takes ")
+    with pytest.raises(ValueError, match=f"nested at most {bound} levels"):
+        corpus.connected_sum(spec, corpus.sphere(2))
 
 
 def test_usage_error_exits_two(capsys):

@@ -685,3 +685,22 @@ def test_malformed_axioms_are_refused_before_any_rule_fires(monkeypatch, name):
             derive(goal, axioms)
         with pytest.raises(ValueError, match=message):
             verify_derivation(der, axioms)
+
+
+MALFORMED_GOALS = {
+    "reversed-window": (Fact("Periodic", ("M", 4, 40, 2, "rational")), "lo <= hi"),
+    "float-bound": (Fact("Periodic", ("M", 4, 1, 2.5, "rational")), "takes"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_GOALS)
+def test_malformed_goals_are_refused(name):
+    """Without the check, derive reached the reversed window through
+    Periodic(M, 4, 1, 12; rational), and verify_derivation accepted it."""
+    bad, message = MALFORMED_GOALS[name]
+    scenario, _ = C.codim_cascade_scenario(32)
+    with pytest.raises(ValueError, match=message):
+        derive(bad, scenario.facts)
+    der = derive(scenario.goal, scenario.facts)
+    with pytest.raises(ValueError, match=message):
+        verify_derivation(Derivation(bad, der.steps, der.final), scenario.facts)

@@ -204,6 +204,34 @@ def test_build_is_deterministic():
     assert a.expectation == b.expectation
 
 
+@pytest.mark.parametrize("text, algebras", [
+    ("ConnectedSum(ConnectedSum(ConnectedSum(ComplexProj(4),ComplexProj(4)),ComplexProj(4)),"
+     "ComplexProj(4))@2", 2),
+    ("Product(ConnectedSum(ComplexProj(2),ComplexProj(2)),"
+     "ConnectedSum(ComplexProj(2),ComplexProj(2)))@3", 3)])
+def test_builds_share_nothing_and_build_each_subtree_once(monkeypatch, text, algebras):
+    """Identical subtrees are built once inside one build call, but nothing
+    outlives the call: a second build of the spec shares no algebra, action
+    or table array with the first."""
+    made = []
+
+    class Counted(GradedAlgebra):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "GradedAlgebra", Counted)
+    first = build(parse_spec(text))
+    assert len(made) == algebras
+    second = build(parse_spec(text))
+    assert first.algebra is not second.algebra and first.action is not second.action
+
+    def arrays(fx):
+        return [*fx.algebra.mult.values(), *fx.action.maps.values()]
+
+    assert not any(np.shares_memory(a, b) for a in arrays(first) for b in arrays(second))
+
+
 def test_random_nested_specs_build_clean():
     rng = np.random.default_rng(23)
     atoms = ["Sphere(2)", "Sphere(4)", "ComplexProj(2)", "ComplexProj(3)", "QuatProj(2)"]

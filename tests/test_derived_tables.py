@@ -338,8 +338,15 @@ NESTED_SPECS = tuple(
 KERNEL_SPECS = tuple(f"ConnectedSum(ComplexProj(4),Product(Sphere(1),Sphere(7)))@{p}"
                      for p in (2, 3))
 
-BUILDERS = {"Product": (corpus._build_product, old_build_product),
-            "ConnectedSum": (corpus._build_connected_sum, old_build_connected_sum)}
+def _fold_connected_sum(parts):
+    """The leaves glued pairwise from the left by the binary reference."""
+    return functools.reduce(lambda left, right: old_build_connected_sum(*left, *right), parts)
+
+
+# family -> (new, reference), each taking the list of built children
+BUILDERS = {"Product": (lambda parts: corpus._build_product(*parts[0], *parts[1]),
+                        lambda parts: old_build_product(*parts[0], *parts[1])),
+            "ConnectedSum": (corpus._build_connected_sum, _fold_connected_sum)}
 
 
 def assert_same_tables(new, old):
@@ -352,17 +359,20 @@ def assert_same_tables(new, old):
 
 def assemble(spec, seed=None):
     """The algebra and action of spec from the new builders, checked against
-    the reference at every Product and ConnectedSum node.  With a seed every
-    factor is first moved to a random basis (rebasing.rebased)."""
-    if spec.family in BUILDERS:
-        left, right = (assemble(node, seed) for node in spec.args)
-        if seed is not None:
-            left, right = rebased_with_action(*left, seed), rebased_with_action(*right, seed + 1)
-        new, old = BUILDERS[spec.family]
-        out = new(*left, *right)
-        assert_same_tables(out, old(*left, *right))
-        return out
-    return corpus._build_truncated(spec.p, *corpus._atom_shape(spec))
+    the reference at every Product node and every ConnectedSum chain (the new
+    builder glues a chain's leaves in one pass, the reference folds them
+    pairwise).  With a seed every factor and every leaf is first moved to a
+    random basis (rebasing.rebased)."""
+    if spec.family not in BUILDERS:
+        return corpus._build_truncated(spec.p, *corpus._atom_shape(spec))
+    nodes = corpus._leaves(spec) if spec.family == "ConnectedSum" else spec.args
+    parts = [assemble(node, seed) for node in nodes]
+    if seed is not None:
+        parts = [rebased_with_action(*part, seed + t) for t, part in enumerate(parts)]
+    new, old = BUILDERS[spec.family]
+    out = new(parts)
+    assert_same_tables(out, old(parts))
+    return out
 
 
 def assert_windows_match(alg, act, degrees):
@@ -452,3 +462,46 @@ def test_builders_and_windows_match_the_pair_loops_on_random_specs(text, seed):
         verify_action(alg, act)
     small = [k for k in range(1, alg.n) if alg.p ** alg.dim(k) <= 125]
     assert_windows_match(alg, act, small)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 8).flatmap(lambda top: st.lists(_bodies(top, 1), min_size=2, max_size=6)),
+       st.sampled_from((2, 3, 5)), st.integers(0, 2**16))
+def test_gluing_leaves_matches_the_left_fold(bodies, p, seed):
+    """Two to six mixed leaves glued in one pass equal the binary gluings
+    folded from the left, on leaves in a random basis."""
+    leaves = [rebased_with_action(*assemble(corpus.parse_spec(f"{body}@{p}")), seed + t)
+              for t, body in enumerate(bodies)]
+    assert_same_tables(corpus._build_connected_sum(leaves), _fold_connected_sum(leaves))
+
+
+def _nested(leaves, left_size):
+    """leaves as a ConnectedSum tree whose left subtree takes left_size(k) of its k leaves."""
+    if len(leaves) == 1:
+        return leaves[0]
+    m = left_size(len(leaves))
+    return f"ConnectedSum({_nested(leaves[:m], left_size)},{_nested(leaves[m:], left_size)})"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tree_shape_does_not_change_the_sum(p):
+    """The basis runs over the leaves left to right, however they nest:
+    left-nested, right-nested and balanced trees give the same tables."""
+    leaves = ["ComplexProj(4)", "Product(Sphere(2),ComplexProj(3))", "QuatProj(2)",
+              "Product(Sphere(3),Sphere(5))", "ComplexProj(4)"]
+    fixtures = [corpus.build(corpus.parse_spec(f"{_nested(leaves, left_size)}@{p}"))
+                for left_size in (lambda k: k - 1, lambda k: 1, lambda k: k // 2)]
+    assert fixtures[0].action is not None
+    for fx in fixtures[1:]:
+        assert_same_tables((fx.algebra, fx.action), (fixtures[0].algebra, fixtures[0].action))
+
+
+def test_gluing_keeps_the_per_leaf_errors():
+    cp2, s3, s1 = (corpus._build_truncated(2, g, t) for g, t in ((2, 2), (3, 1), (1, 1)))
+    wide_top = (GradedAlgebra(2, 4, [1, 0, 0, 0, 2], {}), None)
+    for leaves, message in (([cp2, cp2, s3], "share a top degree >= 2"),
+                            ([s1, s1], "share a top degree >= 2"),
+                            ([cp2, cp2, wide_top], "one-dimensional ends")):
+        for glue in (corpus._build_connected_sum, _fold_connected_sum):
+            with pytest.raises(ValueError, match=message):
+                glue(leaves)

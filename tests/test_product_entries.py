@@ -143,7 +143,7 @@ def assemble(spec, seed=None):
         assert_same_build(out, block_build_product(*left, *right))
         return out
     if spec.family == "ConnectedSum":
-        return corpus._build_connected_sum(*(x for node in spec.args for x in assemble(node, seed)))
+        return corpus._build_connected_sum([assemble(node, seed) for node in corpus._leaves(spec)])
     return corpus._build_truncated(spec.p, *corpus._atom_shape(spec))
 
 
