@@ -226,7 +226,7 @@ def _cmd_irreducible(args, cap):
 
 def _cmd_decompose(args, cap):
     alg, act, x = _element_for(args)
-    if 3 * x.degree > alg.n - 1:
+    if x.degree > periodicity.direct_bound(alg.n):
         raise InputError(f"decompose needs 3k <= n-1, got k = {x.degree}, n = {alg.n}")
     window, failure = _window_for(alg, act, x, cap)
     if failure:

@@ -92,18 +92,6 @@ def sphere(n: int, p: int = 2) -> FixtureSpec:
     return FixtureSpec("Sphere", (n,), p)
 
 
-def complex_proj(m: int, p: int = 2) -> FixtureSpec:
-    return FixtureSpec("ComplexProj", (m,), p)
-
-
-def quat_proj(m: int, p: int = 2) -> FixtureSpec:
-    return FixtureSpec("QuatProj", (m,), p)
-
-
-def truncated_poly(g: int, t: int, p: int = 2) -> FixtureSpec:
-    return FixtureSpec("TruncatedPoly", (g, t), p)
-
-
 def product(a: FixtureSpec, b: FixtureSpec) -> FixtureSpec:
     return FixtureSpec("Product", (a, b), a.p)
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import fplin
 from .algebra import Element
 from .fplin import Subspace
-from .periodicity import SubquotientAlgebra
+from .periodicity import SubquotientAlgebra, direct_bound, window_ranges
 
 
 class OverlapMismatch(RuntimeError):
@@ -49,6 +49,11 @@ def _vector_of(window, a, expected_degree=None):
     return fplin.as_vector(a, window.p)
 
 
+def _check_action(window: SubquotientAlgebra) -> None:
+    if window.k > direct_bound(window.n):
+        raise ValueError("the action needs 3k <= n-1")
+
+
 def multiplication_operator(window: SubquotientAlgebra, a) -> MultOperator:
     """Assemble the degree-preserving operator of a degree-k element.
 
@@ -57,8 +62,7 @@ def multiplication_operator(window: SubquotientAlgebra, a) -> MultOperator:
     contracts the element with the window's ring_action.
     """
     k, n = window.k, window.n
-    if 3 * k > n - 1:
-        raise ValueError("the action needs 3k <= n-1")
+    _check_action(window)
     av = _vector_of(window, a, k)
     xv = fplin.as_vector(av, window.p)
     if xv.shape[0] != window.dim(k):
@@ -87,8 +91,7 @@ def _basis_operators(window: SubquotientAlgebra) -> dict:
     if not window.dim(k):
         return {u: np.zeros((0, window.dim(u), window.dim(u)), dtype=np.int64)
                 for u in range(1, n)}
-    if 3 * k > n - 1:
-        raise ValueError("the action needs 3k <= n-1")
+    _check_action(window)
     stacks = {}
     for u in range(1, n):
         low, high, agree = window.ring_action[u]
@@ -239,7 +242,7 @@ def decompose(window: SubquotientAlgebra) -> DecompositionResult:
     """
     cert = window.certificate
     k, n = window.k, window.n
-    if cert.mode != "direct" or 3 * k > n - 1:
+    if cert.mode != "direct" or k > direct_bound(n):
         raise ValueError("decomposition needs a direct certificate with 3k <= n-1")
     if window.total_dim == 0:
         return DecompositionResult([], [])
@@ -307,6 +310,7 @@ def verify_decomposition(window: SubquotientAlgebra,
     not local is reported with a pair (e, unit - e) of idempotents that both
     act on it nontrivially.  Violations come back as report data."""
     k, n, p = window.k, window.n, window.p
+    onto, into = window_ranges(n, k)
     violations = []
     summands = result.summands
     if not summands:
@@ -345,7 +349,7 @@ def verify_decomposition(window: SubquotientAlgebra,
                     if hit[starts[u][j]:starts[u][j + 1]].any():
                         violations.append(
                             f"summand {i} element does not annihilate summand {j} in degree {u}")
-            if u <= n - 1 - k and s.spaces[u].dim:
+            if onto.start <= u < into.stop and s.spaces[u].dim:
                 target = s.spaces[u + k]
                 if s.spaces[u].dim != target.dim:
                     violations.append(

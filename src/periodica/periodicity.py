@@ -2,9 +2,11 @@
 
 An element x of degree k passes the window test for an algebra with top
 degree n when cupping with x is surjective from degree i for
-1 <= i < n-1-k and injective for 1 < i <= n-1-k.  x induces periodicity
-when induces_periodicity certifies it, in one of three modes tried in
-this order: "direct" (the window test with 3k <= n-1), "window" (a window
+1 <= i < n-1-k and injective for 1 < i <= n-1-k; the degree k is direct
+when 3k <= n-1.  window_ranges and direct_bound state these bounds, and
+every check reads them there.  x induces periodicity when
+induces_periodicity certifies it, in one of three modes tried in this
+order: "direct" (the window test in a direct degree), "window" (a window
 pass whose gap, the nonzero degrees no window condition touches, is
 empty), and "product" (a product of direct inducers).  Every caller that
 asks whether x induces (element_induces, is_irreducible,
@@ -68,38 +70,55 @@ class MinimumPeriodReport:
     divisibility_checked: bool
 
 
+def window_ranges(n: int, k: int) -> tuple[range, range]:
+    """The source degrees i where cupping with a degree-k element must be
+    surjective onto degree i + k, then those where it must be injective."""
+    return range(1, n - 1 - k), range(2, n - k)
+
+
+def direct_bound(n: int) -> int:
+    """The largest direct degree for top degree n: k is direct when 3k <= n-1."""
+    return (n - 1) // 3
+
+
 def _window_failure(alg, k, xv):
     """First violated window condition for cupping with xv, or None.
 
     Returns (source degree, "surjectivity" | "injectivity").
     """
-    p = alg.p
-    top = alg.n - 1 - k
-    for i in range(1, top + 1):
+    onto, into = window_ranges(alg.n, k)
+    for i in range(onto.start, into.stop):
         if alg.dim(i) == 0 and alg.dim(i + k) == 0:
             continue
-        r = fplin.rank(alg.cup_matrix(k, xv, i), p)
-        if i < top and r < alg.dim(i + k):
+        r = fplin.rank(alg.cup_matrix(k, xv, i), alg.p)
+        if i in onto and r < alg.dim(i + k):
             return i, "surjectivity"
-        if i > 1 and r < alg.dim(i):
+        if i in into and r < alg.dim(i):
             return i, "injectivity"
     return None
 
 
 def window_gap(alg, k: int) -> tuple[int, ...]:
     """Degrees with nonzero dimension that no window condition for k touches."""
-    n = alg.n
-    covered = set()
-    covered.update(range(1, n - 1 - k))
-    covered.update(range(1 + k, n - 1))
-    covered.update(range(2, n - k))
-    covered.update(range(2 + k, n))
-    return tuple(i for i in range(1, n) if i not in covered and alg.dim(i) > 0)
+    onto, into = window_ranges(alg.n, k)
+    sources = set(onto) | set(into)
+    covered = sources | {i + k for i in sources}
+    return tuple(i for i in range(1, alg.n) if i not in covered and alg.dim(i) > 0)
 
 
 def _check_degree(alg, k: int) -> None:
     if not 1 <= k <= alg.n - 1:
         raise ValueError(f"degree {k} outside 1..{alg.n - 1}")
+
+
+def _element_vector(alg, x: Element) -> np.ndarray:
+    """x's coordinates mod p; ValueError for a degree outside 1..n-1 or a
+    vector of the wrong length."""
+    _check_degree(alg, x.degree)
+    xv = fplin.as_vector(x.as_vector(), alg.p)
+    if xv.shape[0] != alg.dim(x.degree):
+        raise ValueError("element length does not match its degree")
+    return xv
 
 
 def _check_limits(cap: int, samples: int) -> None:
@@ -111,32 +130,25 @@ def _check_limits(cap: int, samples: int) -> None:
 
 def verify_certificate(alg, cert: PeriodicityCertificate) -> bool:
     """Re-run the checks that justify a certificate; True iff all still hold."""
-    n = alg.n
     k = cert.k
-    if not 1 <= k <= n - 1 or cert.element.degree != k:
+    if not 1 <= k <= alg.n - 1 or cert.element.degree != k:
         return False
     xv = cert.element.as_vector() % alg.p
     if xv.shape[0] != alg.dim(k):
         return False
     if cert.mode == "direct":
-        return 3 * k <= n - 1 and _window_failure(alg, k, xv) is None
+        return k <= direct_bound(alg.n) and _window_failure(alg, k, xv) is None
     if cert.mode == "window":
         return _window_failure(alg, k, xv) is None and not window_gap(alg, k)
     if cert.mode == "product":
-        if not cert.factors:
-            return False
         deg, acc = 0, None
         for f in cert.factors:
+            if not verify_certificate(alg, PeriodicityCertificate(f.degree, f, "direct")):
+                return False
             fv = f.as_vector() % alg.p
-            if 3 * f.degree > n - 1 or fv.shape[0] != alg.dim(f.degree):
-                return False
-            if _window_failure(alg, f.degree, fv) is not None:
-                return False
             if acc is None:
                 deg, acc = f.degree, fv
             else:
-                if deg + f.degree > n - 1:
-                    return False
                 acc = alg.cup(deg, acc, f.degree, fv)
                 deg += f.degree
         return deg == k and np.array_equal(acc, xv)
@@ -151,16 +163,16 @@ def _ruled_out(alg, k: int) -> bool:
     where dim i+k < dim i.  A product of direct inducers passes the window
     conditions too, so no product certificate reaches k either.
     """
-    top = alg.n - 1 - k
-    return any((i < top and alg.dim(i) < alg.dim(i + k))
-               or (i > 1 and alg.dim(i + k) < alg.dim(i)) for i in range(1, top + 1))
+    onto, into = window_ranges(alg.n, k)
+    return (any(alg.dim(i) < alg.dim(i + k) for i in onto)
+            or any(alg.dim(i + k) < alg.dim(i) for i in into))
 
 
 def _product_degree(alg, k: int) -> bool:
     """Whether k is a sum of at least two degrees e <= (n-1)//3 that
     _ruled_out leaves open: only such a degree can hold a product of direct
     inducers, since every factor's degree is one of them."""
-    degrees = [e for e in range(1, (alg.n - 1) // 3 + 1) if not _ruled_out(alg, e)]
+    degrees = [e for e in range(1, direct_bound(alg.n) + 1) if not _ruled_out(alg, e)]
     sums = set()  # the totals below k of at least one such degree
     for total in range(1, k):
         if total in degrees or any(total - e in sums for e in degrees):
@@ -171,7 +183,7 @@ def _product_degree(alg, k: int) -> bool:
 def _centroid_decides(alg, k: int) -> bool:
     """Whether _unit_test decides the direct degree k: 2 <= k, 3k <= n-1,
     degree k is nonzero and the tables pass the ring axioms its proof uses."""
-    return (2 <= k and 3 * k <= alg.n - 1 and alg.dim(k) > 0
+    return (2 <= k <= direct_bound(alg.n) and alg.dim(k) > 0
             and alg.associativity_defect is None and alg.commutativity_defect is None)
 
 
@@ -343,7 +355,7 @@ class _ProductSpan:
     def __init__(self, alg, cap: int):
         self.alg = alg
         self.cap = cap
-        self.top = (alg.n - 1) // 3
+        self.top = direct_bound(alg.n)
         self._inducers = {}  # d -> direct inducers, one per row, enumeration order
         self._products = {}  # d -> (key -> row, [(b, reach row, inducer row)])
         self._reach = {}     # a -> (sorted keys as rows, product row or -1 - inducer row)
@@ -515,12 +527,9 @@ def induces_periodicity(alg, x: Element, cap: int = DEFAULT_SEARCH_CAP, *,
     degree outside 1..n-1 or a vector of the wrong length.
     """
     k = x.degree
-    _check_degree(alg, k)
-    xv = fplin.as_vector(x.as_vector(), alg.p)
-    if xv.shape[0] != alg.dim(k):
-        raise ValueError("element length does not match its degree")
+    xv = _element_vector(alg, x)
     fail = _window_failure(alg, k, xv)
-    if 3 * k <= alg.n - 1:
+    if k <= direct_bound(alg.n):
         if fail is not None:
             return WindowRefusal(k, x, *fail)
         return PeriodicityCertificate(k, x, "direct")
@@ -558,19 +567,17 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
     "exhausted" (provably none) or "inconclusive" (capped search found
     nothing), from the first rule that answers:
 
-    1. Direct (3k <= n-1) with p^dim(k) <= cap: exhausted when the
-       dimensions fail a window condition (_ruled_out); else the least
-       unit of the centroid where it decides k (see _unit_test); else the
-       least window pass in lexicographic order.
-    2. The least degree-k product of direct inducers.
-    3. Window mode (3k > n-1) with nonzero degrees no window condition
+    1. Unless k is direct (3k <= n-1) with p^dim(k) <= cap: the least
+       degree-k product of direct inducers.
+    2. Window mode (3k > n-1) with nonzero degrees no window condition
        touches: exhausted when the product search ends, _ruled_out, or k
        is no sum of product factor degrees (_product_degree), else
        inconclusive.
-    4. Exhausted when the dimensions rule k out, at any cap.
-    5. Direct where the centroid decides k: its Nakayama generator.
-    6. Window mode with p^dim(k) <= cap: the least window pass.
-    7. Window-test `samples` random vectors drawn from `seed`, else inconclusive.
+    3. Exhausted when the dimensions rule k out (_ruled_out), at any cap.
+    4. Direct where the centroid decides k (see _unit_test): its least
+       unit with p^dim(k) <= cap, else its Nakayama generator.
+    5. p^dim(k) <= cap: the least window pass in lexicographic order.
+    6. Window-test `samples` random vectors drawn from `seed`, else inconclusive.
 
     _span shares one product span across calls (search_degrees).  Raises
     ValueError for k outside 1..n-1, cap < 1 or samples < 0.
@@ -578,33 +585,29 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
     _check_degree(alg, k)
     _check_limits(cap, samples)
     space = alg.p ** alg.dim(k)
-    direct = 3 * k <= alg.n - 1
+    direct = k <= direct_bound(alg.n)
     mode = "direct" if direct else "window"
     if _span is None:
         _span = _ProductSpan(alg, cap)
-    if direct and space <= cap:
-        if _ruled_out(alg, k):
-            return _certificate(alg, k, None, mode)
-        if _centroid_decides(alg, k):
-            return _certificate(alg, k, _span.least_unit(k), mode)
-        return _first_window_pass(alg, k, mode)
-    try:
-        products, complete = _span.span(k), True
-    except SearchCapExceeded:
-        products, complete = {}, False
-    if products:
-        t = min(products)
-        return PeriodicityCertificate(k, Element.of(k, t), "product", _span.factors(k, t))
-    gap = () if direct else window_gap(alg, k)
-    if gap:
-        if complete or _ruled_out(alg, k) or not _product_degree(alg, k):
-            return SearchVerdict(
-                k, "exhausted",
-                f"no product of inducers reaches degree {k} and degrees {gap} escape the window")
-        return SearchVerdict(k, "inconclusive", "product search passed the cap")
+    if not (direct and space <= cap):
+        try:
+            products, complete = _span.span(k), True
+        except SearchCapExceeded:
+            products, complete = {}, False
+        if products:
+            t = min(products)
+            return PeriodicityCertificate(k, Element.of(k, t), "product", _span.factors(k, t))
+        gap = () if direct else window_gap(alg, k)
+        if gap:
+            if complete or _ruled_out(alg, k) or not _product_degree(alg, k):
+                return SearchVerdict(k, "exhausted", f"no product of inducers reaches degree {k}"
+                                     f" and degrees {gap} escape the window")
+            return SearchVerdict(k, "inconclusive", "product search passed the cap")
     if _ruled_out(alg, k):
         return _certificate(alg, k, None, mode)
     if direct and _centroid_decides(alg, k):
+        if space <= cap:
+            return _certificate(alg, k, _span.least_unit(k), mode)
         test = _span.unit_test(k)
         passes = test is not None and _window_failure(alg, k, test.generator) is None
         return _certificate(alg, k, test.generator if passes else None, mode)
@@ -720,12 +723,13 @@ class SubquotientAlgebra(GradedAlgebra):
         window; an element's action is the contraction of its coordinates
         with a stack."""
         k, n, p = self.k, self.n, self.p
+        onto, into = window_ranges(n, k)
         out = {}
         for u in range(1, n):
             low = high = None
-            if u <= n - 1 - k:
+            if onto.start <= u < into.stop:
                 low = (self.shift_invs[u] @ self.mult3(k, u).transpose(1, 0, 2)) % p
-            if u >= 1 + k:
+            if onto.start <= u - k < into.stop:
                 high = (self.mult3(k, u - k).transpose(1, 0, 2) @ self.shift_invs[u - k]) % p
             out[u] = (low, high, low is None or high is None or np.array_equal(low, high))
         return out
@@ -758,12 +762,13 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
     if not verify_certificate(alg, cert):
         raise WellDefinednessFailure("certificate does not re-verify on this algebra")
     n, p, k = alg.n, alg.p, cert.k
+    onto, into = window_ranges(n, k)
     xv = cert.element.as_vector() % p
     ker1 = fplin.kernel(alg.cup_matrix(k, xv, 1), p)
     spaces = {}
     for i in range(1, n):
         if i == n - 1:
-            spaces[i] = fplin.image(alg.cup_matrix(k, xv, n - 1 - k), p)
+            spaces[i] = fplin.image(alg.cup_matrix(k, xv, into.stop - 1), p)
         elif i == 1:
             spaces[i] = ker1.coordinate_complement()
         else:
@@ -787,7 +792,7 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
                 "a product in the top window degree escapes the image "
                 "of the inducing element")
     shifts, shift_invs = {}, {}
-    for i in range(1, n - k):
+    for i in range(onto.start, into.stop):
         src, tgt = spaces[i], spaces[i + k]
         if src.dim != tgt.dim:
             raise WellDefinednessFailure(
@@ -832,12 +837,14 @@ def is_irreducible(window, x: Element, cap: int = DEFAULT_SEARCH_CAP) -> Irreduc
 
     Exhausts all decompositions of x inside the window's degree-k space; on
     failure the witness pair is the lexicographically first counterexample.
+    Raises ValueError for a degree outside 1..n-1 or a vector of the wrong
+    length.
     """
     k = x.degree
+    xv = _element_vector(window, x)
     dk = window.dim(k)
     if window.p ** dk > cap:
         raise SearchCapExceeded(f"{window.p ** dk} decompositions exceed cap {cap}")
-    xv = x.as_vector() % window.p
     span = _ProductSpan(window, cap)
     memo: dict[tuple, bool] = {}
 
@@ -1024,8 +1031,10 @@ def check_minimum_period_form(p: int, k: int, n: int, irreducible: bool = False,
     p = 2: a power of 2.  Odd p: 1, or 2*lam*p^alpha; the extra requirement
     that lam divides p-1 is asserted when 2(p-1)k <= n-1 holds or, for an
     irreducible window, when its degree-k dimension is 1 (at p = 3 both
-    readings agree since lam <= 2).
+    readings agree since lam <= 2).  Raises UnsupportedModulus, a
+    ValueError, unless p is a supported prime, and ValueError for k < 1.
     """
+    fplin.check_modulus(p)
     if k < 1:
         raise ValueError("periods are positive")
     if p == 2:
@@ -1069,7 +1078,10 @@ def combine_periods(k: int, h1_vanishes_mod2: bool, h1_vanishes_mod3: bool) -> C
 
     Needs the degree-1 groups mod 2 and mod 3 to vanish; without both flags
     the verdict records the missing hypotheses instead of a period.
+    Raises ValueError for k < 1.
     """
+    if k < 1:
+        raise ValueError("periods are positive")
     missing = []
     if not h1_vanishes_mod2:
         missing.append("degree-1 group mod 2 must vanish")

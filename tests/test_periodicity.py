@@ -5,6 +5,10 @@ rings and their connected sums.
 """
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +258,15 @@ def test_irreducibility_cap():
         P.is_irreducible(w, Element(2, (1, 1)), cap=1)
 
 
+@pytest.mark.parametrize("x, match", [
+    (Element(2, (1,)), "length"), (Element(2, (1, 1, 0)), "length"),
+    (Element(0, (1,)), "degree"), (Element(8, (1,)), "degree")])
+def test_irreducibility_refuses_a_malformed_element(x, match):
+    w = window_of(build("ConnectedSum(ComplexProj(4),ComplexProj(4))@2"))
+    with pytest.raises(ValueError, match=match):
+        P.is_irreducible(w, x)
+
+
 def test_nonperiodic_subspace():
     w = window_of(build("ComplexProj(4)@2"))
     out = P.nonperiodic_subspace(w, 2)
@@ -319,6 +332,38 @@ def test_combine_periods():
     for flags in ((False, True), (True, False), (False, False)):
         v = P.combine_periods(8, *flags)
         assert not v.hypothesis_met and v.period is None and v.missing
+
+
+def test_minimum_period_form_refuses_an_unsupported_modulus():
+    """p = 0, 1 and 4 are each refused.  p = 1 once looped forever, so the
+    calls run in a child process under a timeout."""
+    script = ("from periodica import fplin, periodicity as P\n"
+              "for p in (0, 1, 4):\n"
+              "    try:\n"
+              "        P.check_minimum_period_form(p, 6, 20)\n"
+              "    except fplin.UnsupportedModulus:\n"
+              "        print(p, 'refused')\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(P.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.splitlines() == ["0 refused", "1 refused", "4 refused"]
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_combine_periods_refuses_a_period_below_one(k):
+    with pytest.raises(ValueError, match="positive"):
+        P.combine_periods(k, True, True)
+
+
+def test_product_certificate_factors_are_direct_certificates():
+    alg = build("ComplexProj(4)@2").algebra
+    x, y = Element(2, (1,)), Element(4, (1,))
+    assert P.verify_certificate(alg, PeriodicityCertificate(2, x, "product", (x,)))
+    assert P.verify_certificate(alg, PeriodicityCertificate(4, y, "product", (x, x)))
+    # The unit has degree 0 and y degree 4 > (8-1)//3: neither is a direct inducer.
+    for k, z, factors in ((2, x, (Element(0, (1,)), x)), (2, x, (x, Element(0, (1,)))),
+                          (4, y, (y,)), (2, x, ())):
+        assert not P.verify_certificate(alg, PeriodicityCertificate(k, z, "product", factors))
 
 
 def test_found_certificates_verify():
