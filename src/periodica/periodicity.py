@@ -121,7 +121,7 @@ def _element_vector(alg, x: Element) -> np.ndarray:
     return xv
 
 
-def _check_limits(cap: int, samples: int) -> None:
+def _check_limits(cap: int, samples: int = 0) -> None:
     if cap < 1:
         raise ValueError(f"the search cap must be at least 1, got {cap}")
     if samples < 0:
@@ -310,9 +310,12 @@ class _ProductSpan:
     first factorization met wins, so certificates are deterministic.  The
     reach of degree a is its direct inducers (when 3a <= n-1) followed by
     the degree-a products not among them.  Each (a, b) block is two matrix
-    products, deduplicated with np.unique.  Direct inducers, products and
-    reaches are kept per degree for the engine's lifetime only, with the
-    centroid tests of the direct degrees; nothing is stored on the algebra.
+    products, deduplicated with np.unique.  A degree's window passes are
+    decided in one place, passes: the dimension bound, then the centroid,
+    then enumeration; the direct inducers are those passes stacked.  Direct
+    inducers, products and reaches are kept per degree for the engine's
+    lifetime only, with the centroid tests of the direct degrees; nothing
+    is stored on the algebra.
 
     Where a premise holds, degree d is one linear image instead: the
     products r * U of the first sorted reach row r of degree d - b, with
@@ -360,8 +363,7 @@ class _ProductSpan:
         self._products = {}  # d -> (key -> row, [(b, reach row, inducer row)])
         self._reach = {}     # a -> (sorted keys as rows, product row or -1 - inducer row)
         self._spans = {}     # k -> span(k), or the message of the refusal
-        self._tests = {}     # d -> _unit_test(alg, d)
-        self._least = {}     # d -> least_unit(d)
+        self._tests = {}     # d -> unit_test(d)
         self._counts = {}    # (d, below) -> _grow's count of the degree-d products
 
     def span(self, k: int) -> dict:
@@ -394,21 +396,31 @@ class _ProductSpan:
         return head + (Element.of(b, self._inducers[b][s]),)
 
     def unit_test(self, d: int) -> _UnitTest | None:
-        """_unit_test(alg, d), computed once per search."""
+        """_unit_test(alg, d) when its generator passes the window test, else
+        None, and then no degree-d vector passes (see _unit_test); computed
+        once per search."""
         if d not in self._tests:
-            self._tests[d] = _unit_test(self.alg, d)
+            test = _unit_test(self.alg, d)
+            passes = test is not None and _window_failure(self.alg, d, test.generator) is None
+            self._tests[d] = test if passes else None
         return self._tests[d]
 
-    def least_unit(self, d: int) -> np.ndarray | None:
-        """The least degree-d unit when it passes the window test; None
-        when it fails, and then no degree-d vector passes (see _unit_test)."""
-        if d not in self._least:
+    def passes(self, d: int):
+        """The degree-d window passes in lexicographic order, lazily, as row
+        blocks: none when the dimensions rule d out; where the centroid
+        decides d, its units, or none when unit_test(d) is None; otherwise
+        each vector window-tested in turn."""
+        alg = self.alg
+        if _ruled_out(alg, d):
+            return
+        if _centroid_decides(alg, d):
             test = self.unit_test(d)
-            rows = () if test is None else next(
-                (block[:1] for block in test.units() if len(block)), ())
-            self._least[d] = next(
-                (v for v in rows if _window_failure(self.alg, d, v) is None), None)
-        return self._least[d]
+            if test is not None:
+                yield from (block for block in test.units() if len(block))
+            return
+        for v in fplin.enumerate_vectors(alg.dim(d), alg.p):
+            if _window_failure(alg, d, v) is None:
+                yield v[None]
 
     def _grow_to(self, k):
         alg, cap = self.alg, self.cap
@@ -490,23 +502,10 @@ class _ProductSpan:
         return self._reach[a][0]
 
     def _direct(self, d):
-        """The direct inducers of degree d, one per row, in lexicographic order.
-
-        Empty when the dimensions rule d out.  Where the centroid decides d,
-        they are the units if the least unit passes the window test, and
-        nothing otherwise; elsewhere each vector is window-tested.
-        """
+        """The direct inducers of degree d, one per row: passes(d) stacked."""
         if d not in self._inducers:
-            alg, dim = self.alg, self.alg.dim(d)
-            if _ruled_out(alg, d):
-                found = []
-            elif _centroid_decides(alg, d):
-                found = ([] if self.least_unit(d) is None
-                         else np.vstack(list(self.unit_test(d).units())))
-            else:
-                found = [v for v in fplin.enumerate_vectors(dim, alg.p)
-                         if _window_failure(alg, d, v) is None]
-            self._inducers[d] = np.array(found, dtype=np.int64).reshape(len(found), dim)
+            self._inducers[d] = np.vstack(
+                [np.zeros((0, self.alg.dim(d)), dtype=np.int64), *self.passes(d)])
         return self._inducers[d]
 
 
@@ -524,8 +523,9 @@ def induces_periodicity(alg, x: Element, cap: int = DEFAULT_SEARCH_CAP, *,
     or else the first gap degree with the condition "gap".
 
     _span shares one product span across calls.  Raises ValueError for a
-    degree outside 1..n-1 or a vector of the wrong length.
+    degree outside 1..n-1, a vector of the wrong length or cap < 1.
     """
+    _check_limits(cap)
     k = x.degree
     xv = _element_vector(alg, x)
     fail = _window_failure(alg, k, xv)
@@ -552,12 +552,6 @@ def _certificate(alg, k: int, v, mode: str):
     return PeriodicityCertificate(k, Element.of(k, v), mode)
 
 
-def _first_window_pass(alg, k: int, mode: str):
-    """The lexicographically least degree-k window pass, or the exhausted verdict."""
-    return _certificate(alg, k, next((v for v in fplin.enumerate_vectors(alg.dim(k), alg.p)
-                                      if _window_failure(alg, k, v) is None), None), mode)
-
-
 def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
                           samples: int = DEFAULT_SAMPLE_COUNT, seed: int = 0,
                           *, _span: _ProductSpan | None = None):
@@ -573,10 +567,12 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
        touches: exhausted when the product search ends, _ruled_out, or k
        is no sum of product factor degrees (_product_degree), else
        inconclusive.
-    3. Exhausted when the dimensions rule k out (_ruled_out), at any cap.
-    4. Direct where the centroid decides k (see _unit_test): its least
-       unit with p^dim(k) <= cap, else its Nakayama generator.
-    5. p^dim(k) <= cap: the least window pass in lexicographic order.
+    3. p^dim(k) <= cap: the least window pass in lexicographic order, from
+       _ProductSpan.passes (none when the dimensions rule k out, the least
+       unit where the centroid decides k), else exhausted.
+    4. Past the cap: exhausted when the dimensions rule k out (_ruled_out).
+    5. Direct where the centroid decides k (see _unit_test): its Nakayama
+       generator when it passes the window test, else exhausted.
     6. Window-test `samples` random vectors drawn from `seed`, else inconclusive.
 
     _span shares one product span across calls (search_degrees).  Raises
@@ -603,16 +599,13 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
                 return SearchVerdict(k, "exhausted", f"no product of inducers reaches degree {k}"
                                      f" and degrees {gap} escape the window")
             return SearchVerdict(k, "inconclusive", "product search passed the cap")
+    if space <= cap:
+        return _certificate(alg, k, next((b[0] for b in _span.passes(k)), None), mode)
     if _ruled_out(alg, k):
         return _certificate(alg, k, None, mode)
     if direct and _centroid_decides(alg, k):
-        if space <= cap:
-            return _certificate(alg, k, _span.least_unit(k), mode)
         test = _span.unit_test(k)
-        passes = test is not None and _window_failure(alg, k, test.generator) is None
-        return _certificate(alg, k, test.generator if passes else None, mode)
-    if space <= cap:
-        return _first_window_pass(alg, k, mode)
+        return _certificate(alg, k, None if test is None else test.generator, mode)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         v = rng.integers(0, alg.p, size=alg.dim(k)).astype(np.int64)
@@ -821,7 +814,8 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
 def element_induces(alg, k: int, vec, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """Whether the degree-k vector vec induces periodicity (induces_periodicity).
 
-    Raises ValueError for k outside 1..n-1 or a vector of the wrong length.
+    Raises ValueError for k outside 1..n-1, a vector of the wrong length or
+    cap < 1.
     """
     return isinstance(induces_periodicity(alg, Element.of(k, vec), cap), PeriodicityCertificate)
 
@@ -837,9 +831,10 @@ def is_irreducible(window, x: Element, cap: int = DEFAULT_SEARCH_CAP) -> Irreduc
 
     Exhausts all decompositions of x inside the window's degree-k space; on
     failure the witness pair is the lexicographically first counterexample.
-    Raises ValueError for a degree outside 1..n-1 or a vector of the wrong
-    length.
+    Raises ValueError for a degree outside 1..n-1, a vector of the wrong
+    length or cap < 1.
     """
+    _check_limits(cap)
     k = x.degree
     xv = _element_vector(window, x)
     dk = window.dim(k)
@@ -873,8 +868,9 @@ def nonperiodic_subspace(window, k: int, cap: int = DEFAULT_SEARCH_CAP):
     """The set of degree-k non-inducing vectors, as a Subspace when it is one.
 
     Returns a ClosureViolation naming the first pair whose sum escapes the
-    set otherwise.
+    set otherwise.  Raises ValueError for cap < 1.
     """
+    _check_limits(cap)
     p = window.p
     dk = window.dim(k)
     if p ** dk > cap:
@@ -913,8 +909,12 @@ def inducing_power_index(window, y: Element, cap: int = DEFAULT_SEARCH_CAP) -> P
     """Least s for which the s-th Steenrod power of y induces periodicity.
 
     Scans s = 0, 1, ... while the image degree stays inside the window;
-    undefined (value None) when no power in range induces.
+    undefined (value None) when no power in range induces.  Raises
+    ValueError for a degree outside 1..n-1, a vector of the wrong length or
+    cap < 1.
     """
+    _check_limits(cap)
+    yv = _element_vector(window, y)
     act = window.action
     if act is None:
         raise ValueError("window has no attached Steenrod structure")
@@ -923,7 +923,7 @@ def inducing_power_index(window, y: Element, cap: int = DEFAULT_SEARCH_CAP) -> P
         t = y.degree + steenrod.operation_shift(window.p, s)
         if t > window.n - 1:
             return PowerIndexReport(y, None)
-        img = act.apply(s, y.degree, y.as_vector())
+        img = act.apply(s, y.degree, yv)
         if element_induces(window, t, img, cap):
             return PowerIndexReport(y, s)
         s += 1
@@ -945,8 +945,9 @@ def check_power_index_additivity(window, y: Element, z: Element,
 
     Applies when the index of yz is defined, or when both factor indices are
     defined and the shifted factor degrees still fit in the window; raises
-    HypothesisNotMet otherwise.
+    HypothesisNotMet otherwise, and ValueError for cap < 1.
     """
+    _check_limits(cap)
     p, n = window.p, window.n
     if y.degree + z.degree > n - 1:
         raise HypothesisNotMet("the product degree leaves the window")
@@ -980,7 +981,11 @@ class ProductsFactorsReport:
 
 def check_products_factors(window, y: Element, z: Element,
                            cap: int = DEFAULT_SEARCH_CAP) -> ProductsFactorsReport:
-    """Check that yz induces periodicity exactly when y and z both do."""
+    """Check that yz induces periodicity exactly when y and z both do.
+
+    Raises ValueError for cap < 1.
+    """
+    _check_limits(cap)
     if y.degree + z.degree > window.n - 1:
         raise ValueError("the product degree leaves the window")
     pv = window.cup(y.degree, y.as_vector(), z.degree, z.as_vector())
@@ -1000,16 +1005,24 @@ class PreimageReport:
 
 def check_steenrod_preimage(window, y: Element, s: int,
                             cap: int = DEFAULT_SEARCH_CAP) -> PreimageReport:
-    """At p = 2: if the s-th square of y induces periodicity then y must too."""
+    """At p = 2: if the s-th square of y induces periodicity then y must too.
+
+    Raises ValueError for s < 0, a degree outside 1..n-1, a vector of the
+    wrong length or cap < 1.
+    """
+    _check_limits(cap)
     if window.p != 2:
         raise ValueError("the preimage check is implemented for p = 2 only")
+    if s < 0:
+        raise ValueError(f"the operation index must be at least 0, got {s}")
+    yv = _element_vector(window, y)
     act = window.action
     if act is None:
         raise ValueError("window has no attached Steenrod structure")
     t = y.degree + s
     img_ind = (t <= window.n - 1
-               and element_induces(window, t, act.apply(s, y.degree, y.as_vector()), cap))
-    y_ind = element_induces(window, y.degree, y.as_vector(), cap)
+               and element_induces(window, t, act.apply(s, y.degree, yv), cap))
+    y_ind = element_induces(window, y.degree, yv, cap)
     return PreimageReport(s, img_ind, y_ind, (not img_ind) or y_ind)
 
 

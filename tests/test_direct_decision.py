@@ -1,13 +1,12 @@
-"""Direct degrees decided by the dimension bound and the centroid, checked
+"""Window passes decided by the dimension bound and the centroid, checked
 against the enumeration they replaced.
 
-_reference_exhaustive and _reference_direct are the scans the search made
-before the dimension bound and the centroid: one window test per
-candidate.  reference_search() patches them in for
-periodicity._first_window_pass and periodicity._ProductSpan._direct and
-turns the dimension bound and the centroid off, so that past the cap only
-sampling is left and a search run inside it gives the answers the
-enumeration gave.
+_reference_passes is the scan the search made before the dimension bound
+and the centroid: one window test per candidate.  reference_search()
+patches it in for periodicity._ProductSpan.passes, the one place that
+decides a degree's passes, and turns the dimension bound and the centroid
+off, so that past the cap only sampling is left and a search run inside it
+gives the answers the enumeration gave.
 """
 
 import contextlib
@@ -27,30 +26,23 @@ from periodica.periodicity import PeriodicityCertificate, SearchVerdict, _window
 from rebasing import rebased
 
 
-def _reference_exhaustive(alg, k: int, mode: str):
-    """Scan degree k in lexicographic order for a window pass."""
-    for v in fplin.enumerate_vectors(alg.dim(k), alg.p):
-        if _window_failure(alg, k, v) is None:
-            return PeriodicityCertificate(k, Element.of(k, v), mode)
-    return SearchVerdict(
-        k, "exhausted",
-        f"all {alg.p ** alg.dim(k)} degree-{k} candidates fail the window conditions")
+def _reference_passes(self, d):
+    """Scan degree d in lexicographic order, yielding each window pass as a row."""
+    alg = self.alg
+    for v in fplin.enumerate_vectors(alg.dim(d), alg.p):
+        if _window_failure(alg, d, v) is None:
+            yield v[None]
 
 
-def _reference_direct(self, d):
-    if d not in self._inducers:
-        alg, dim = self.alg, self.alg.dim(d)
-        found = [v for v in fplin.enumerate_vectors(dim, alg.p)
-                 if _window_failure(alg, d, v) is None]
-        self._inducers[d] = np.array(found, dtype=np.int64).reshape(len(found), dim)
-    return self._inducers[d]
+def stacked(alg, d, blocks):
+    """The degree-d row blocks as one array."""
+    return np.vstack([np.zeros((0, alg.dim(d)), dtype=np.int64), *blocks])
 
 
 @contextlib.contextmanager
 def reference_search():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(P, "_first_window_pass", _reference_exhaustive)
-        mp.setattr(P._ProductSpan, "_direct", _reference_direct)
+        mp.setattr(P._ProductSpan, "passes", _reference_passes)
         mp.setattr(P, "_centroid_decides", lambda alg, k: False)
         mp.setattr(P, "_ruled_out", lambda alg, k: False)
         yield
@@ -91,13 +83,17 @@ def assert_matches_reference(alg, cap=P.DEFAULT_SEARCH_CAP, samples=20):
     return got
 
 
-def assert_direct_sets_match(alg):
-    """_ProductSpan._direct gives the enumeration's inducers, row for row."""
-    for d in range(1, (alg.n - 1) // 3 + 1):
+def assert_passes_match(alg):
+    """_ProductSpan.passes gives the enumeration's window passes, row for
+    row, at every degree, and _direct stacks them at the direct degrees."""
+    for d in range(1, alg.n):
         if alg.p ** alg.dim(d) > 5**5:
             continue
-        span, reference = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP), P._ProductSpan(alg, 1)
-        assert np.array_equal(span._direct(d), _reference_direct(reference, d)), d
+        span = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP)
+        want = stacked(alg, d, _reference_passes(span, d))
+        assert np.array_equal(stacked(alg, d, span.passes(d)), want), d
+        if d <= P.direct_bound(alg.n):
+            assert np.array_equal(span._direct(d), want), d
 
 
 # The specs of the benchmark's period and decompose workloads.
@@ -138,7 +134,7 @@ def test_fixtures_match_the_enumeration(text):
     alg = build(text)
     assert_matches_reference(alg)
     assert_matches_reference(rebased(alg, 5))
-    assert_direct_sets_match(rebased(alg, 6))
+    assert_passes_match(rebased(alg, 6))
 
 
 @pytest.mark.parametrize("text", BENCHMARK_SPECS)
@@ -236,8 +232,43 @@ def test_unit_test_passes_exactly_the_direct_inducers():
         alg = rebased(build(text), 2)
         test = P._unit_test(alg, 2)
         units = np.vstack(list(test.units()))
-        assert np.array_equal(units, _reference_direct(P._ProductSpan(alg, 1), 2))
+        assert np.array_equal(units, stacked(alg, 2, _reference_passes(P._ProductSpan(alg, 1), 2)))
         assert _window_failure(alg, 2, test.generator) is None
+
+
+@pytest.mark.parametrize("text, k", [
+    ("Product(Sphere(1),Sphere(5))@5", 1), ("QuatProj(3)@5", 4), ("TruncatedPoly(6,3)@7", 6)])
+def test_under_the_cap_a_search_stops_at_its_least_pass(text, k, monkeypatch):
+    """Where the centroid does not decide k, an under-cap search window-tests
+    degree k only up to its least pass: passes yields lazily."""
+    alg = build(text)
+    assert not P._centroid_decides(alg, k)
+    vectors = list(fplin.enumerate_vectors(alg.dim(k), alg.p))
+    least = next(i for i, v in enumerate(vectors) if _window_failure(alg, k, v) is None)
+    tested = []
+
+    def counted(alg, d, xv):
+        tested.append(d)
+        return _window_failure(alg, d, xv)
+
+    monkeypatch.setattr(P, "_window_failure", counted)
+    out = P.find_inducing_element(alg, k)
+    assert out.element == Element.of(k, vectors[least])
+    assert tested.count(k) == least + 1 < len(vectors)
+
+
+def test_a_degree_the_dimensions_rule_out_is_not_window_tested(monkeypatch):
+    tested = []
+    monkeypatch.setattr(P, "_window_failure", lambda *args: tested.append(args))
+    ruled_out = 0
+    for text in CORPUS_SPECS:
+        alg = build(text)
+        span = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP)
+        for k in range(1, alg.n):
+            if P._ruled_out(alg, k):
+                ruled_out += 1
+                assert next(span.passes(k), None) is None, (text, k)
+    assert ruled_out and not tested
 
 
 def test_past_the_cap_direct_degrees_are_decided():

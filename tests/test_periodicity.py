@@ -307,6 +307,54 @@ def test_steenrod_preimage():
     assert rep.consistent
 
 
+def _cs_window():
+    return window_of(build("ConnectedSum(ComplexProj(4),ComplexProj(4))@2"))
+
+
+def test_steenrod_preimage_refuses_a_negative_operation():
+    """Sq^-1 was read as the zero map, so the check passed vacuously."""
+    with pytest.raises(ValueError, match="operation index"):
+        P.check_steenrod_preimage(_cs_window(), Element(2, (1, 1)), -1)
+
+
+def test_window_checkers_refuse_a_degree_past_the_window():
+    """A degree-9 element on an n = 8 window had an undefined power index."""
+    w, y = _cs_window(), Element(9, (1,))
+    with pytest.raises(ValueError, match="degree 9"):
+        P.inducing_power_index(w, y)
+    with pytest.raises(ValueError, match="degree 9"):
+        P.check_steenrod_preimage(w, y, 1)
+
+
+def test_window_checkers_refuse_a_vector_of_the_wrong_length():
+    w, y = _cs_window(), Element(2, (1, 1, 0))
+    with pytest.raises(ValueError, match="length"):
+        P.inducing_power_index(w, y)
+    with pytest.raises(ValueError, match="length"):
+        P.check_steenrod_preimage(w, y, 1)
+
+
+CAP_TAKERS = {
+    "induces_periodicity": lambda w, x, cap: P.induces_periodicity(w, x, cap),
+    "element_induces": lambda w, x, cap: P.element_induces(w, 2, x.as_vector(), cap),
+    "is_irreducible": lambda w, x, cap: P.is_irreducible(w, x, cap),
+    "nonperiodic_subspace": lambda w, x, cap: P.nonperiodic_subspace(w, 2, cap),
+    "inducing_power_index": lambda w, x, cap: P.inducing_power_index(w, x, cap),
+    "check_power_index_additivity":
+        lambda w, x, cap: P.check_power_index_additivity(w, x, x, cap),
+    "check_products_factors": lambda w, x, cap: P.check_products_factors(w, x, x, cap),
+    "check_steenrod_preimage": lambda w, x, cap: P.check_steenrod_preimage(w, x, 1, cap),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("name", CAP_TAKERS)
+def test_window_questions_refuse_a_cap_below_one(name, cap):
+    """A cap below one is bad input, not an inconclusive search."""
+    with pytest.raises(ValueError, match="cap"):
+        CAP_TAKERS[name](_cs_window(), Element(2, (1, 1)), cap)
+
+
 def test_minimum_period_form_oracles():
     assert P.check_minimum_period_form(2, 2, 8).description == "2 = 2^1"
     assert P.check_minimum_period_form(2, 4, 16).conformant
