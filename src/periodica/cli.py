@@ -339,8 +339,11 @@ def _cmd_corpus_export(args, cap):
     doc = dump_algebra_file(fixture.algebra, fixture.action)
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {args.out}: {e}")
         payload = {"spec": str(fixture.spec), "written": args.out,
                    "dims": list(fixture.algebra.dims)}
         return "ok", payload, [f"wrote {args.out}"]

@@ -4,8 +4,10 @@ Facts record dimensions, codimensions, connectivity of inclusions,
 periodicity windows and vanishing statements.  Rules turn connectivity into
 periodicity, move windows across highly connected inclusions, extend
 windows past fixed-point components, upgrade integral windows to rational
-ones, and conclude odd-Betti vanishing.  Every derivation carries its side
-conditions with evaluated values and can be replayed independently.
+ones, and conclude odd-Betti vanishing.  Each rule is one entry of RULES, in
+firing order: the fact kinds it reads, its join (the input tuples it may
+consume) and its applier.  Every derivation carries its side conditions
+with evaluated values and can be replayed independently.
 """
 
 import json
@@ -86,6 +88,8 @@ def _typed(kind: str, args: tuple) -> Fact:
     well-formed facts.  derive and verify_derivation check their axioms.
     """
     types = FACT_KINDS[kind]
+    if type(args) is not tuple:
+        raise ValueError(f"{kind} arguments must be a tuple, got {args!r}")
     if tuple(map(type, args)) != types:
         raise ValueError(f"{kind} takes ({', '.join(t.__name__ for t in types)}), "
                          f"got {list(args)!r}")
@@ -260,11 +264,19 @@ def _ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-# Appliers: (inputs) -> (outputs, conditions).  Outputs are empty whenever a
-# condition fails, so the same code drives both search and replay.  They
-# build outputs with the Fact constructor: from well-formed inputs every
-# rule derives well-formed facts, so the checks of periodic() and the other
-# helpers would only repeat themselves.
+# Joins yield, in deterministic order, the input tuples a rule may consume,
+# from the facts of each kind its RULES entry names, in that order.  Appliers:
+# (inputs) -> (outputs, conditions).  Outputs are empty whenever a condition
+# fails, so the same code drives both search and replay.  They build outputs
+# with the Fact constructor: from well-formed inputs every rule derives
+# well-formed facts, so the checks of periodic() and the others would repeat.
+
+def _join_dim_from_codim(codims, dims):
+    for cod in codims:
+        for dim in dims:
+            if dim.args[0] == cod.args[1]:
+                yield (cod, dim)
+
 
 def _apply_dim_from_codim(inputs):
     cod, dim = inputs
@@ -275,6 +287,16 @@ def _apply_dim_from_codim(inputs):
     if not ok:
         return (), conds
     return (Fact("Dim", (sub, n - k)),), conds
+
+
+def _join_fixed_point_connectedness(fpcs, dims, codims):
+    for fpc in fpcs:
+        for dim in dims:
+            if dim.args[0] != fpc.args[1]:
+                continue
+            for cod in codims:
+                if cod.args[:2] == fpc.args:
+                    yield (fpc, dim, cod)
 
 
 def _apply_fixed_point_connectedness(inputs):
@@ -291,6 +313,24 @@ def _apply_fixed_point_connectedness(inputs):
     if c < 0:
         return (), conds
     return (Fact("Connected", (sub, amb, c)),), conds
+
+
+def _join_intersection_connectedness(transversals, codims, dims):
+    for trans in transversals:
+        a, b, w = trans.args
+        for ca in codims:
+            if ca.args[0] != a:
+                continue
+            for cb in codims:
+                if cb.args[0] != b or cb.args[1] != ca.args[1]:
+                    continue
+                for dim in dims:
+                    if dim.args[0] != ca.args[1]:
+                        continue
+                    if ca.args[2] <= cb.args[2]:
+                        yield (trans, ca, cb, dim)
+                    else:
+                        yield (trans, cb, ca, dim)
 
 
 def _apply_intersection_connectedness(inputs):
@@ -311,6 +351,16 @@ def _apply_intersection_connectedness(inputs):
             Fact("Codim", (w, small, kb))), conds
 
 
+def _join_ambient_periodicity(conns, dims, codims):
+    for conn in conns:
+        for dim in dims:
+            if dim.args[0] != conn.args[1]:
+                continue
+            for cod in codims:
+                if cod.args[:2] == conn.args[:2]:
+                    yield (conn, dim, cod)
+
+
 def _apply_ambient_periodicity(inputs):
     conn, dim, cod = inputs
     sub, amb, c = conn.args
@@ -324,6 +374,22 @@ def _apply_ambient_periodicity(inputs):
         return (), conds
     lo, hi = rule_periodicity_window(d, k, l)
     return (Fact("Periodic", (amb, k, lo, hi, "integral")),), conds
+
+
+def _join_torus_fixed_periodicity(riccis, tori, tfcs, dims):
+    for ricci in riccis:
+        for torus in tori:
+            if torus.args[0] != ricci.args[0]:
+                continue
+            for tfc in tfcs:
+                if tfc.args[1] != ricci.args[0]:
+                    continue
+                for dim_m in dims:
+                    if dim_m.args[0] != ricci.args[0]:
+                        continue
+                    for dim_f in dims:
+                        if dim_f.args[0] == tfc.args[0]:
+                            yield (ricci, torus, tfc, dim_m, dim_f)
 
 
 def _apply_torus_fixed_periodicity(inputs):
@@ -342,6 +408,21 @@ def _apply_torus_fixed_periodicity(inputs):
     return (Fact("Periodic", (sub, 4, 1, f - 1, "rational")),), conds
 
 
+def _join_rational_upgrade(pers, dims, h1s):
+    for per in pers:
+        if per.args[4] != "integral":
+            continue
+        for dim in dims:
+            if dim.args[0] != per.args[0]:
+                continue
+            for h2 in h1s:
+                if h2.args != (per.args[0], 2):
+                    continue
+                for h3 in h1s:
+                    if h3.args == (per.args[0], 3):
+                        yield (per, dim, h2, h3)
+
+
 def _apply_rational_upgrade(inputs):
     per, dim, h2, h3 = inputs
     space, k, lo, hi, tag = per.args
@@ -353,6 +434,14 @@ def _apply_rational_upgrade(inputs):
         return (), conds
     kq = rule_rational_upgrade(n, k)
     return (Fact("Periodic", (space, kq, 1, n - 1, "rational")),), conds
+
+
+def _join_transfer(end, conns, pers):
+    """Windows on the submanifold (end 0, up) or the ambient (end 1, down)."""
+    for conn in conns:
+        for per in pers:
+            if per.args[0] == conn.args[end]:
+                yield (conn, per)
 
 
 def _apply_transfer(direction, inputs):
@@ -369,6 +458,19 @@ def _apply_transfer(direction, inputs):
     if out <= k:
         return (), conds
     return (Fact("Periodic", (amb if direction == "up" else sub, k, 1, out, tag)),), conds
+
+
+def _join_extension(fpcs, codims, dims, pers):
+    for fpc in fpcs:
+        for cod in codims:
+            if cod.args[:2] != fpc.args:
+                continue
+            for dim in dims:
+                if dim.args[0] != fpc.args[1]:
+                    continue
+                for per in pers:
+                    if per.args[0] == fpc.args[1]:
+                        yield (fpc, cod, dim, per)
 
 
 def _apply_extension(inputs):
@@ -392,6 +494,18 @@ def _apply_extension(inputs):
     return (Fact("Periodic", (amb, 4, 1, out, tag)),), conds
 
 
+def _join_odd_betti(pers, dims, h1s):
+    for per in pers:
+        if per.args[4] != "rational":
+            continue
+        for dim in dims:
+            if dim.args[0] != per.args[0]:
+                continue
+            for h1 in h1s:
+                if h1.args == (per.args[0], 0):
+                    yield (per, dim, h1)
+
+
 def _apply_odd_betti(inputs):
     per, dim, h1 = inputs
     space, k, lo, hi, tag = per.args
@@ -405,24 +519,49 @@ def _apply_odd_betti(inputs):
     return (Fact("OddBettiVanish", (space,)),), conds
 
 
+def _join_betti_descent(bettis, fpcs, tfcs):
+    for betti in bettis:
+        for comps in (fpcs, tfcs):
+            for comp in comps:
+                if comp.args[1] == betti.args[0]:
+                    yield (betti, comp)
+
+
 def _apply_betti_descent(inputs):
     betti, comp = inputs
     sub = comp.args[0]
     return (Fact("OddBettiVanish", (sub,)),), ()
 
 
-_APPLIERS = {
-    "dimension-from-codimension": _apply_dim_from_codim,
-    "fixed-point-connectedness": _apply_fixed_point_connectedness,
-    "intersection-connectedness": _apply_intersection_connectedness,
-    "ambient-periodicity": _apply_ambient_periodicity,
-    "torus-fixed-periodicity": _apply_torus_fixed_periodicity,
-    "rational-upgrade": _apply_rational_upgrade,
-    "window-transfer-up": partial(_apply_transfer, "up"),
-    "window-transfer-down": partial(_apply_transfer, "down"),
-    "window-extension": _apply_extension,
-    "odd-betti-vanishing": _apply_odd_betti,
-    "betti-descent": _apply_betti_descent,
+# Every rule in firing order: name -> (the fact kinds it reads, join, applier).
+# A rule none of whose kinds gained a fact last round has no new input tuple.
+RULES = {
+    "dimension-from-codimension":
+        (("Codim", "Dim"), _join_dim_from_codim, _apply_dim_from_codim),
+    "fixed-point-connectedness":
+        (("FixedPointComponent", "Dim", "Codim"),
+         _join_fixed_point_connectedness, _apply_fixed_point_connectedness),
+    "intersection-connectedness":
+        (("TransverseIntersection", "Codim", "Dim"),
+         _join_intersection_connectedness, _apply_intersection_connectedness),
+    "ambient-periodicity":
+        (("Connected", "Dim", "Codim"), _join_ambient_periodicity, _apply_ambient_periodicity),
+    "torus-fixed-periodicity":
+        (("RicciPositive", "TorusSymmetry", "TorusFixedComponent", "Dim"),
+         _join_torus_fixed_periodicity, _apply_torus_fixed_periodicity),
+    "rational-upgrade":
+        (("Periodic", "Dim", "H1Vanishes"), _join_rational_upgrade, _apply_rational_upgrade),
+    "window-transfer-up":
+        (("Connected", "Periodic"), partial(_join_transfer, 0), partial(_apply_transfer, "up")),
+    "window-transfer-down":
+        (("Connected", "Periodic"), partial(_join_transfer, 1), partial(_apply_transfer, "down")),
+    "window-extension":
+        (("FixedPointComponent", "Codim", "Dim", "Periodic"), _join_extension, _apply_extension),
+    "odd-betti-vanishing":
+        (("Periodic", "Dim", "H1Vanishes"), _join_odd_betti, _apply_odd_betti),
+    "betti-descent":
+        (("OddBettiVanish", "FixedPointComponent", "TorusFixedComponent"),
+         _join_betti_descent, _apply_betti_descent),
 }
 
 
@@ -431,146 +570,6 @@ def _by_kind(facts):
     for f in facts:
         out.setdefault(f.kind, []).append(f)
     return out
-
-
-def _candidates(rule, by_kind):
-    """Input tuples a rule may consume, in deterministic order."""
-    def facts(kind):
-        return by_kind.get(kind, [])
-
-    if rule == "dimension-from-codimension":
-        for cod in facts("Codim"):
-            for dim in facts("Dim"):
-                if dim.args[0] == cod.args[1]:
-                    yield (cod, dim)
-    elif rule == "fixed-point-connectedness":
-        for fpc in facts("FixedPointComponent"):
-            for dim in facts("Dim"):
-                if dim.args[0] != fpc.args[1]:
-                    continue
-                for cod in facts("Codim"):
-                    if cod.args[:2] == fpc.args:
-                        yield (fpc, dim, cod)
-    elif rule == "intersection-connectedness":
-        for trans in facts("TransverseIntersection"):
-            a, b, w = trans.args
-            for ca in facts("Codim"):
-                if ca.args[0] != a:
-                    continue
-                for cb in facts("Codim"):
-                    if cb.args[0] != b or cb.args[1] != ca.args[1]:
-                        continue
-                    for dim in facts("Dim"):
-                        if dim.args[0] != ca.args[1]:
-                            continue
-                        if ca.args[2] <= cb.args[2]:
-                            yield (trans, ca, cb, dim)
-                        else:
-                            yield (trans, cb, ca, dim)
-    elif rule == "ambient-periodicity":
-        for conn in facts("Connected"):
-            for dim in facts("Dim"):
-                if dim.args[0] != conn.args[1]:
-                    continue
-                for cod in facts("Codim"):
-                    if cod.args[:2] == conn.args[:2]:
-                        yield (conn, dim, cod)
-    elif rule == "torus-fixed-periodicity":
-        for ricci in facts("RicciPositive"):
-            for torus in facts("TorusSymmetry"):
-                if torus.args[0] != ricci.args[0]:
-                    continue
-                for tfc in facts("TorusFixedComponent"):
-                    if tfc.args[1] != ricci.args[0]:
-                        continue
-                    for dim_m in facts("Dim"):
-                        if dim_m.args[0] != ricci.args[0]:
-                            continue
-                        for dim_f in facts("Dim"):
-                            if dim_f.args[0] == tfc.args[0]:
-                                yield (ricci, torus, tfc, dim_m, dim_f)
-    elif rule == "rational-upgrade":
-        for per in facts("Periodic"):
-            if per.args[4] != "integral":
-                continue
-            for dim in facts("Dim"):
-                if dim.args[0] != per.args[0]:
-                    continue
-                for h2 in facts("H1Vanishes"):
-                    if h2.args != (per.args[0], 2):
-                        continue
-                    for h3 in facts("H1Vanishes"):
-                        if h3.args == (per.args[0], 3):
-                            yield (per, dim, h2, h3)
-    elif rule == "window-transfer-up":
-        for conn in facts("Connected"):
-            for per in facts("Periodic"):
-                if per.args[0] == conn.args[0]:
-                    yield (conn, per)
-    elif rule == "window-transfer-down":
-        for conn in facts("Connected"):
-            for per in facts("Periodic"):
-                if per.args[0] == conn.args[1]:
-                    yield (conn, per)
-    elif rule == "window-extension":
-        for fpc in facts("FixedPointComponent"):
-            for cod in facts("Codim"):
-                if cod.args[:2] != fpc.args:
-                    continue
-                for dim in facts("Dim"):
-                    if dim.args[0] != fpc.args[1]:
-                        continue
-                    for per in facts("Periodic"):
-                        if per.args[0] == fpc.args[1]:
-                            yield (fpc, cod, dim, per)
-    elif rule == "odd-betti-vanishing":
-        for per in facts("Periodic"):
-            if per.args[4] != "rational":
-                continue
-            for dim in facts("Dim"):
-                if dim.args[0] != per.args[0]:
-                    continue
-                for h1 in facts("H1Vanishes"):
-                    if h1.args == (per.args[0], 0):
-                        yield (per, dim, h1)
-    elif rule == "betti-descent":
-        for betti in facts("OddBettiVanish"):
-            for kind in ("FixedPointComponent", "TorusFixedComponent"):
-                for comp in facts(kind):
-                    if comp.args[1] == betti.args[0]:
-                        yield (betti, comp)
-
-
-RULE_ORDER = (
-    "dimension-from-codimension",
-    "fixed-point-connectedness",
-    "intersection-connectedness",
-    "ambient-periodicity",
-    "torus-fixed-periodicity",
-    "rational-upgrade",
-    "window-transfer-up",
-    "window-transfer-down",
-    "window-extension",
-    "odd-betti-vanishing",
-    "betti-descent",
-)
-
-# The fact kinds each rule reads: a rule none of whose kinds gained a fact in
-# the last round has no new input tuple.
-RULE_INPUTS = {
-    "dimension-from-codimension": ("Codim", "Dim"),
-    "fixed-point-connectedness": ("FixedPointComponent", "Dim", "Codim"),
-    "intersection-connectedness": ("TransverseIntersection", "Codim", "Dim"),
-    "ambient-periodicity": ("Connected", "Dim", "Codim"),
-    "torus-fixed-periodicity": ("RicciPositive", "TorusSymmetry", "TorusFixedComponent",
-                                "Dim"),
-    "rational-upgrade": ("Periodic", "Dim", "H1Vanishes"),
-    "window-transfer-up": ("Connected", "Periodic"),
-    "window-transfer-down": ("Connected", "Periodic"),
-    "window-extension": ("FixedPointComponent", "Codim", "Dim", "Periodic"),
-    "odd-betti-vanishing": ("Periodic", "Dim", "H1Vanishes"),
-    "betti-descent": ("OddBettiVanish", "FixedPointComponent", "TorusFixedComponent"),
-}
 
 
 def _subsumption_key(fact: Fact):
@@ -620,13 +619,13 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
         delta = set(known[start:])
         grown = {f.kind for f in delta}
         start = len(known)
-        for rule in RULE_ORDER:
-            if grown.isdisjoint(RULE_INPUTS[rule]):
+        for rule, (kinds, join, apply) in RULES.items():
+            if grown.isdisjoint(kinds):
                 continue
-            for inputs in _candidates(rule, by_kind):
+            for inputs in join(*(by_kind.get(k, ()) for k in kinds)):
                 if delta.isdisjoint(inputs):
                     continue
-                outputs, conditions = _APPLIERS[rule](inputs)
+                outputs, conditions = apply(inputs)
                 for out in outputs:
                     if out in seen or any(subsumes(f, out) for f in
                                           stronger.get(_subsumption_key(out), ())):
@@ -659,11 +658,10 @@ def verify_derivation(derivation: Derivation, facts) -> bool:
     _typed(derivation.goal.kind, derivation.goal.args)
     known = {_typed(f.kind, f.args) for f in facts}
     for step in derivation.steps:
-        if step.rule not in _APPLIERS:
+        rule = RULES.get(step.rule)
+        if rule is None or any(f not in known for f in step.inputs):
             return False
-        if any(f not in known for f in step.inputs):
-            return False
-        outputs, conditions = _APPLIERS[step.rule](step.inputs)
+        outputs, conditions = rule[2](step.inputs)
         if step.output not in outputs or conditions != step.conditions:
             return False
         known.update(outputs)

@@ -1,10 +1,13 @@
 """The derivation records, rule appliers, forward chaining and cascade
 template of periodica.connectivity as they stood before the rules moved to
 integer arithmetic, tuple records and unchecked Fact construction, verbatim:
-the reference that every derivation must match byte for byte.
+the reference that every derivation must match byte for byte.  The candidate
+enumeration `_candidates`, `RULE_ORDER` and `RULE_INPUTS` are copied, verbatim
+too, as they stood before each rule became one `RULES` entry with its own
+join: the reference the joins must match tuple for tuple.
 
-Everything the rewrite left alone (facts, the other rules, candidate
-enumeration, subsumption) is imported from the live module.
+Everything those rewrites left alone (facts, the other rules, subsumption)
+is imported from the live module.
 """
 
 import math
@@ -13,15 +16,12 @@ from fractions import Fraction
 from functools import partial
 
 from periodica.connectivity import (
-    RULE_INPUTS,
-    RULE_ORDER,
     SATURATION_BOUND,
     Derivation,
     Fact,
     Saturated,
     Scenario,
     _by_kind,
-    _candidates,
     _check_ints,
     _subsumption_key,
     codimension,
@@ -234,6 +234,146 @@ _APPLIERS = {
     "window-extension": _apply_extension,
     "odd-betti-vanishing": _apply_odd_betti,
     "betti-descent": _apply_betti_descent,
+}
+
+
+def _candidates(rule, by_kind):
+    """Input tuples a rule may consume, in deterministic order."""
+    def facts(kind):
+        return by_kind.get(kind, [])
+
+    if rule == "dimension-from-codimension":
+        for cod in facts("Codim"):
+            for dim in facts("Dim"):
+                if dim.args[0] == cod.args[1]:
+                    yield (cod, dim)
+    elif rule == "fixed-point-connectedness":
+        for fpc in facts("FixedPointComponent"):
+            for dim in facts("Dim"):
+                if dim.args[0] != fpc.args[1]:
+                    continue
+                for cod in facts("Codim"):
+                    if cod.args[:2] == fpc.args:
+                        yield (fpc, dim, cod)
+    elif rule == "intersection-connectedness":
+        for trans in facts("TransverseIntersection"):
+            a, b, w = trans.args
+            for ca in facts("Codim"):
+                if ca.args[0] != a:
+                    continue
+                for cb in facts("Codim"):
+                    if cb.args[0] != b or cb.args[1] != ca.args[1]:
+                        continue
+                    for dim in facts("Dim"):
+                        if dim.args[0] != ca.args[1]:
+                            continue
+                        if ca.args[2] <= cb.args[2]:
+                            yield (trans, ca, cb, dim)
+                        else:
+                            yield (trans, cb, ca, dim)
+    elif rule == "ambient-periodicity":
+        for conn in facts("Connected"):
+            for dim in facts("Dim"):
+                if dim.args[0] != conn.args[1]:
+                    continue
+                for cod in facts("Codim"):
+                    if cod.args[:2] == conn.args[:2]:
+                        yield (conn, dim, cod)
+    elif rule == "torus-fixed-periodicity":
+        for ricci in facts("RicciPositive"):
+            for torus in facts("TorusSymmetry"):
+                if torus.args[0] != ricci.args[0]:
+                    continue
+                for tfc in facts("TorusFixedComponent"):
+                    if tfc.args[1] != ricci.args[0]:
+                        continue
+                    for dim_m in facts("Dim"):
+                        if dim_m.args[0] != ricci.args[0]:
+                            continue
+                        for dim_f in facts("Dim"):
+                            if dim_f.args[0] == tfc.args[0]:
+                                yield (ricci, torus, tfc, dim_m, dim_f)
+    elif rule == "rational-upgrade":
+        for per in facts("Periodic"):
+            if per.args[4] != "integral":
+                continue
+            for dim in facts("Dim"):
+                if dim.args[0] != per.args[0]:
+                    continue
+                for h2 in facts("H1Vanishes"):
+                    if h2.args != (per.args[0], 2):
+                        continue
+                    for h3 in facts("H1Vanishes"):
+                        if h3.args == (per.args[0], 3):
+                            yield (per, dim, h2, h3)
+    elif rule == "window-transfer-up":
+        for conn in facts("Connected"):
+            for per in facts("Periodic"):
+                if per.args[0] == conn.args[0]:
+                    yield (conn, per)
+    elif rule == "window-transfer-down":
+        for conn in facts("Connected"):
+            for per in facts("Periodic"):
+                if per.args[0] == conn.args[1]:
+                    yield (conn, per)
+    elif rule == "window-extension":
+        for fpc in facts("FixedPointComponent"):
+            for cod in facts("Codim"):
+                if cod.args[:2] != fpc.args:
+                    continue
+                for dim in facts("Dim"):
+                    if dim.args[0] != fpc.args[1]:
+                        continue
+                    for per in facts("Periodic"):
+                        if per.args[0] == fpc.args[1]:
+                            yield (fpc, cod, dim, per)
+    elif rule == "odd-betti-vanishing":
+        for per in facts("Periodic"):
+            if per.args[4] != "rational":
+                continue
+            for dim in facts("Dim"):
+                if dim.args[0] != per.args[0]:
+                    continue
+                for h1 in facts("H1Vanishes"):
+                    if h1.args == (per.args[0], 0):
+                        yield (per, dim, h1)
+    elif rule == "betti-descent":
+        for betti in facts("OddBettiVanish"):
+            for kind in ("FixedPointComponent", "TorusFixedComponent"):
+                for comp in facts(kind):
+                    if comp.args[1] == betti.args[0]:
+                        yield (betti, comp)
+
+
+RULE_ORDER = (
+    "dimension-from-codimension",
+    "fixed-point-connectedness",
+    "intersection-connectedness",
+    "ambient-periodicity",
+    "torus-fixed-periodicity",
+    "rational-upgrade",
+    "window-transfer-up",
+    "window-transfer-down",
+    "window-extension",
+    "odd-betti-vanishing",
+    "betti-descent",
+)
+
+# The fact kinds each rule reads: a rule none of whose kinds gained a fact in
+# the last round has no new input tuple.
+RULE_INPUTS = {
+    "dimension-from-codimension": ("Codim", "Dim"),
+    "fixed-point-connectedness": ("FixedPointComponent", "Dim", "Codim"),
+    "intersection-connectedness": ("TransverseIntersection", "Codim", "Dim"),
+    "ambient-periodicity": ("Connected", "Dim", "Codim"),
+    "torus-fixed-periodicity": ("RicciPositive", "TorusSymmetry", "TorusFixedComponent",
+                                "Dim"),
+    "rational-upgrade": ("Periodic", "Dim", "H1Vanishes"),
+    "window-transfer-up": ("Connected", "Periodic"),
+    "window-transfer-down": ("Connected", "Periodic"),
+    "window-extension": ("FixedPointComponent", "Codim", "Dim", "Periodic"),
+    "odd-betti-vanishing": ("Periodic", "Dim", "H1Vanishes"),
+    "betti-descent": ("OddBettiVanish", "FixedPointComponent", "TorusFixedComponent"),
 }
 
 

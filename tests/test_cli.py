@@ -66,6 +66,15 @@ def test_export_stdout_round_trips(capsys, tmp_path):
     assert report(out2)["status"] == "ok"
 
 
+@pytest.mark.parametrize("where", ["missing/cp4.json", "."])
+def test_export_to_an_unwritable_path_is_bad_input(capsys, tmp_path, where):
+    # A missing directory, then a directory: both raised OSError out of main.
+    path = str(tmp_path / where)
+    code, out, err = run(capsys, "corpus", "export", "ComplexProj(4)@2", "--out", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_min_period_human_line(capsys, cs_file):
     code, out, _ = run(capsys, "min-period", cs_file, "--human")
     assert code == 0

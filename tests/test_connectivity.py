@@ -330,9 +330,11 @@ def test_scenario_json_round_trip(tmp_path):
 # differential tests: semi-naive derive against the naive loop it replaced
 
 def naive_derive(goal, facts, bound=C.SATURATION_BOUND):
-    """The forward-chaining loop before semi-naive evaluation, verbatim: every
-    round re-applies every rule to every input tuple and scans every known
-    fact for subsumption."""
+    """The forward-chaining loop before semi-naive evaluation, verbatim but
+    for its rule order and candidate enumeration, which it takes from the
+    reference, and its appliers, which are the live ones: every round
+    re-applies every rule to every input tuple and scans every known fact
+    for subsumption."""
     known = list(facts)
     seen = set(known)
     steps = []
@@ -348,9 +350,9 @@ def naive_derive(goal, facts, bound=C.SATURATION_BOUND):
     while final is None:
         by_kind = C._by_kind(known)
         new_steps = []
-        for rule in C.RULE_ORDER:
-            for inputs in C._candidates(rule, by_kind):
-                outputs, conditions = C._APPLIERS[rule](inputs)
+        for rule in R.RULE_ORDER:
+            for inputs in R._candidates(rule, by_kind):
+                outputs, conditions = C.RULES[rule][2](inputs)
                 for out in outputs:
                     if out in seen or any(subsumes(f, out) for f in known):
                         continue
@@ -485,6 +487,97 @@ def test_semi_naive_matches_naive_on_random_fact_sets(case):
     goal, facts, bound = case
     assert_same_as_naive(goal, facts, bound)
     assert_same_as_naive(goal, facts)
+
+
+# differential tests: each rule's RULES join against the candidate
+# enumeration it replaced (connectivity_reference._candidates)
+
+_UNREACHABLE = Fact("OddBettiVanish", ("nowhere",))
+
+
+def test_rules_keep_the_reference_order_and_kinds():
+    assert list(C.RULES) == list(R.RULE_ORDER)
+    assert {rule: kinds for rule, (kinds, _, _) in C.RULES.items()} == R.RULE_INPUTS
+
+
+def assert_joins_match_the_reference(by_kind):
+    """Each rule's join, handed the lists of by_kind as derive hands them,
+    yields exactly the reference's tuples in the reference's order.  Returns
+    the tuples per rule."""
+    tuples = {}
+    for rule, (kinds, join, _) in C.RULES.items():
+        tuples[rule] = list(join(*(by_kind.get(k, ()) for k in kinds)))
+        assert tuples[rule] == list(R._candidates(rule, by_kind)), (rule, by_kind)
+    return tuples
+
+
+def _join_inputs(goal, facts):
+    """The fact lists derive hands each join, round by round, on the way to
+    goal and on to saturation (a goal no rule reaches), as by_kind dicts."""
+    seen = []
+
+    def recording(kinds, join):
+        def run(*lists):
+            seen.append(dict(zip(kinds, map(list, lists))))
+            return join(*lists)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "RULES", {rule: (kinds, recording(kinds, join), apply)
+                                for rule, (kinds, join, apply) in C.RULES.items()})
+        for target in (goal, _UNREACHABLE):
+            try:
+                derive(target, facts)
+            except Saturated:
+                pass
+    return seen
+
+
+def test_joins_match_the_reference_on_the_grids():
+    weights = [(a, b, c, d) for a in range(2, 13, 2) for b in range(a, 13, 2)
+               for c in range(b, 13, 2) for d in range(c, 13, 2)]
+    scenarios = [C.codim_cascade_scenario(n)[0] for n in range(32, 301, 4)]
+    scenarios += [C.four_weight_scenario(n, ws)[0] for n in range(20, 81, 4) for ws in weights
+                  if n - sum(ws) > 0 and (n - sum(ws)) % 4 == 0]
+    fired = set()
+    for scenario in scenarios:
+        for by_kind in _join_inputs(scenario.goal, scenario.facts):
+            tuples = assert_joins_match_the_reference(by_kind)
+            fired.update(rule for rule, found in tuples.items() if found)
+    assert len(scenarios) > 500 and fired == set(C.RULES)
+
+
+@st.composite
+def _join_cases(draw):
+    """_fact_sets' facts with a core mixed in: two transverse intersections
+    of one pair of submanifolds, one in each order, with distinct
+    codimensions in one ambient, and a torus-fixed component of an ambient
+    with vanishing odd Betti numbers."""
+    _, facts, _ = draw(_fact_sets())
+    a, b, amb = draw(st.permutations(("M", "N", "F", "W")))[:3]
+    ka, kb = draw(st.lists(st.integers(0, 40), min_size=2, max_size=2, unique=True))
+    core = (Fact("TransverseIntersection", (a, b, "X")),
+            Fact("TransverseIntersection", (b, a, "Y")),
+            codimension(a, amb, ka), codimension(b, amb, kb),
+            dimension(amb, draw(st.integers(0, 40))),
+            Fact("OddBettiVanish", (amb,)), Fact("TorusFixedComponent", (draw(_NAMES), amb)))
+    facts = list(facts)
+    for fact in core:
+        facts.insert(draw(st.integers(0, len(facts))), fact)
+    return tuple(facts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_join_cases())
+def test_joins_match_the_reference_on_random_fact_sets(facts):
+    tuples = assert_joins_match_the_reference(C._by_kind(facts))
+    # The smaller codimension comes first, so one of the core's two
+    # intersections is yielded with its codimensions swapped.
+    swapped = [t[1].args[0] != t[0].args[0] for t in tuples["intersection-connectedness"]]
+    assert any(swapped) and not all(swapped)
+    assert any(t[1].kind == "TorusFixedComponent" for t in tuples["betti-descent"])
+    for by_kind in _join_inputs(_UNREACHABLE, facts):
+        assert_joins_match_the_reference(by_kind)
 
 
 # byte identity: derive against the records, appliers and cascade template
@@ -647,8 +740,8 @@ def test_well_formed_axioms_derive_well_formed_facts(case):
 
     # derive raises nothing but Saturated, matches the reference and replays.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_APPLIERS", {rule: recording(apply)
-                                    for rule, apply in C._APPLIERS.items()})
+        mp.setattr(C, "RULES", {rule: (kinds, join, recording(apply))
+                                for rule, (kinds, join, apply) in C.RULES.items()})
         assert_same_as_reference(goal, facts, bound)
     for fact in produced:
         assert Fact.from_dict(fact.to_dict()) == fact, fact
@@ -679,7 +772,8 @@ def test_malformed_axioms_are_refused_before_any_rule_fires(monkeypatch, name):
     def fires(inputs):
         raise AssertionError("a rule fired on a malformed axiom")
 
-    monkeypatch.setattr(C, "_APPLIERS", dict.fromkeys(C.RULE_ORDER, fires))
+    monkeypatch.setattr(C, "RULES", {rule: (kinds, join, fires)
+                                     for rule, (kinds, join, apply) in C.RULES.items()})
     for axioms in (facts, (bad,) + facts, scenario.facts + (bad,)):
         with pytest.raises(ValueError, match=message):
             derive(goal, axioms)
@@ -704,3 +798,15 @@ def test_malformed_goals_are_refused(name):
     der = derive(scenario.goal, scenario.facts)
     with pytest.raises(ValueError, match=message):
         verify_derivation(Derivation(bad, der.steps, der.final), scenario.facts)
+
+
+def test_list_arguments_are_refused():
+    """A Fact built with a list of arguments: derive answered Saturated for a
+    goal that is an axiom and raised TypeError (unhashable) for such an axiom,
+    and verify_derivation answered False or raised TypeError."""
+    listed = Fact("Dim", ["M", 4])
+    for goal, axioms in ((listed, [dimension("M", 4)]), (dimension("M", 4), [listed])):
+        with pytest.raises(ValueError, match="must be a tuple"):
+            derive(goal, axioms)
+        with pytest.raises(ValueError, match="must be a tuple"):
+            verify_derivation(Derivation(goal, (), dimension("M", 4)), axioms)
