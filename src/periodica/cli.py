@@ -57,6 +57,8 @@ def load_algebra_file(path):
         raise InputError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}")
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read")
     try:
         alg = GradedAlgebra.from_dict(doc["algebra"])
         act = None
@@ -314,6 +316,8 @@ def _cmd_derive(args, cap):
         raise InputError(f"cannot read {args.scenario}: {e}")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         raise InputError(f"{args.scenario} is not a scenario file: {e}")
+    except RecursionError:
+        raise InputError(f"{args.scenario} is nested too deeply to read")
     try:
         derivation = connectivity.derive(scenario.goal, scenario.facts)
     except connectivity.Saturated as e:

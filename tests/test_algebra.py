@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from periodica import corpus
-from periodica.algebra import (AlgebraDefect, Element, GradedAlgebra,
+from periodica.algebra import (MAX_TOTAL_DIM, AlgebraDefect, Element, GradedAlgebra,
                                verify_poincare_duality)
 
 
@@ -91,6 +91,14 @@ def test_poincare_duality_detects_degenerate_pairing():
     alg = GradedAlgebra(2, 2, dims, mult)
     alg.validate()
     assert not verify_poincare_duality(alg)
+
+
+def test_total_dimension_below_the_bound():
+    """The axiom checks key products of basis vectors in int64 only below
+    MAX_TOTAL_DIM; at the bound the algebra is refused."""
+    assert GradedAlgebra(2, 1, [1, MAX_TOTAL_DIM - 2], {}).total_dim == MAX_TOTAL_DIM - 1
+    with pytest.raises(ValueError, match="total dimension"):
+        GradedAlgebra(2, 1, [1, MAX_TOTAL_DIM - 1], {})
 
 
 def test_serialization_round_trip():

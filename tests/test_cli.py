@@ -463,6 +463,9 @@ MALFORMED_ALGEBRAS = {
         1, action={"maps": {"1,1": [[1]], "1,5": [["junk", 2.5]]}}),
     "labels-past-the-top": {"algebra": {**_degree1_document(1)["algebra"], "labels": {"7": []}},
                             "action": None},
+    # The axiom checks key products in int64 only below this total dimension.
+    "total-dimension-at-the-bound": {
+        "algebra": {"p": 2, "top_degree": 1, "dims": [1, 54_999], "mult": {}}, "action": None},
 }
 
 
@@ -476,6 +479,15 @@ def test_malformed_algebra_is_bad_input(capsys, tmp_path, doc):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
     assert "does not hold an algebra document" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "derive"])
+def test_deeply_nested_json_is_bad_input(capsys, tmp_path, command):
+    """JSON nested past the interpreter's recursion limit is refused, not a crash."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == "" and err == f"error: {path} is nested too deeply to read\n"
 
 
 def test_decompose_refuses_a_window_mode_element(capsys, tmp_path):

@@ -7,6 +7,10 @@ pass are closed under products).  The loops below run
 over every degree pair and triple instead; they are kept verbatim as the
 reference, and both must reach the same verdict, down to the exception
 type, on fixtures, windows and single-entry mutants of tables and actions.
+
+The two generator checks themselves now join the tables' nonzero entries;
+the dense per-degree loops they replaced are kept verbatim below too, and
+the join must give the same verdict strings on the same algebras.
 """
 
 import functools
@@ -16,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodica import corpus, fplin, steenrod
+from periodica import algebra, corpus, fplin, steenrod
 from periodica import periodicity as P
 from periodica.algebra import AlgebraDefect, GradedAlgebra
 from periodica.steenrod import ActionDefect, SteenrodAction, operation_shift, verify_action
-from rebasing import rebased_with_action
+from rebasing import rebased, rebased_with_action
 
 # --- the reference loops, verbatim apart from their names -------------------
 
@@ -134,6 +138,62 @@ def associative_by_triples(alg) -> bool:
     return True
 
 
+def old_associativity_defect(self) -> str | None:
+    """None when the product is associative, else the degrees where it fails.
+
+    Light's test: the g with (xg)y = x(gy) for all x, y are closed under
+    products, so checking g over the generators covers every element.
+    """
+    p, n, mult = self.p, self.n, self.mult
+    degrees = [d for d in range(n + 1) if self.dim(d)]
+    for i, gens in self.generators.items():
+        g = list(gens)
+        for j in degrees:
+            for k in degrees:
+                if i + j + k > n:
+                    break
+                # each side is zero when one of its two tables is absent
+                if ((j, i) not in mult or (j + i, k) not in mult) and \
+                        ((i, k) not in mult or (j, i + k) not in mult):
+                    continue
+                left = np.einsum("tuc,uag->tagc", self.mult3(j + i, k), self.mult3(j, i)[:, :, g]) % p
+                right = np.einsum("tav,vgc->tagc", self.mult3(j, i + k), self.mult3(i, k)[:, g]) % p
+                if not np.array_equal(left, right):
+                    return f"associativity fails for degrees ({j}, {i}, {k})"
+    return None
+
+
+def old_commutativity_defect(self) -> str | None:
+    """None when gy = (-1)^(|g||y|) yg for every generator g and every y,
+    else the degrees where it fails.  For an associative algebra that is
+    graded commutativity: the graded centre is closed under products."""
+    p, n = self.p, self.n
+    for i, gens in self.generators.items():
+        g = list(gens)
+        for j in range(n + 1 - i):
+            if self.dim(j) == 0 or ((i, j) not in self.mult and (j, i) not in self.mult):
+                continue
+            sign = p - 1 if (i % 2 and j % 2 and p != 2) else 1
+            if not np.array_equal((sign * self.mult3(j, i)[:, :, g].transpose(0, 2, 1)) % p,
+                                  self.mult3(i, j)[:, g]):
+                return f"graded commutativity fails for degrees ({i}, {j})"
+    return None
+
+
+def same_defects(alg):
+    """The entry join's verdict strings, asserted equal to the dense loops'
+    on fresh instances: with the join in one range, and split into ranges
+    of at most three pairs (one x with more pairs is a range alone), so
+    every range boundary is crossed."""
+    want = (old_associativity_defect(alg), old_commutativity_defect(alg))
+    for rows in (algebra._JOIN_ROWS, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "_JOIN_ROWS", rows)
+            fresh = GradedAlgebra(alg.p, alg.n, alg.dims, alg.mult)
+            assert (fresh.associativity_defect, fresh.commutativity_defect) == want, rows
+    return want
+
+
 # --- verdicts ----------------------------------------------------------------
 
 def _verdict(validate, check_action, alg, act):
@@ -208,6 +268,40 @@ def test_workload_nodes_pass_both_chains(text):
     assert same_verdict(fx.algebra, fx.action) is None
 
 
+@pytest.mark.parametrize("text", NODES)
+@pytest.mark.parametrize("seed", [None, 1])
+def test_workload_nodes_get_the_loops_defect_strings(text, seed):
+    alg = build(text).algebra
+    assert same_defects(alg if seed is None else rebased(alg, seed)) == (None, None)
+
+
+def test_a_wide_chain_and_its_mutants_get_the_loops_defect_strings():
+    """16 x CP(6) at p = 2: the tables are block-diagonal by leaf, so the
+    join holds few pairs where the loops multiply whole tables."""
+    alg = build(f"{_chain(16, 'ComplexProj(6)')}@2").algebra
+    assert same_defects(alg) == (None, None)
+    rng = np.random.default_rng(16)
+    verdicts = [same_defects(random_mutant(alg, None, False, rng)[0]) for _ in range(8)]
+    assert verdicts.count((None, None)) < len(verdicts)
+
+
+def test_one_range_holds_a_fixture_and_a_small_bound_splits_it(monkeypatch):
+    alg = build(f"{_chain(4, 'ComplexProj(6)')}@2").algebra
+    steps = []
+    unbalanced = algebra._unbalanced
+
+    def counted(key, val, p):
+        steps.append(key.size)
+        return unbalanced(key, val, p)
+    monkeypatch.setattr(algebra, "_unbalanced", counted)
+    assert GradedAlgebra(alg.p, alg.n, alg.dims, alg.mult).associativity_defect is None
+    whole = steps[:]
+    steps.clear()
+    monkeypatch.setattr(algebra, "_JOIN_ROWS", 3)
+    assert GradedAlgebra(alg.p, alg.n, alg.dims, alg.mult).associativity_defect is None
+    assert len(whole) == 1 and len(steps) > 1 and sum(steps) == whole[0]
+
+
 # Inner nodes with a direct certificate at p * k <= n - 1, so their windows
 # carry an induced action.
 WINDOW_SPECS = [t for t in NODES if t.startswith("ConnectedSum") or "Sphere(2)" in t]
@@ -218,6 +312,7 @@ def test_windows_pass_both_action_checks(text):
     fx = build(text)
     rep = P.minimum_period(fx.algebra)
     window = P.subquotient(fx.algebra, rep.certificate, action=fx.action)
+    assert same_defects(window) == (window.associativity_defect, window.commutativity_defect)
     if window.action is None:
         pytest.skip("p * k exceeds n - 1: no induced action")
     assert same_verdict(window, window.action, unital=False) is None
@@ -296,7 +391,41 @@ def test_single_entry_mutants_get_the_parent_verdict(text, on_action, rebase, se
         alg, act = rebased_with_action(alg, act, seed)
     alg, act = random_mutant(alg, act, on_action, np.random.default_rng(seed))
     assert (alg.associativity_defect is None) == associative_by_triples(alg)
+    same_defects(alg)
     same_verdict(alg, act)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.booleans(), st.integers(0, 2**16))
+def test_mutants_at_the_largest_prime_get_the_loops_defect_strings(rebase, seed):
+    """p = 2097143, the largest prime below fplin.P_MAX.  The join keys a
+    product (t, x, g, y) of basis vectors by one int64 below T^4 for T the
+    total dimension (here 4, and below algebra.MAX_TOTAL_DIM in general, so
+    T^4 < 2^63).  Each pair's value is a product of two residues below
+    2^21, reduced mod p, and a key sums at most 2T of them, so no sum
+    reaches 2^63 either.  A rebased basis makes most entries large."""
+    alg = build("Product(Sphere(3),Sphere(3))@2097143").algebra
+    assert alg.p == fplin.P_MAX - 9
+    if rebase:
+        alg = rebased(alg, seed)
+    same_defects(random_mutant(alg, None, False, np.random.default_rng(seed))[0])
+
+
+@pytest.mark.parametrize("xy, yx", [(1, 1), (2, 2), (1, 2), (2, 1)])
+def test_keys_just_below_the_total_dimension_bound(xy, yx):
+    """x in degree 2, x^2 = y, and xy, yx on the last of the degree-6
+    classes, whose global index is T - 1 for T = MAX_TOTAL_DIM - 1: the key
+    of (yx or xy) comes within T^3 of T^4, the largest.  Degree 0 is empty,
+    as in a window, so no unit table of size T^2 is needed."""
+    size = algebra.MAX_TOTAL_DIM - 1
+    last = np.zeros((size - 2, 1), dtype=np.int64)
+    mult = {(2, 2): np.array([[1]], dtype=np.int64), (2, 4): last.copy(), (4, 2): last.copy()}
+    mult[(2, 4)][-1], mult[(4, 2)][-1] = xy, yx
+    alg = GradedAlgebra(3, 6, [0, 0, 1, 0, 1, 0, size - 2], mult)
+    assert alg.total_dim == size
+    want = (None, None) if xy == yx else ("associativity fails for degrees (2, 2, 2)",
+                                          "graded commutativity fails for degrees (2, 4)")
+    assert same_defects(alg) == want
 
 
 def test_sampled_mutants_are_refused():
@@ -400,6 +529,7 @@ def test_without_a_unit_degree_zero_is_checked():
     assert alg.unit_defect == "unit fails on the right in degree 1"
     assert 0 in alg.generators
     assert alg.associativity_defect == "associativity fails for degrees (1, 0, 1)"
+    assert same_defects(alg) == (alg.associativity_defect, alg.commutativity_defect)
     with pytest.raises(ActionDefect, match="associative"):
         verify_action(alg, SteenrodAction(alg, {(1, 1): one}))  # Sq^1 x = x^2
 
