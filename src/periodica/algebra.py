@@ -7,14 +7,19 @@ outside 0..top_degree are zero.  Missing tables are zero maps.  Tables
 are read-only once built, so the generators and the axiom verdicts are
 computed once per algebra.
 
-The axiom checks run on the nonzero table entries, not on whole tables.
+Every check reads the nonzero table entries, listed once per algebra, not
+whole tables.  The unit is read off the entries with the unit as a factor.
+The generators and the duality verdict are pivots of sparse matrices of
+entries (fplin.pivot_columns): a row with a single entry gives its pivot
+directly, and only the other rows are made dense, one degree at a time.
 Associativity is a join of entry pairs, summed per product of three basis
 vectors, so its cost follows the nonzero entries, which grow as k in a
 connected sum of k leaves.  The join runs over ranges of the left factor
 of at most _JOIN_ROWS pairs each.  In a dense basis, where nearly every
 entry is nonzero, the join holds more pairs than the tables hold entries,
 and the check is slower than whole-table products (about 1.5x on a
-rebased CP(8) x CP(8) at p = 3).
+rebased CP(8) x CP(8) at p = 3); so are the pivots when the entry list is
+counted in, as most rows there hold several entries.
 """
 
 from __future__ import annotations
@@ -89,41 +94,47 @@ class Element:
         return not any(self.coeffs)
 
 
-# A step of the associativity join holds at most this many entry pairs,
-# unless the pairs of one left factor x alone are more.  Steps this small
-# keep the sort's arrays in cache; every corpus fixture in the tests and the
+# A step of a join holds at most this many entry pairs, unless the pairs of
+# one value of the range variable alone are more.  Steps this small keep the
+# sort's arrays in cache; every corpus fixture in the tests and the
 # benchmark fits in one step.
 _JOIN_ROWS = 1 << 14
 
 
-class _Join:
-    """The pairs (o, i) of an outer and an inner table entry with
-    link[o] == at[i] < groups, each keyed outer_key[o] + inner_key[i] with
-    the value outer_val[o] * inner_val[i]; the outer entries in order of
-    their left factor x."""
+class _Groups:
+    """Entries grouped by a label below `groups`, each with its columns
+    (arrays, one value per entry) in label order."""
 
-    def __init__(self, x, link, outer_key, outer_val, at, inner_key, inner_val, groups: int):
-        order = np.argsort(x)
-        self.x, self.link = x[order], link[order]
-        self.outer_key, self.outer_val = outer_key[order], outer_val[order]
-        order = np.argsort(at)
-        self.inner_key, self.inner_val = inner_key[order], inner_val[order]
-        count = np.bincount(at, minlength=groups)
-        self.first = np.cumsum(count) - count  # where each group's inner entries start
-        self.count = count[self.link]
+    def __init__(self, label, groups: int, *columns):
+        order = np.argsort(label)
+        self.columns = [c[order] for c in columns]
+        self.count = np.bincount(label, minlength=groups)
+        self.first = np.cumsum(self.count) - self.count  # where each group starts
 
-    def pairs_per_x(self, size: int) -> np.ndarray:
-        return np.bincount(self.x, weights=self.count, minlength=size)
+    def span(self, x0: int, x1: int) -> slice:
+        """Where the entries labelled x0..x1 - 1 lie in the columns."""
+        return slice(self.first[x0], self.first[x1 - 1] + self.count[x1 - 1])
 
-    def pairs(self, x0: int, x1: int) -> tuple[np.ndarray, np.ndarray]:
-        """The keys and values of the pairs whose x lies in x0..x1 - 1."""
-        lo, hi = np.searchsorted(self.x, (x0, x1))
-        count = self.count[lo:hi]
-        # the first inner entry of each pair's group, plus the pair's place in it
-        inner = np.repeat(self.first[self.link[lo:hi]] - (np.cumsum(count) - count), count)
-        inner += np.arange(inner.size)
-        key = np.repeat(self.outer_key[lo:hi], count) + self.inner_key[inner]
-        return key, np.repeat(self.outer_val[lo:hi], count) * self.inner_val[inner]
+    def meet(self, link) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair (o, e) of an index o into link and an entry e, an
+        index into the columns, labelled link[o]."""
+        count = self.count[link]
+        o = np.repeat(np.arange(link.size), count)
+        # the first entry of each pair's group, plus the pair's place in it
+        e = np.repeat(self.first[link] - (np.cumsum(count) - count), count)
+        e += np.arange(e.size)
+        return o, e
+
+
+def _ranges(per_x: np.ndarray):
+    """Contiguous ranges x0..x1 - 1 of at most _JOIN_ROWS pairs, by the pair
+    counts per_x of each x; an x with more pairs is a range alone."""
+    ends = np.cumsum(per_x)
+    x0 = 0
+    while x0 < per_x.size:
+        x1 = max(int(np.searchsorted(ends, ends[x0] - per_x[x0] + _JOIN_ROWS, "right")), x0 + 1)
+        yield x0, x1
+        x0 = x1
 
 
 def _unbalanced(key, val, p: int) -> np.ndarray:
@@ -134,6 +145,21 @@ def _unbalanced(key, val, p: int) -> np.ndarray:
     np.not_equal(key[1:], key[:-1], out=new[1:])
     first = np.flatnonzero(new)
     return key[first[np.add.reduceat(val[order], first) % p != 0]]
+
+
+def _nonzero_entries(tables: dict) -> tuple[np.ndarray, ...]:
+    """Every nonzero entry of the 2-D arrays in tables, which are keyed by
+    pairs of integers, as arrays (i, j, r, c, v): entry (r, c) of
+    tables[(i, j)] is v."""
+    arrays = list(tables.values())
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [m.ravel() for m in arrays])
+    at = np.flatnonzero(flat)
+    start = np.cumsum([0] + [m.size for m in arrays])
+    which = np.searchsorted(start, at, side="right") - 1  # the array of each entry
+    i, j = np.array(list(tables), dtype=np.int64).reshape(-1, 2)[which].T
+    width = np.array([m.shape[1] for m in arrays], dtype=np.int64)
+    r, c = np.divmod(at - start[which], width[which])
+    return i, j, r, c, flat[at]
 
 
 class GradedAlgebra:
@@ -219,16 +245,25 @@ class GradedAlgebra:
 
     @_computed_once
     def unit_defect(self) -> str | None:
-        """None when degree 0 is spanned by a two-sided unit, else why not."""
+        """None when degree 0 is spanned by a two-sided unit, else why not:
+        the least degree with a basis vector y where 1y = y or y1 = y
+        fails, the left side first.  Read off the table entries (t; 1, y)
+        and (t; y, 1): the unit acts on y when each side has the one entry
+        (y; 1, y), of value 1, for that y."""
         if self.dim(0) != 1:
             return f"degree 0 must be one-dimensional, got {self.dim(0)}"
-        for j in range(self.n + 1):
-            eye = np.eye(self.dim(j), dtype=np.int64)
-            if not np.array_equal(self.mult3(0, j)[:, 0], eye):
-                return f"unit fails on the left in degree {j}"
-            if not np.array_equal(self.mult3(j, 0)[:, :, 0], eye):
-                return f"unit fails on the right in degree {j}"
-        return None
+        t, a, b, v = self._entries
+        size, deg = self.total_dim, self._degrees()
+        fails = {}
+        for side, one, y in (("left", a, b), ("right", b, a)):
+            at = one == 0  # the global index of the class of degree 0
+            acts = (np.bincount(y[at], minlength=size) == 1) & \
+                (np.bincount(y[at & (t == y) & (v == 1)], minlength=size) == 1)
+            fails[side] = int(deg[~acts].min(initial=self.n + 1))
+        side = min(fails, key=fails.get)
+        if fails[side] > self.n:
+            return None
+        return f"unit fails on the {side} in degree {fails[side]}"
 
     @_computed_once
     def generators(self) -> dict[int, tuple[int, ...]]:
@@ -241,11 +276,10 @@ class GradedAlgebra:
         so is degree 0 when it is spanned by a two-sided unit: the unit
         passes every check that runs over the generators by itself.
         """
+        off = np.cumsum((0, *self.dims))
         out = {}
-        for d in range(0 if self.unit_defect else 1, self.n + 1):
-            products = [self.mult[(i, d - i)].T for i in range(1, d) if (i, d - i) in self.mult]
-            pivots = fplin.rref(np.vstack(products), self.p)[1] if products else ()
-            gens = tuple(t for t in range(self.dim(d)) if t not in pivots)
+        for d in range(self.n + 1):
+            gens = tuple(np.flatnonzero(self._is_generator[off[d]:off[d + 1]]).tolist())
             if gens:
                 out[d] = gens
         return out
@@ -257,27 +291,29 @@ class GradedAlgebra:
         are global: the index within the degree plus the dimensions of the
         degrees below."""
         off = np.cumsum((0, *self.dims))
-        dims = np.array(self.dims, dtype=np.int64)
-        tables = list(self.mult.values())
-        flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [m.ravel() for m in tables])
-        at = np.flatnonzero(flat)
-        start = np.cumsum([0] + [m.size for m in tables])
-        which = np.searchsorted(start, at, side="right") - 1  # the table of each entry
-        i, j = np.array(list(self.mult), dtype=np.int64).reshape(-1, 2)[which].T
-        c, ab = np.divmod(at - start[which], dims[i] * dims[j])
-        a, b = np.divmod(ab, dims[j])
-        return off[i + j] + c, off[i] + a, off[j] + b, flat[at]
+        i, j, c, ab, v = _nonzero_entries(self.mult)
+        a, b = np.divmod(ab, np.array(self.dims, dtype=np.int64)[j])
+        return off[i + j] + c, off[i] + a, off[j] + b, v
 
     def _degrees(self) -> np.ndarray:
         """The degree of each global basis index."""
         return np.repeat(np.arange(self.n + 1), self.dims)
 
+    @_computed_once
     def _is_generator(self) -> np.ndarray:
-        """Whether each global basis index is one of the generators."""
-        out = np.zeros(self.total_dim, dtype=bool)
-        off = np.cumsum((0, *self.dims))
-        for d, gens in self.generators.items():
-            out[off[d] + np.array(gens)] = True
+        """Whether each global basis index is one of the generators.
+
+        The pivots of the decomposables are those of one sparse matrix: a
+        row per product ab of positive degrees, its entries (t; a, b) in
+        column t, blocked by the degree of t.
+        """
+        t, a, b, v = self._entries
+        deg = self._degrees()
+        rows = (deg[a] > 0) & (deg[b] > 0)
+        out = deg >= (0 if self.unit_defect else 1)
+        out[fplin.pivot_columns(a[rows] * self.total_dim + b[rows], t[rows], v[rows],
+                                deg[t[rows]], self.p)] = False
+        out.setflags(write=False)
         return out
 
     @_computed_once
@@ -299,28 +335,24 @@ class GradedAlgebra:
         """
         t, a, b, v = self._entries
         p, size, deg = self.p, self.total_dim, self._degrees()
-        gen = self._is_generator()
+        gen = self._is_generator
         xg, gy = np.flatnonzero(gen[b]), np.flatnonzero(gen[a])
         # The key (t, x, g, y) is ((t * size + x) * size + g) * size + y.
         # (xg)y: each entry (u; x, g) meets the entries (t; u, y) of group u.
         # x(gy): each entry (t; x, w) meets the entries (w; g, y) of group
         # size + w, with the opposite sign.
-        join = _Join(
-            x=np.concatenate([a[xg], a]),
-            link=np.concatenate([t[xg], size + b]),
-            outer_key=np.concatenate([((a * size + b) * size)[xg], (t * size + a) * size ** 2]),
-            outer_val=np.concatenate([v[xg], -v]),
-            at=np.concatenate([a, size + t[gy]]),
-            inner_key=np.concatenate([t * size ** 3 + b, (a * size + b)[gy]]),
-            inner_val=np.concatenate([v, v[gy]]),
-            groups=2 * size)
-        per_x = join.pairs_per_x(size)
-        ends = np.cumsum(per_x)
-        failed, x0 = [], 0
-        while x0 < size:
-            x1 = max(int(np.searchsorted(ends, ends[x0] - per_x[x0] + _JOIN_ROWS, "right")), x0 + 1)
-            failed.append(_unbalanced(*join.pairs(x0, x1), p))
-            x0 = x1
+        x, link = np.concatenate([a[xg], a]), np.concatenate([t[xg], size + b])
+        outer = _Groups(x, size, link,
+                        np.concatenate([((a * size + b) * size)[xg], (t * size + a) * size ** 2]),
+                        np.concatenate([v[xg], -v]))
+        inner = _Groups(np.concatenate([a, size + t[gy]]), 2 * size,
+                        np.concatenate([t * size ** 3 + b, (a * size + b)[gy]]),
+                        np.concatenate([v, v[gy]]))
+        failed = []
+        for x0, x1 in _ranges(np.bincount(x, weights=inner.count[link], minlength=size)):
+            to, key, val = (c[outer.span(x0, x1)] for c in outer.columns)
+            o, e = inner.meet(to)
+            failed.append(_unbalanced(key[o] + inner.columns[0][e], val[o] * inner.columns[1][e], p))
         key = np.concatenate([np.zeros(0, dtype=np.int64), *failed])
         if not key.size:
             return None
@@ -339,7 +371,7 @@ class GradedAlgebra:
         entry (t; y, g), key by key (t, g, y)."""
         t, a, b, v = self._entries
         p, size, deg = self.p, self.total_dim, self._degrees()
-        gen = self._is_generator()
+        gen = self._is_generator
         gy, yg = gen[a], gen[b]
         odd = (deg[a] % 2 == 1) & (deg[b] % 2 == 1) & (p != 2)
         key = np.concatenate([(t[gy] * size + a[gy]) * size + b[gy],
@@ -397,13 +429,17 @@ class GradedAlgebra:
 
 
 def verify_poincare_duality(alg: GradedAlgebra) -> bool:
-    """True iff dim H^0 = dim H^n = 1 and every degree pairing is perfect."""
+    """True iff dim H^0 = dim H^n = 1 and every degree pairing is perfect.
+
+    The pairings are the blocks of one sparse matrix: the entries (top; a, b)
+    of the products onto the top class, row a, column b, blocked by the
+    degree of a.  The pairing of degree i has rank at most dim(i) and at
+    most dim(n - i), so the ranks sum to the total dimension exactly when
+    every pairing is perfect.
+    """
     if alg.dim(0) != 1 or alg.dim(alg.n) != 1:
         return False
-    for i in range(alg.n + 1):
-        if alg.dim(i) != alg.dim(alg.n - i):
-            return False
-        pm = alg.pairing_matrix(i)
-        if fplin.rank(pm, alg.p) != alg.dim(i):
-            return False
-    return True
+    t, a, b, v = alg._entries
+    top = t == alg.total_dim - 1
+    pivots = fplin.pivot_columns(a[top], b[top], v[top], alg._degrees()[a[top]], alg.p)
+    return pivots.size == alg.total_dim

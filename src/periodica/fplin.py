@@ -144,6 +144,46 @@ def rank(mat, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
+def pivot_columns(row, col, val, block, p: int) -> np.ndarray:
+    """The pivot columns of rref of a sparse matrix, sorted.
+
+    The matrix is given by its nonzero entries: val[e], nonzero mod p, at
+    (row[e], col[e]), one entry per position, with block[e] the block of
+    the entry's row.  Rows of different blocks must share no column.
+
+    Pivots depend only on the row space R: c is a pivot iff some vector of R
+    has its first nonzero coordinate at c.  A row with a single entry, at
+    column c, puts the unit vector e_c in R, so c is a pivot; let S be these
+    columns.  Subtracting multiples of those e_c zeroes the columns S in
+    every other row without changing R, so R = span(e_c : c in S) + R', R'
+    spanned by the other rows restricted to the columns outside S.  A vector
+    e + r' of R has its first nonzero coordinate where e or r' has it, the
+    two supports being disjoint, so the pivots are S and those of R'.  As
+    blocks share no column, R' is the direct sum of the blocks' row spaces
+    and its pivots are the union of theirs.  So only the rows without a
+    single entry are row-reduced, each block made dense over its own rows
+    and columns alone: never larger than the block's own dense matrix.
+    """
+    row, col, val, block = (np.asarray(x, dtype=np.int64) for x in (row, col, val, block))
+    order = np.argsort(row)
+    row, col, val, block = row[order], col[order], val[order], block[order]
+    new = np.ones(row.size + 1, dtype=bool)  # where each row's entries start, and the end
+    np.not_equal(row[1:], row[:-1], out=new[1:-1])
+    pivot = np.zeros(col.max() + 1 if col.size else 0, dtype=bool)
+    pivot[col[new[:-1] & new[1:]]] = True
+    rest = ~pivot[col]
+    order = np.argsort(block[rest])
+    row, col, val, block = row[rest][order], col[rest][order], val[rest][order], block[rest][order]
+    edges = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1), block.size] if block.size else []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows, r = np.unique(row[lo:hi], return_inverse=True)
+        cols, c = np.unique(col[lo:hi], return_inverse=True)
+        dense = np.zeros((rows.size, cols.size), dtype=np.int64)
+        dense[r, c] = val[lo:hi]
+        pivot[cols[list(rref(dense, p)[1])]] = True
+    return np.flatnonzero(pivot)
+
+
 def solve(mat, vec, p: int) -> np.ndarray | None:
     """One solution x of ``mat @ x = vec`` mod p, or None."""
     a = as_matrix(mat, p)

@@ -101,6 +101,19 @@ def test_total_dimension_below_the_bound():
         GradedAlgebra(2, 1, [1, MAX_TOTAL_DIM - 1], {})
 
 
+def test_unit_check_reads_the_entries_of_a_large_degree():
+    """No (0, 3) table, so 1y = 0 for the 54 996 classes y of degree 3.
+    The check reads the table entries: it needs no dim(3) x dim(3)
+    identity, which would take 24 GB of int64."""
+    one = [[1]]
+    mult = {(0, 0): one, (0, 1): one, (1, 0): one, (0, 2): one, (2, 0): one}
+    alg = GradedAlgebra(3, 3, [1, 1, 1, 54_996], mult)
+    assert alg.unit_defect == "unit fails on the left in degree 3"
+    with pytest.raises(AlgebraDefect, match="left in degree 3"):
+        alg.validate()
+    assert not verify_poincare_duality(alg)
+
+
 def test_serialization_round_trip():
     for text in ("ComplexProj(4)@2", "QuatProj(3)@2", "Product(Sphere(3),Sphere(3))@2",
                  "ComplexProj(4)@3", "ConnectedSum(QuatProj(3),QuatProj(3))@2"):

@@ -490,6 +490,20 @@ def test_deeply_nested_json_is_bad_input(capsys, tmp_path, command):
     assert code == 2 and out == "" and err == f"error: {path} is nested too deeply to read\n"
 
 
+def test_a_large_degree_without_a_unit_table_is_a_violation(capsys, tmp_path):
+    """1y = 0 for the 54 996 classes y of degree 3: a verdict and exit 1,
+    not a memory error."""
+    mult = {key: [[1]] for key in ("0,0", "0,1", "1,0", "0,2", "2,0")}
+    doc = {"algebra": {"p": 3, "top_degree": 3, "dims": [1, 1, 1, 54_996], "mult": mult},
+           "action": None}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and err == ""
+    assert report(out)["payload"]["problems"] == [
+        "algebra: unit fails on the left in degree 3", "pairing is not perfect"]
+
+
 def test_decompose_refuses_a_window_mode_element(capsys, tmp_path):
     """x = 4:1 induces periodicity on QuatProj(3) (n = 12) by the window
     test, but 3k > n-1, so there is no degree-k ring to split."""

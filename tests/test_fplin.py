@@ -157,6 +157,50 @@ def test_rank_nullity_larger():
             assert fplin.image(m, p).dim == fplin.rank(m, p)
 
 
+def _sparse_pivots(dense, block_of_row, p):
+    """pivot_columns on the nonzero entries of dense, rows numbered apart."""
+    r, c = np.nonzero(dense % p)
+    return tuple(fplin.pivot_columns(7 * r + 3, c, dense[r, c] % p,
+                                     np.asarray(block_of_row, dtype=np.int64)[r], p).tolist())
+
+
+@pytest.mark.parametrize("p", [2, 3, fplin.P_MAX - 9])
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0], [0, 1, 1], [0, 0, 0]],             # zero rows
+    [[0, 2, 0], [0, 1, 0], [1, 1, 1], [0, 1, 1]],  # single-entry rows sharing a column
+    [[1, 1, 0], [0, 1, 1], [1, 0, 1]],             # no single-entry row
+    [[0, 0, 5], [4, 0, 0], [0, 3, 0]],             # only single-entry rows
+    [],
+])
+def test_pivot_columns_of_named_shapes(p, rows):
+    dense = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    assert _sparse_pivots(dense, [0] * len(dense), p) == fplin.rref(dense, p)[1]
+
+
+@st.composite
+def _block_matrices(draw):
+    """p, a matrix whose rows each lie in one block's columns (the blocks'
+    columns interleaved), and each row's block."""
+    p = draw(st.sampled_from((2, 3, fplin.P_MAX - 9)))
+    blocks = draw(st.integers(1, 3))
+    col_block = draw(st.lists(st.integers(0, blocks - 1), max_size=7))
+    row_block = draw(st.lists(st.integers(0, blocks - 1), max_size=8))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(1, p - 1))
+    dense = np.zeros((len(row_block), len(col_block)), dtype=np.int64)
+    for r, b in enumerate(row_block):
+        for c, cb in enumerate(col_block):
+            if cb == b:
+                dense[r, c] = draw(entry)
+    return p, dense, row_block
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_block_matrices())
+def test_pivot_columns_match_rref(case):
+    p, dense, row_block = case
+    assert _sparse_pivots(dense, row_block, p) == fplin.rref(dense, p)[1]
+
+
 def test_subspace_membership_and_coords():
     rng = np.random.default_rng(15)
     for p in (2, 3, 5):

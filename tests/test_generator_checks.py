@@ -10,7 +10,9 @@ type, on fixtures, windows and single-entry mutants of tables and actions.
 
 The two generator checks themselves now join the tables' nonzero entries;
 the dense per-degree loops they replaced are kept verbatim below too, and
-the join must give the same verdict strings on the same algebras.
+the join must give the same verdict strings on the same algebras.  So must
+the unit check, the generators, the duality verdict and the Cartan check,
+which read the same entries, against their dense per-degree loops.
 """
 
 import functools
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from periodica import algebra, corpus, fplin, steenrod
 from periodica import periodicity as P
-from periodica.algebra import AlgebraDefect, GradedAlgebra
+from periodica.algebra import AlgebraDefect, GradedAlgebra, verify_poincare_duality
 from periodica.steenrod import ActionDefect, SteenrodAction, operation_shift, verify_action
 from rebasing import rebased, rebased_with_action
 
@@ -194,6 +196,153 @@ def same_defects(alg):
     return want
 
 
+def loop_unit_defect(self) -> str | None:
+    """None when degree 0 is spanned by a two-sided unit, else why not."""
+    if self.dim(0) != 1:
+        return f"degree 0 must be one-dimensional, got {self.dim(0)}"
+    for j in range(self.n + 1):
+        eye = np.eye(self.dim(j), dtype=np.int64)
+        if not np.array_equal(self.mult3(0, j)[:, 0], eye):
+            return f"unit fails on the left in degree {j}"
+        if not np.array_equal(self.mult3(j, 0)[:, :, 0], eye):
+            return f"unit fails on the right in degree {j}"
+    return None
+
+
+def loop_generators(self) -> dict[int, tuple[int, ...]]:
+    """Per degree, the basis indices outside the pivots of the decomposables.
+
+    The decomposables of degree d are spanned by the products of degrees
+    (i, d - i) with 0 < i < d.  The basis vectors at the returned indices
+    span a complement of them, so by induction on the degree they
+    generate the algebra.  Degrees without generators are left out, and
+    so is degree 0 when it is spanned by a two-sided unit: the unit
+    passes every check that runs over the generators by itself.
+    """
+    out = {}
+    for d in range(0 if loop_unit_defect(self) else 1, self.n + 1):
+        products = [self.mult[(i, d - i)].T for i in range(1, d) if (i, d - i) in self.mult]
+        pivots = fplin.rref(np.vstack(products), self.p)[1] if products else ()
+        gens = tuple(t for t in range(self.dim(d)) if t not in pivots)
+        if gens:
+            out[d] = gens
+    return out
+
+
+def loop_poincare_duality(alg: GradedAlgebra) -> bool:
+    """True iff dim H^0 = dim H^n = 1 and every degree pairing is perfect."""
+    if alg.dim(0) != 1 or alg.dim(alg.n) != 1:
+        return False
+    for i in range(alg.n + 1):
+        if alg.dim(i) != alg.dim(alg.n - i):
+            return False
+        pm = alg.pairing_matrix(i)
+        if fplin.rank(pm, alg.p) != alg.dim(i):
+            return False
+    return True
+
+
+def loop_cartan_fails(alg: GradedAlgebra, act: SteenrodAction, s: int, i: int, gens: list,
+                      j: int, terms: list) -> bool:
+    """True iff P^s(gv) != sum P^h(g) P^k(v) over the (h, k) in terms for some
+    basis vector g of degree i at an index in gens and some basis vector v
+    of degree j.  Terms must hold each (h, k) with h + k = s whose maps are
+    stored."""
+    p, t = alg.p, i + j + operation_shift(alg.p, s)
+    lhs = np.zeros((alg.dim(t), len(gens), alg.dim(j)), dtype=np.int64)
+    if (s, i + j) in act.maps and (i, j) in alg.mult:
+        lhs = np.einsum("tu,ugv->tgv", act.maps[(s, i + j)], alg.mult3(i, j)[:, gens]) % p
+    rhs = np.zeros_like(lhs)
+    for h, k in terms:
+        ti, tj = act.target_degree(h, i), act.target_degree(k, j)
+        if (ti, tj) not in alg.mult:
+            continue
+        # (t, u, v) -> (t, u, b) -> (t, b, g), reduced in between
+        right = (alg.mult3(ti, tj) @ act.op_matrix(k, j)) % p
+        piece = right.transpose(0, 2, 1) @ act.op_matrix(h, i)[:, gens]
+        rhs = (rhs + piece.transpose(0, 2, 1)) % p
+    return not np.array_equal(lhs, rhs)
+
+
+def loop_verify_action(alg: GradedAlgebra, act: SteenrodAction) -> None:
+    """Check instability, the top-power axiom and the Cartan formula.
+
+    The Cartan formula is checked for P(xy) with x a generator of the
+    algebra and y anything.  The x that satisfy it against every y are
+    closed under products in an associative algebra, so this covers every
+    product in either order; a non-associative algebra is refused.
+    """
+    if act.alg is not alg and act.alg.to_dict() != alg.to_dict():
+        raise ActionDefect("action was built over a different algebra")
+    p, n = alg.p, alg.n
+    for (s, j), m in act.maps.items():
+        unstable = s > j if p == 2 else 2 * s > j
+        if unstable and m.any():
+            raise ActionDefect(f"operation ({s}, {j}) must vanish above the degree")
+    for j in range(1, n + 1):
+        if alg.dim(j) == 0:
+            continue
+        s = j if p == 2 else (j // 2 if j % 2 == 0 else None)
+        if s is None or s == 0:
+            continue
+        t = act.target_degree(s, j)
+        if t > n:
+            continue
+        # column b of the power is the p-th power of the b-th basis vector
+        if p == 2:
+            want = alg.mult3(j, j).diagonal(axis1=1, axis2=2)
+        else:
+            want = np.eye(alg.dim(j), dtype=np.int64)
+            for e in range(1, p):
+                want = np.einsum("tbc,cb->tb", alg.mult3(j, e * j), want) % p
+        if not np.array_equal(act.op_matrix(s, j), want):
+            raise ActionDefect(f"top operation on degree {j} is not the {'square' if p == 2 else 'p-th power'}")
+    if alg.associativity_defect is not None:
+        raise ActionDefect(f"the Cartan check needs an associative algebra: {alg.associativity_defect}")
+    stored: dict[int, set] = {}  # degree -> the s of its stored maps, and 0
+    for s, j in act.maps:
+        stored.setdefault(j, {0}).add(s)
+    for i, gens in loop_generators(alg).items():
+        for j in range(n + 1 - i):
+            if alg.dim(j) == 0:
+                continue
+            terms: dict[int, list] = {s: [] for s in stored.get(i + j, ())}
+            for h in stored.get(i, {0}):
+                for k in stored.get(j, {0}):
+                    terms.setdefault(h + k, []).append((h, k))
+            for s in sorted(terms):
+                if s and i + j + operation_shift(p, s) <= n and \
+                        loop_cartan_fails(alg, act, s, i, list(gens), j, terms[s]):
+                    raise ActionDefect(f"Cartan formula fails for s={s} on degrees ({i}, {j})")
+
+
+def _action_verdict(check, alg, act):
+    """None, or the type and message of the defect check raises."""
+    try:
+        check(alg, act)
+    except (ActionDefect, AlgebraDefect) as e:
+        return f"{type(e).__name__}: {e}"
+    return None
+
+
+def same_checks(alg, act=None):
+    """The unit verdict, generator tuples, duality verdict and verify_action
+    string of the entry checks, asserted equal to the loops' on fresh
+    instances, with the joins in one range and in ranges of at most three
+    pairs; returned as the loops give them."""
+    want = (loop_unit_defect(alg), loop_generators(alg), loop_poincare_duality(alg),
+            None if act is None else _action_verdict(loop_verify_action, alg, act))
+    for rows in (algebra._JOIN_ROWS, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "_JOIN_ROWS", rows)
+            fresh = GradedAlgebra(alg.p, alg.n, alg.dims, alg.mult)
+            got = (fresh.unit_defect, fresh.generators, verify_poincare_duality(fresh),
+                   None if act is None else
+                   _action_verdict(verify_action, fresh, SteenrodAction(fresh, act.maps)))
+            assert got == want, rows
+    return want
+
+
 # --- verdicts ----------------------------------------------------------------
 
 def _verdict(validate, check_action, alg, act):
@@ -275,6 +424,17 @@ def test_workload_nodes_get_the_loops_defect_strings(text, seed):
     assert same_defects(alg if seed is None else rebased(alg, seed)) == (None, None)
 
 
+@pytest.mark.parametrize("text", NODES)
+@pytest.mark.parametrize("seed", [None, 1])
+def test_workload_nodes_get_the_loops_generators_duality_and_cartan(text, seed):
+    fx = build(text)
+    alg, act = fx.algebra, fx.action
+    if seed is not None:
+        alg, act = rebased_with_action(alg, act, seed)
+    unit, gens, duality, action = same_checks(alg, act)
+    assert (unit, duality, action) == (None, True, None) and gens
+
+
 def test_a_wide_chain_and_its_mutants_get_the_loops_defect_strings():
     """16 x CP(6) at p = 2: the tables are block-diagonal by leaf, so the
     join holds few pairs where the loops multiply whole tables."""
@@ -283,6 +443,18 @@ def test_a_wide_chain_and_its_mutants_get_the_loops_defect_strings():
     rng = np.random.default_rng(16)
     verdicts = [same_defects(random_mutant(alg, None, False, rng)[0]) for _ in range(8)]
     assert verdicts.count((None, None)) < len(verdicts)
+
+
+def test_a_wide_chain_and_its_mutants_get_the_loops_generators_and_cartan_strings():
+    """16 x CP(6) at p = 2, and single-entry mutants of its tables and of
+    its action: the Cartan join holds few pairs where the loop multiplies
+    whole tables and maps."""
+    fx = build(f"{_chain(16, 'ComplexProj(6)')}@2")
+    assert same_checks(fx.algebra, fx.action)[2:] == (True, None)
+    rng = np.random.default_rng(17)
+    verdicts = [same_checks(*random_mutant(fx.algebra, fx.action, on_action, rng))[3]
+                for on_action in (True, False) * 4]
+    assert sum(v is not None and "Cartan" in v for v in verdicts) >= 2, verdicts
 
 
 def test_one_range_holds_a_fixture_and_a_small_bound_splits_it(monkeypatch):
@@ -314,14 +486,17 @@ def test_windows_pass_both_action_checks(text):
     window = P.subquotient(fx.algebra, rep.certificate, action=fx.action)
     assert same_defects(window) == (window.associativity_defect, window.commutativity_defect)
     if window.action is None:
+        same_checks(window)
         pytest.skip("p * k exceeds n - 1: no induced action")
     assert same_verdict(window, window.action, unital=False) is None
+    assert same_checks(window, window.action)[3] is None
     steenrod.verify_induced_action(window, fx.action, window.action)
     # single-entry mutants of the window action
     rng = np.random.default_rng(len(text))
     for _ in range(12):
         _, mutant = random_mutant(window, window.action, True, rng)
         same_verdict(window, mutant, unital=False)
+        same_checks(window, mutant)
 
 
 # --- single-entry mutants ----------------------------------------------------
@@ -392,7 +567,55 @@ def test_single_entry_mutants_get_the_parent_verdict(text, on_action, rebase, se
     alg, act = random_mutant(alg, act, on_action, np.random.default_rng(seed))
     assert (alg.associativity_defect is None) == associative_by_triples(alg)
     same_defects(alg)
+    same_checks(alg, act)
     same_verdict(alg, act)
+
+
+@pytest.mark.parametrize("text", [
+    "Product(ComplexProj(2),ComplexProj(3))@2", "ConnectedSum(ComplexProj(4),QuatProj(2))@2",
+    "Product(ComplexProj(3),ComplexProj(3))@2", "ComplexProj(6)@3", "TruncatedPoly(2,6)@3",
+    "Product(ComplexProj(3),QuatProj(2))@5",
+])
+def test_two_entry_action_mutants_get_the_loops_cartan_strings(text):
+    """Two changed entries of stable operations below the top power can
+    break the Cartan formula at two pairs (|y|, s) for one |g|: the message
+    must name the loop's first, the least |y| before the least s."""
+    fx = build(text)
+    p = fx.algebra.p
+    keys = [(s, j) for s, j in _action_keys(fx.algebra, fx.action)
+            if (s < j if p == 2 else 2 * s < j)]
+    rng = np.random.default_rng(len(text))
+    verdicts = []
+    for _ in range(8):
+        act = fx.action
+        for _ in range(2):
+            act = action_mutant(fx.algebra, act, keys[rng.integers(len(keys))], rng)[1]
+        verdicts.append(same_checks(fx.algebra, act)[3])
+    assert sum(v is not None and "Cartan" in v for v in verdicts) >= 4, verdicts
+
+
+@pytest.mark.parametrize("rows", [3, 60])
+def test_one_cartan_range_holds_a_fixture_and_a_small_bound_splits_it(monkeypatch, rows):
+    """4 x CP(6) at p = 2 has four generators of 29 Cartan pairs each.  In
+    ranges of at most 3 pairs each is a range alone; in ranges of 60, two
+    share one.  Either way the split join sums every pair."""
+    fx = build(f"{_chain(4, 'ComplexProj(6)')}@2")
+    steps = []
+    unbalanced = steenrod._unbalanced
+
+    def counted(key, val, p):
+        steps.append(key.size)
+        return unbalanced(key, val, p)
+    monkeypatch.setattr(steenrod, "_unbalanced", counted)
+    sizes = []
+    for bound in (algebra._JOIN_ROWS, rows):
+        monkeypatch.setattr(algebra, "_JOIN_ROWS", bound)
+        alg = GradedAlgebra(fx.algebra.p, fx.algebra.n, fx.algebra.dims, fx.algebra.mult)
+        verify_action(alg, SteenrodAction(alg, fx.action.maps))
+        sizes.append(steps[:])
+        steps.clear()
+    whole, split = sizes
+    assert len(whole) == 1 and len(split) > 1 and sum(split) == whole[0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -561,7 +784,7 @@ def test_cartan_runs_over_every_generator(text):
 def test_checks_are_computed_once_per_instance(monkeypatch):
     fx = build("Product(ComplexProj(3),ComplexProj(2))@3")
     calls = []
-    for name in ("unit_defect", "generators", "associativity_defect"):
+    for name in ("unit_defect", "_is_generator", "generators", "associativity_defect"):
         once = GradedAlgebra.__dict__[name]
 
         def counted(self, func=once.func, name=name):
@@ -576,7 +799,8 @@ def test_checks_are_computed_once_per_instance(monkeypatch):
     verify_action(alg, act)
     alg.validate()
     verify_action(alg, act)
-    assert sorted(calls) == ["associativity_defect", "generators", "unit_defect"]
+    assert alg.generators == alg.generators
+    assert sorted(calls) == ["_is_generator", "associativity_defect", "generators", "unit_defect"]
 
 
 def test_top_power_is_one_batched_power_per_degree():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from periodica import corpus, fplin, steenrod
+from periodica.algebra import GradedAlgebra
 from periodica.steenrod import (ActionDefect, IsPowerOfTwo, SteenrodAction,
                                 adem_normal_form, decompose_sq, evaluate_sum,
                                 operation_shift)
@@ -130,6 +131,22 @@ def test_verify_action_catches_corruption():
     maps[(2, 2)] = np.zeros_like(maps[(2, 2)])
     with pytest.raises(ActionDefect):
         steenrod.verify_action(alg, SteenrodAction(alg, maps))
+
+
+@pytest.mark.parametrize("p, dims, key", [
+    (2, [0, 0, 30_000, 0, 1], (2, 2)),        # Sq^2 on degree 2: the square, in degree 4
+    (3, [0, 0, 30_000, 0, 1, 0, 1], (1, 2)),  # P^1 on degree 2: the cube, in degree 6
+])
+def test_top_power_of_a_large_degree_without_its_square_table(p, dims, key):
+    """No (2, 2) table, so every p-th power in degree 2 is zero and the top
+    operation there must be zero too.  A zero-filled (2, 2) table would
+    take dim(4) * 30 000^2 int64 entries (7.2 GB)."""
+    alg = GradedAlgebra(p, len(dims) - 1, dims, {})
+    steenrod.verify_action(alg, SteenrodAction(alg, {}))
+    op = np.zeros((1, 30_000), dtype=np.int64)
+    op[0, -1] = 1
+    with pytest.raises(ActionDefect, match="top operation on degree 2"):
+        steenrod.verify_action(alg, SteenrodAction(alg, {key: op}))
 
 
 def test_induced_action_on_direct_window():
