@@ -397,12 +397,6 @@ class GradedAlgebra:
         if self.commutativity_defect is not None:
             raise AlgebraDefect(self.commutativity_defect)
 
-    def pairing_matrix(self, i: int) -> np.ndarray:
-        """Pairing H^i x H^(n-i) -> H^n as a dim(i) x dim(n-i) matrix (dim(n) must be 1)."""
-        if self.dim(self.n) != 1:
-            raise AlgebraDefect("top degree is not one-dimensional")
-        return self.mult_map(i, self.n - i).reshape(self.dim(i), self.dim(self.n - i))
-
     def to_dict(self) -> dict:
         out = {
             "p": self.p,

@@ -42,6 +42,10 @@ class NotSemisimple(ValueError):
     pass
 
 
+class NotCommutative(ValueError):
+    """The matrices do not commute."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact below 3.18 * 10^23)."""
     if n < 2:
@@ -144,6 +148,19 @@ def rank(mat, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
+def _single_entry_columns(row, col, ncols: int) -> np.ndarray:
+    """Mask over the ncols columns of a sparse matrix, given by the row and
+    column of each nonzero entry: True at each column holding a row's only
+    entry."""
+    order = np.argsort(row)
+    row, col = row[order], col[order]
+    new = np.ones(row.size + 1, dtype=bool)  # where each row's entries start, and the end
+    np.not_equal(row[1:], row[:-1], out=new[1:-1])
+    single = np.zeros(ncols, dtype=bool)
+    single[col[new[:-1] & new[1:]]] = True
+    return single
+
+
 def pivot_columns(row, col, val, block, p: int) -> np.ndarray:
     """The pivot columns of rref of a sparse matrix, sorted.
 
@@ -165,12 +182,7 @@ def pivot_columns(row, col, val, block, p: int) -> np.ndarray:
     and columns alone: never larger than the block's own dense matrix.
     """
     row, col, val, block = (np.asarray(x, dtype=np.int64) for x in (row, col, val, block))
-    order = np.argsort(row)
-    row, col, val, block = row[order], col[order], val[order], block[order]
-    new = np.ones(row.size + 1, dtype=bool)  # where each row's entries start, and the end
-    np.not_equal(row[1:], row[:-1], out=new[1:-1])
-    pivot = np.zeros(col.max() + 1 if col.size else 0, dtype=bool)
-    pivot[col[new[:-1] & new[1:]]] = True
+    pivot = _single_entry_columns(row, col, col.max() + 1 if col.size else 0)
     rest = ~pivot[col]
     order = np.argsort(block[rest])
     row, col, val, block = row[rest][order], col[rest][order], val[rest][order], block[rest][order]
@@ -319,15 +331,48 @@ def kernel(mat, p: int) -> Subspace:
     m = as_matrix(mat, p)
     red, pivots = rref(m, p)
     n = m.shape[1]
-    free = [j for j in range(n) if j not in pivots]
-    rows = []
-    for f in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for t, c in enumerate(pivots):
-            v[c] = (-red[t, f]) % p
-        rows.append(v)
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
+    rows = np.zeros((free.size, n), dtype=np.int64)
+    rows[np.arange(free.size), free] = 1
+    if not red[:, free].any():
+        # The unit vectors at the free columns, already reduced.
+        return Subspace(p, n, rows, tuple(free.tolist()))
+    rows[:, list(pivots)] = -red[:, free].T % p
     return Subspace.from_vectors(rows, p, n)
+
+
+def sparse_kernel(row, col, val, ncols: int, p: int) -> Subspace:
+    """kernel of a sparse matrix with ncols columns, the same Subspace
+    kernel returns for the dense matrix.
+
+    The matrix is given by its nonzero entries, as in pivot_columns, in one
+    block.  The kernel depends only on the row space R.  A row with a single
+    entry, at column c, puts e_c in R and forces coordinate c of every
+    kernel vector to 0; let S be these columns.  As in pivot_columns, R =
+    span(e_c : c in S) + R', R' spanned by the other rows restricted to the
+    columns outside S, so the kernel is the kernel of R' on those columns,
+    with zeros inserted at S.  Inserting zero coordinates keeps a basis
+    reduced, with its pivots moved to the same columns, so this is the
+    canonical basis kernel returns.  Only the rows without a single entry
+    are made dense, over the columns outside S; when there are none, the
+    kernel is spanned by the unit vectors outside S and nothing is
+    row-reduced.
+    """
+    row, col, val = (np.asarray(x, dtype=np.int64) for x in (row, col, val))
+    single = _single_entry_columns(row, col, ncols)
+    keep, rest = np.flatnonzero(~single), ~single[col]
+    if rest.any():
+        rows, r = np.unique(row[rest], return_inverse=True)
+        dense = np.zeros((rows.size, keep.size), dtype=np.int64)
+        dense[r, np.searchsorted(keep, col[rest])] = val[rest]
+        inner = kernel(dense, p)
+    else:
+        inner = Subspace.full(p, keep.size)
+    basis = np.zeros((inner.dim, ncols), dtype=np.int64)
+    basis[:, keep] = inner.basis
+    return Subspace(p, ncols, basis, tuple(keep[list(inner.pivots)].tolist()))
 
 
 def image(mat, p: int) -> Subspace:
@@ -338,19 +383,20 @@ def image(mat, p: int) -> Subspace:
 
 
 def mat_pow(mat, e: int, p: int) -> np.ndarray:
-    m = as_matrix(mat, p)
-    d = m.shape[0]
-    if m.shape != (d, d):
-        raise ValueError("mat_pow expects a square matrix")
+    """mat^e mod p; for a stack of square matrices, the stack of their powers."""
+    m = _int_array(mat) % p
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError("mat_pow expects a square matrix or a stack of them")
     if e < 0:
         raise ValueError("negative exponent")
-    out = np.eye(d, dtype=np.int64)
+    out = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape).copy()
     base = m
     while e:
         if e & 1:
             out = (out @ base) % p
-        base = (base @ base) % p
         e >>= 1
+        if e:
+            base = (base @ base) % p
     return out
 
 
@@ -531,6 +577,15 @@ def semisimple_power(mat, p: int) -> tuple[np.ndarray, int]:
     return g, l
 
 
+def _reduced_pivots(flat) -> list | None:
+    """The pivot columns of flat when it is in reduced row echelon form with
+    no zero row, so that rref returns it unchanged; else None."""
+    lead = (flat != 0).argmax(axis=1)  # 0 for a zero row, whose entry there is not 1
+    if (lead[1:] <= lead[:-1]).any() or not np.array_equal(flat[:, lead], np.eye(lead.size)):
+        return None
+    return lead.tolist()
+
+
 def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
     """Primitive idempotents of a commutative algebra of matrices over GF(p).
 
@@ -543,11 +598,24 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
     e into the nonzero e * [b = c], [b = c] = 1 - (b - c)^(p-1), c running
     over the roots of the minimal polynomial of b on B.
 
+    A separator b with b * b = b needs neither the minimal polynomial nor a
+    power: b(b - 1) = 0, so b = 1 has the one root 1 and [b = 1] = 1 splits
+    nothing, and otherwise (b is a nonzero basis vector) the roots are 0
+    and 1, with [b = 0] = 1 - b^(p-1) = 1 - b and [b = 1] = 1 - (1 - b)^(p-1)
+    = b, since (b - 1)^(p-1) = (1 - b)^(p-1) (p - 1 is even or p = 2) and
+    1 - b is idempotent.  As A is commutative, e * [b = c] = [b = c] * e,
+    so the multiplication matrices of the indicators, applied to every
+    current idempotent in one product, split a whole round.  Frobenius is
+    one stacked power of the basis's multiplication matrices.  When the
+    matrices, flattened, are already in reduced row echelon form (a
+    Subspace basis), a coordinate vector is read at the pivots; every
+    product and the identity are still checked to lie in the span.
+
     Returns B, the primitive idempotents sorted by their coordinates, and
     every split into two or more parts as (e, b, parts), parts in ascending
-    order of c.  Raises ValueError when the matrices are not square and
-    linearly independent, do not commute, or a product or the identity
-    lies outside their span.
+    order of c.  Raises NotCommutative when the matrices do not commute,
+    and ValueError when they are not square and linearly independent, or a
+    product or the identity lies outside their span.
     """
     stack = np.array(mats, dtype=np.int64) % p
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -563,46 +631,58 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
             raise ValueError("a product of the matrices lies outside their span")
         return Subspace.full(p, 1), [np.array([pow(c, -1, p)], dtype=np.int64)], []
     flat = stack.reshape(d, m * m)
-    pivots = list(rref(flat, p)[1])
-    if len(pivots) != d:
-        raise ValueError("the matrices are linearly dependent")
-    to_coords = mat_inv(flat[:, pivots], p)
+    pivots = _reduced_pivots(flat)
+    reduced = pivots is not None
+    if not reduced:
+        pivots = list(rref(flat, p)[1])
+        if len(pivots) != d:
+            raise ValueError("the matrices are linearly dependent")
+        to_coords = mat_inv(flat[:, pivots], p)
 
     def coords(rows):
-        x = (rows[:, pivots] @ to_coords) % p
+        x = rows[:, pivots] if reduced else (rows[:, pivots] @ to_coords) % p
         if not np.array_equal((x @ flat) % p, rows):
             raise ValueError("a product of the matrices lies outside their span")
         return x
 
     products = (stack[:, None] @ stack[None]) % p
     if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
-        raise ValueError("the matrices do not commute")
+        raise NotCommutative("the matrices do not commute")
     # mult[i] multiplies by the i-th basis element: its column j is M_i M_j.
     mult = coords(products.reshape(d * d, m * m)).reshape(d, d, d).transpose(0, 2, 1)
     unit = coords(np.eye(m, dtype=np.int64).reshape(1, m * m))[0]
     flat_mult = mult.reshape(d, d * d)
 
-    def times(a):
-        return (a @ flat_mult).reshape(d, d) % p
+    def times(rows):
+        """The multiplication matrices of the elements rows."""
+        return (rows @ flat_mult).reshape(-1, d, d) % p
 
-    def power(a, e):
-        return (mat_pow(times(a), e, p) @ unit) % p
+    def power(rows, e):
+        """The e-th powers of the elements rows, one stacked power."""
+        return (mat_pow(times(rows), e, p) @ unit) % p
 
-    frobenius = np.array([power(a, p) for a in np.eye(d, dtype=np.int64)],
-                         dtype=np.int64).reshape(d, d).T
+    frobenius = power(np.eye(d, dtype=np.int64), p).T
     fixed = kernel((frobenius - np.eye(d, dtype=np.int64)) % p, p)
     parts, splits = [unit], []
     for b in fixed.basis:
         if len(parts) == fixed.dim:
             break
-        roots = split_roots(minimal_polynomial(restricted_matrix(times(b), fixed, fixed), p), p)
-        indicators = [(unit - power((b - c * unit) % p, p - 1)) % p for c in roots]
+        on_b = times(b)[0]
+        if np.array_equal((on_b @ b) % p, b):
+            if np.array_equal(b, unit):
+                continue  # [b = 1] = 1 splits nothing
+            indicators = np.array([(unit - b) % p, b])
+        else:
+            roots = split_roots(minimal_polynomial(restricted_matrix(on_b, fixed, fixed), p), p)
+            indicators = (unit - power((b - np.array(roots)[:, None] * unit) % p, p - 1)) % p
+        # pieces[i, j] = e_i * [b = c_j], computed as [b = c_j] * e_i
+        pieces = ((np.array(parts) @ times(indicators).transpose(0, 2, 1)) % p).transpose(1, 0, 2)
         refined = []
-        for e in parts:
-            pieces = [q for q in ((times(e) @ ind) % p for ind in indicators) if q.any()]
-            if len(pieces) > 1:
-                splits.append((e, b, pieces))
-            refined += pieces
+        for e, row in zip(parts, pieces):
+            nonzero = [q for q in row if q.any()]
+            if len(nonzero) > 1:
+                splits.append((e, b, nonzero))
+            refined += nonzero
         parts = refined
     if len(parts) != fixed.dim:
         raise ConsistencyFailure(

@@ -208,6 +208,33 @@ class _UnitTest:
             yield block[hits.reshape(len(block), m, r).any(axis=2).all(axis=1)]
 
 
+def _centroid(alg, k: int) -> fplin.Subspace:
+    """The centroid E of A^k x A^k -> A^(2k) as the kernel of its linear
+    system, a subspace of the d x d matrices T (T[c, e] at c * d + e), with
+    the basis fplin.kernel gives.
+
+    Equation (t, a, b) reads (a T(b) - T(a) b)_t = sum over c of
+    m3[t, a, c] T[c, b] - m3[t, c, b] T[c, a] = 0, m3 = mult3(k, k).  So a
+    nonzero entry m3[t, x, y] = v puts v at T[y, b] in equation (t, x, b)
+    and -v at T[x, a] in equation (t, a, y), for every a and b: the system
+    is built from the table's nonzero entries alone, equal terms summed,
+    and solved by fplin.sparse_kernel, where a single-entry row forces its
+    unknown to 0 and only the other rows are made dense.
+    """
+    p, d = alg.p, alg.dim(k)
+    m3 = alg.mult3(k, k)
+    t, x, y = (u[:, None] for u in np.nonzero(m3))
+    v, s = np.repeat(m3[t, x, y], d), np.arange(d)
+    row = np.concatenate([((t * d + x) * d + s).ravel(), ((t * d + s) * d + y).ravel()])
+    col = np.concatenate([(y * d + s).ravel(), (x * d + s).ravel()])
+    keys, at = np.unique(row * d * d + col, return_inverse=True)
+    val = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(val, at, np.concatenate([v, -v]))
+    val %= p
+    keys, val = keys[val != 0], val[val != 0]
+    return fplin.sparse_kernel(keys // (d * d), keys % (d * d), val, d * d, p)
+
+
 def _unit_test(alg, k: int) -> _UnitTest | None:
     """The centroid's test for degree-k direct inducers; None when there are none.
 
@@ -234,25 +261,21 @@ def _unit_test(alg, k: int) -> _UnitTest | None:
     If any inducer exists the passing vectors are exactly the inducers, so
     window-testing one of them decides them all.  rad(E) is the kernel of
     a -> a^(p^m) for p^m >= dim E, a linear map on a commutative algebra
-    over GF(p), and v lies in N_j exactly when e_j v lies in rad(E) V.
+    over GF(p), found with one stacked power of E's basis, and v lies in
+    N_j exactly when e_j v lies in rad(E) V.  E comes from _centroid, its
+    system read off the table's nonzero entries; whether it commutes is
+    checked once, by fplin.primitive_idempotents, which raises
+    NotCommutative when it does not.
     """
     p, d = alg.p, alg.dim(k)
-    m3 = alg.mult3(k, k)
-    # Equation (t, a, b) reads (a T(b) - T(a) b)_t = (M_t T - T^T M_t)[a, b]
-    # = 0, with M_t = m3[t]; its row holds the coefficient of T[c, e] at
-    # c * d + e.  Only equations with a nonzero term are built.
-    t, a, b = np.nonzero(m3.any(axis=2)[:, :, None] | m3.any(axis=1)[:, None, :])
-    rows, each = np.zeros((len(t), d, d), dtype=np.int64), np.arange(len(t))
-    rows[each, :, b] = m3[t, a, :]
-    rows[each, :, a] -= m3[t, :, b]
-    system = rows.reshape(len(t), d * d) % p
-    centroid = fplin.kernel(system[system.any(axis=1)], p)
+    centroid = _centroid(alg, k)
     if centroid.dim != d:
         return None
     mats = centroid.basis.reshape(d, d, d)
-    if not np.array_equal((mats[:, None] @ mats[None]) % p, (mats[None] @ mats[:, None]) % p):
+    try:
+        fixed, idempotents, _ = fplin.primitive_idempotents(mats, p)
+    except fplin.NotCommutative:
         return None
-    fixed, idempotents, _ = fplin.primitive_idempotents(mats, p)
     # Rows of quotient: the functionals that vanish on rad(E) V.  When the
     # Frobenius-fixed subalgebra is all of E, E is GF(p)^d and rad(E) = 0.
     quotient = np.eye(d, dtype=np.int64)
@@ -260,7 +283,7 @@ def _unit_test(alg, k: int) -> _UnitTest | None:
         exponent = 1
         while exponent < d:
             exponent *= p
-        powers = np.array([fplin.mat_pow(m, exponent, p) for m in mats]).reshape(d, d * d)
+        powers = fplin.mat_pow(mats, exponent, p).reshape(d, d * d)
         radical = (fplin.kernel(powers.T, p).basis @ centroid.basis) % p
         quotient = fplin.kernel(radical.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d), p).basis
     tests, generator = [], np.zeros(d, dtype=np.int64)

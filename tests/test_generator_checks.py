@@ -229,6 +229,13 @@ def loop_generators(self) -> dict[int, tuple[int, ...]]:
     return out
 
 
+def pairing_matrix(alg: GradedAlgebra, i: int) -> np.ndarray:
+    """Pairing H^i x H^(n-i) -> H^n as a dim(i) x dim(n-i) matrix (dim(n) must be 1)."""
+    if alg.dim(alg.n) != 1:
+        raise AlgebraDefect("top degree is not one-dimensional")
+    return alg.mult_map(i, alg.n - i).reshape(alg.dim(i), alg.dim(alg.n - i))
+
+
 def loop_poincare_duality(alg: GradedAlgebra) -> bool:
     """True iff dim H^0 = dim H^n = 1 and every degree pairing is perfect."""
     if alg.dim(0) != 1 or alg.dim(alg.n) != 1:
@@ -236,7 +243,7 @@ def loop_poincare_duality(alg: GradedAlgebra) -> bool:
     for i in range(alg.n + 1):
         if alg.dim(i) != alg.dim(alg.n - i):
             return False
-        pm = alg.pairing_matrix(i)
+        pm = pairing_matrix(alg, i)
         if fplin.rank(pm, alg.p) != alg.dim(i):
             return False
     return True
