@@ -608,8 +608,9 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
     current idempotent in one product, split a whole round.  Frobenius is
     one stacked power of the basis's multiplication matrices.  When the
     matrices, flattened, are already in reduced row echelon form (a
-    Subspace basis), a coordinate vector is read at the pivots; every
-    product and the identity are still checked to lie in the span.
+    Subspace basis), a coordinate vector is read at the pivots.  The
+    identity and every product M_i M_j with i <= j are checked to lie in
+    the span; the products commute, so these are all of them.
 
     Returns B, the primitive idempotents sorted by their coordinates, and
     every split into two or more parts as (e, b, parts), parts in ascending
@@ -648,8 +649,14 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
     products = (stack[:, None] @ stack[None]) % p
     if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
         raise NotCommutative("the matrices do not commute")
-    # mult[i] multiplies by the i-th basis element: its column j is M_i M_j.
-    mult = coords(products.reshape(d * d, m * m)).reshape(d, d, d).transpose(0, 2, 1)
+    # pairs[i, j] holds the coordinates of M_i M_j; the products commute,
+    # so those with i <= j are all of them.  mult[i] multiplies by the i-th
+    # basis element: its column j is M_i M_j.
+    upper = np.arange(d)[:, None] <= np.arange(d)
+    pairs = np.empty((d, d, d), dtype=np.int64)
+    pairs[upper] = coords(products[upper].reshape(-1, m * m))
+    pairs[~upper] = pairs.transpose(1, 0, 2)[~upper]
+    mult = pairs.transpose(0, 2, 1)
     unit = coords(np.eye(m, dtype=np.int64).reshape(1, m * m))[0]
     flat_mult = mult.reshape(d, d * d)
 
