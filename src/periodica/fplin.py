@@ -336,9 +336,6 @@ def kernel(mat, p: int) -> Subspace:
     free = np.flatnonzero(is_free)
     rows = np.zeros((free.size, n), dtype=np.int64)
     rows[np.arange(free.size), free] = 1
-    if not red[:, free].any():
-        # The unit vectors at the free columns, already reduced.
-        return Subspace(p, n, rows, tuple(free.tolist()))
     rows[:, list(pivots)] = -red[:, free].T % p
     return Subspace.from_vectors(rows, p, n)
 
@@ -580,6 +577,8 @@ def semisimple_power(mat, p: int) -> tuple[np.ndarray, int]:
 def _reduced_pivots(flat) -> list | None:
     """The pivot columns of flat when it is in reduced row echelon form with
     no zero row, so that rref returns it unchanged; else None."""
+    if not flat.shape[1]:
+        return None
     lead = (flat != 0).argmax(axis=1)  # 0 for a zero row, whose entry there is not 1
     if (lead[1:] <= lead[:-1]).any() or not np.array_equal(flat[:, lead], np.eye(lead.size)):
         return None

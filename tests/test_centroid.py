@@ -1,14 +1,14 @@
 """The centroid and its idempotents, checked against the dense code they replaced.
 
-dense_unit_test (with dense_centroid) and dense_primitive_idempotents are
-periodicity._unit_test and fplin.primitive_idempotents as they were before
-the centroid system was solved from the table's nonzero entries and before
-idempotent separators skipped the minimal polynomial and its roots, verbatim
-but for the module prefixes and for dense_centroid being split out.
-loop_kernel is fplin.kernel with its basis built one free column at a time.
-They are the references for those fast paths: every output must match them
-byte for byte.
-"""
+dense_unit_test (with dense_centroid) is periodicity._unit_test as it was
+before the centroid system was solved from the table's nonzero entries,
+verbatim but for the module prefixes and for dense_centroid being split out.
+test_fplin's old_primitive_idempotents is fplin.primitive_idempotents
+before idempotent separators skipped the minimal polynomial and its roots
+(and before its one-dimensional shortcut, which test_fplin shows returns
+and raises the same).  loop_kernel is fplin.kernel with its basis built one
+free column at a time.  They are the references for those fast paths:
+every output must match them byte for byte."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,8 @@ from periodica import periodicity as P
 from rebasing import rebased
 from test_decomposition import ORACLE_WINDOWS, _periodic_specs, random_window, window_of
 from test_direct_decision import BENCHMARK_SPECS, CORPUS_SPECS, _degree_two_algebra, build, nested
-from test_fplin import irreducible_polys, polynomial_algebra, random_invertible, random_semisimple
+from test_fplin import (irreducible_polys, old_primitive_idempotents, polynomial_algebra,
+                        random_invertible, random_semisimple)
 
 
 def loop_kernel(mat, p):
@@ -60,7 +61,7 @@ def dense_unit_test(alg, k):
     mats = centroid.basis.reshape(d, d, d)
     if not np.array_equal((mats[:, None] @ mats[None]) % p, (mats[None] @ mats[:, None]) % p):
         return None
-    fixed, idempotents, _ = dense_primitive_idempotents(mats, p)
+    fixed, idempotents, _ = old_primitive_idempotents(mats, p)
     # Rows of quotient: the functionals that vanish on rad(E) V.  When the
     # Frobenius-fixed subalgebra is all of E, E is GF(p)^d and rad(E) = 0.
     quotient = np.eye(d, dtype=np.int64)
@@ -77,69 +78,6 @@ def dense_unit_test(alg, k):
         tests.append((quotient @ ej) % p)
         generator += next(col for col in ej.T if ((tests[-1] @ col) % p).any())
     return P._UnitTest(p, np.array(tests), generator % p)
-
-
-def dense_primitive_idempotents(mats, p: int):
-    stack = np.array(mats, dtype=np.int64) % p
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError("expected a stack of square matrices")
-    d, m = stack.shape[0], stack.shape[1]
-    if d == 1:
-        # The span of one matrix M holds the identity exactly when M = cI,
-        # c != 0: then A = GF(p) with unit 1/c, and nothing splits.
-        if not stack.any():
-            raise ValueError("the matrices are linearly dependent")
-        c = int(stack[0, 0, 0])
-        if not np.array_equal(stack[0], c * np.eye(m, dtype=np.int64)):
-            raise ValueError("a product of the matrices lies outside their span")
-        return fplin.Subspace.full(p, 1), [np.array([pow(c, -1, p)], dtype=np.int64)], []
-    flat = stack.reshape(d, m * m)
-    pivots = list(fplin.rref(flat, p)[1])
-    if len(pivots) != d:
-        raise ValueError("the matrices are linearly dependent")
-    to_coords = fplin.mat_inv(flat[:, pivots], p)
-
-    def coords(rows):
-        x = (rows[:, pivots] @ to_coords) % p
-        if not np.array_equal((x @ flat) % p, rows):
-            raise ValueError("a product of the matrices lies outside their span")
-        return x
-
-    products = (stack[:, None] @ stack[None]) % p
-    if not np.array_equal(products, products.transpose(1, 0, 2, 3)):
-        raise ValueError("the matrices do not commute")
-    # mult[i] multiplies by the i-th basis element: its column j is M_i M_j.
-    mult = coords(products.reshape(d * d, m * m)).reshape(d, d, d).transpose(0, 2, 1)
-    unit = coords(np.eye(m, dtype=np.int64).reshape(1, m * m))[0]
-    flat_mult = mult.reshape(d, d * d)
-
-    def times(a):
-        return (a @ flat_mult).reshape(d, d) % p
-
-    def power(a, e):
-        return (fplin.mat_pow(times(a), e, p) @ unit) % p
-
-    frobenius = np.array([power(a, p) for a in np.eye(d, dtype=np.int64)],
-                         dtype=np.int64).reshape(d, d).T
-    fixed = fplin.kernel((frobenius - np.eye(d, dtype=np.int64)) % p, p)
-    parts, splits = [unit], []
-    for b in fixed.basis:
-        if len(parts) == fixed.dim:
-            break
-        roots = fplin.split_roots(fplin.minimal_polynomial(
-            fplin.restricted_matrix(times(b), fixed, fixed), p), p)
-        indicators = [(unit - power((b - c * unit) % p, p - 1)) % p for c in roots]
-        refined = []
-        for e in parts:
-            pieces = [q for q in ((times(e) @ ind) % p for ind in indicators) if q.any()]
-            if len(pieces) > 1:
-                splits.append((e, b, pieces))
-            refined += pieces
-        parts = refined
-    if len(parts) != fixed.dim:
-        raise fplin.ConsistencyFailure(
-            f"{len(parts)} idempotents for a {fixed.dim}-dimensional fixed subalgebra")
-    return fixed, sorted(parts, key=lambda v: tuple(int(t) for t in v)), splits
 
 
 def _bytes(*arrays):
@@ -313,7 +251,7 @@ def test_idempotents_match_the_dense_oracle(split_root_calls):
             before = len(split_root_calls)
             got = idempotents_outcome(fplin.primitive_idempotents, mats, p)
             roots_found += len(split_root_calls) - before
-            assert got == idempotents_outcome(dense_primitive_idempotents, mats, p), (p, mats)
+            assert got == idempotents_outcome(old_primitive_idempotents, mats, p), (p, mats)
             cases += 1
     assert cases == 60 and roots_found
 
@@ -325,7 +263,7 @@ def test_idempotent_separators_find_no_roots(split_root_calls):
         mats = [np.diag(row) for row in np.eye(4, dtype=np.int64)]
         got = idempotents_outcome(fplin.primitive_idempotents, mats, p)
         assert got[2] and not split_root_calls
-        assert got == idempotents_outcome(dense_primitive_idempotents, mats, p)
+        assert got == idempotents_outcome(old_primitive_idempotents, mats, p)
         split_root_calls.clear()
 
 
@@ -335,9 +273,9 @@ def test_refusals_match_the_dense_oracle():
     nilpotent = np.array([[0, 1], [0, 0]])
     cases = [[eye, c], [eye, c, (eye + c) % 2], [np.zeros((2, 3), dtype=np.int64)], [],
              [np.eye(2, dtype=np.int64), nilpotent, nilpotent.T, np.array([[1, 0], [0, 0]])],
-             [np.eye(2, dtype=np.int64), nilpotent.T, nilpotent]]
+             [np.eye(2, dtype=np.int64), nilpotent.T, nilpotent], np.zeros((2, 0, 0), dtype=np.int64)]
     for mats in cases:
-        want = idempotents_outcome(dense_primitive_idempotents, mats, 2)
+        want = idempotents_outcome(old_primitive_idempotents, mats, 2)
         assert isinstance(want, str)
         assert want == idempotents_outcome(fplin.primitive_idempotents, mats, 2)
     with pytest.raises(fplin.NotCommutative, match="the matrices do not commute"):
@@ -355,7 +293,7 @@ def decompose_bytes(w):
 def assert_decompose_matches_the_dense_oracle(w, monkeypatch):
     got = decompose_bytes(w)
     with monkeypatch.context() as m:
-        m.setattr(fplin, "primitive_idempotents", dense_primitive_idempotents)
+        m.setattr(fplin, "primitive_idempotents", old_primitive_idempotents)
         assert got == decompose_bytes(w)
 
 
