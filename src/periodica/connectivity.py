@@ -45,17 +45,17 @@ class Saturated(RuntimeError):
     """The fact set saturated without reaching the goal; not a refutation."""
 
 
-# slots: derive and the scenario templates build many facts.
-@dataclass(frozen=True, slots=True)
-class Fact:
-    kind: str
-    args: tuple
+# A tuple, so that the set operations of derive and verify_derivation hash
+# and compare facts in C; a Fact equals the plain tuple (kind, args).
+class Fact(NamedTuple("Fact", [("kind", str), ("args", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in FACT_KINDS:
-            raise ValueError(f"unknown fact kind {self.kind!r}")
-        if len(self.args) != len(FACT_KINDS[self.kind]):
-            raise ValueError(f"{self.kind} takes {len(FACT_KINDS[self.kind])} arguments")
+    def __new__(cls, kind, args):
+        if kind not in FACT_KINDS:
+            raise ValueError(f"unknown fact kind {kind!r}")
+        if len(args) != len(FACT_KINDS[kind]):
+            raise ValueError(f"{kind} takes {len(FACT_KINDS[kind])} arguments")
+        return tuple.__new__(cls, (kind, args))
 
     def __str__(self) -> str:
         if self.kind == "Periodic":
@@ -255,7 +255,7 @@ class Derivation:
 
 
 def _cond(label, value, holds):
-    return Condition(label, str(value), bool(holds))
+    return tuple.__new__(Condition, (label, str(value), bool(holds)))
 
 
 def _ratio(num: int, den: int) -> str:
@@ -622,7 +622,7 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
         for rule, (kinds, join, apply) in RULES.items():
             if grown.isdisjoint(kinds):
                 continue
-            for inputs in join(*(by_kind.get(k, ()) for k in kinds)):
+            for inputs in join(*[by_kind.get(k, ()) for k in kinds]):
                 if delta.isdisjoint(inputs):
                     continue
                 outputs, conditions = apply(inputs)
@@ -652,16 +652,23 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
 
 def verify_derivation(derivation: Derivation, facts) -> bool:
     """Replay a derivation against its axioms: every step's inputs must be
-    available, its rule must reproduce the recorded output, and every
-    recorded side condition must re-evaluate identically.  A malformed goal
-    or axiom (_typed) raises ValueError."""
+    available Facts, its rule's join must yield them as a tuple, its rule
+    must reproduce the recorded output, and every recorded side condition
+    must re-evaluate identically.  A malformed goal or axiom (_typed) raises
+    ValueError."""
     _typed(derivation.goal.kind, derivation.goal.args)
     known = {_typed(f.kind, f.args) for f in facts}
     for step in derivation.steps:
         rule = RULES.get(step.rule)
-        if rule is None or any(f not in known for f in step.inputs):
+        # A plain tuple equals the Fact it spells, so its type is checked.
+        if rule is None or any(type(f) is not Fact or f not in known for f in step.inputs):
             return False
-        outputs, conditions = rule[2](step.inputs)
+        kinds, join, apply = rule
+        # A join yields a tuple or not by its own facts alone.
+        given = _by_kind(step.inputs)
+        if step.inputs not in join(*[given.get(k, ()) for k in kinds]):
+            return False
+        outputs, conditions = apply(step.inputs)
         if step.output not in outputs or conditions != step.conditions:
             return False
         known.update(outputs)

@@ -2,6 +2,7 @@
 replay verification, and the two scenario templates."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -91,9 +92,9 @@ def test_borel_counting_rule():
 
 
 def test_fact_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown fact kind 'Blob'$"):
         Fact("Blob", ("M",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Dim takes 2 arguments$"):
         Fact("Dim", ("M",))
     with pytest.raises(ValueError):
         periodic("M", 4, 1, 10, coefficients="complex")
@@ -157,6 +158,28 @@ def test_templates_refuse_what_they_would_have_to_coerce():
 def test_fact_rendering():
     assert str(periodic("M", 4, 1, 79, "rational")) == "Periodic(M, 4, 1, 79; rational)"
     assert str(dimension("M", 32)) == "Dim(M, 32)"
+    assert repr(dimension("M", 32)) == "Fact(kind='Dim', args=('M', 32))"
+    assert (repr(periodic("M", 4, 1, 79, "rational"))
+            == "Fact(kind='Periodic', args=('M', 4, 1, 79, 'rational'))")
+
+
+def test_facts_are_tuples_hashed_and_compared_by_tuple():
+    """derive's speed rests on Fact hashing and comparing in C: a Python
+    __hash__ or __eq__ on Fact would undo it without failing anything else."""
+    assert Fact.__hash__ is tuple.__hash__ and Fact.__eq__ is tuple.__eq__
+    fact = periodic("M", 4, 1, 79, "rational")
+    assert fact == ("Periodic", ("M", 4, 1, 79, "rational"))
+    assert hash(fact) == hash(("Periodic", ("M", 4, 1, 79, "rational")))
+    assert fact.to_dict() == {"kind": "Periodic", "args": ["M", 4, 1, 79, "rational"]}
+    back = Fact.from_dict(fact.to_dict())
+    assert back == fact and type(back) is Fact
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(fact, protocol))
+        assert loaded == fact and type(loaded) is Fact
+    with pytest.raises(AttributeError):
+        fact.kind = "Dim"
+    with pytest.raises(AttributeError):
+        fact.note = "extra"
 
 
 def test_subsumption():
@@ -300,6 +323,32 @@ def test_replay_rejects_unknown_rule():
     renamed = Step("no-such-rule", first.inputs, first.output, first.conditions)
     broken = Derivation(der.goal, (renamed,) + der.steps[1:], der.final)
     assert not verify_derivation(broken, scenario.facts)
+
+
+def test_replay_rejects_a_step_its_join_does_not_admit():
+    """window-transfer-up moves a window on F, not one on the unrelated X."""
+    window, conn = periodic("X", 4, 1, 20, "rational"), connected("F", "M", 30)
+    axioms = (window, conn, dimension("M", 40))
+    moved = periodic("M", 4, 1, 20, "rational")
+    outputs, conditions = C.RULES["window-transfer-up"][2]((conn, window))
+    assert outputs == (moved,) and all(c.holds for c in conditions)
+    forged = Step("window-transfer-up", (conn, window), moved, conditions)
+    assert not verify_derivation(Derivation(moved, (forged,), moved), axioms)
+    with pytest.raises(Saturated):
+        derive(moved, axioms)
+
+
+def test_replay_rejects_inputs_of_the_wrong_kind_or_type():
+    """Swapped inputs made the applier raise; plain tuples equal to the
+    facts passed the availability test."""
+    scenario, params = C.codim_cascade_scenario(40)
+    der = params["derivation"]
+    first = der.steps[0]
+    for inputs in (first.inputs[::-1], tuple(tuple(f) for f in first.inputs)):
+        step = Step(first.rule, inputs, first.output, first.conditions)
+        broken = Derivation(der.goal, (step,) + der.steps[1:], der.final)
+        assert not verify_derivation(broken, scenario.facts)
+    assert verify_derivation(der, scenario.facts)
 
 
 def test_extra_facts_do_not_block_derivation():
@@ -578,6 +627,61 @@ def test_joins_match_the_reference_on_random_fact_sets(facts):
     assert any(t[1].kind == "TorusFixedComponent" for t in tuples["betti-descent"])
     for by_kind in _join_inputs(_UNREACHABLE, facts):
         assert_joins_match_the_reference(by_kind)
+
+
+# differential test: replay of forged single steps against a brute-force
+# oracle
+
+def replay_oracle(step, axioms):
+    """A single step replays when its rule's reference enumeration over all
+    the axioms yields its inputs and the applier reproduces its output and
+    conditions."""
+    if (step.rule not in C.RULES
+            or step.inputs not in R._candidates(step.rule, C._by_kind(axioms))):
+        return False
+    outputs, conditions = C.RULES[step.rule][2](step.inputs)
+    return step.output in outputs and conditions == step.conditions
+
+
+@st.composite
+def _forged_steps(draw):
+    """_join_cases' facts and one step, mostly of a rule whose join yields
+    some tuple: on such a tuple, maybe with one input replaced by another
+    fact of its kind and then maybe permuted, or on any facts; with the
+    applier's output and conditions on that tuple before the permutation,
+    one condition flipped, or a random output."""
+    facts = draw(_join_cases())
+    by_kind = C._by_kind(facts)
+    live = [rule for rule in C.RULES if any(R._candidates(rule, by_kind))]
+    rule = draw(st.sampled_from(live if live and draw(st.integers(0, 4))
+                                else list(C.RULES) + ["no-such-rule"]))
+    genuine = list(R._candidates(rule, by_kind)) if rule in C.RULES else []
+    outputs, conditions = (), ()
+    if genuine and draw(st.integers(0, 9)):
+        inputs = list(draw(st.sampled_from(genuine)))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(inputs) - 1))
+            inputs[i] = draw(st.sampled_from(by_kind[inputs[i].kind]))
+        outputs, conditions = C.RULES[rule][2](tuple(inputs))
+        if not draw(st.integers(0, 3)):
+            inputs = draw(st.permutations(inputs))
+    else:
+        inputs = draw(st.lists(st.sampled_from(facts), min_size=1, max_size=5))
+    output = draw(st.sampled_from(outputs)) if outputs and draw(st.integers(0, 3)) \
+        else _random_fact(draw)
+    if conditions and not draw(st.integers(0, 4)):
+        i = draw(st.integers(0, len(conditions) - 1))
+        label, value, holds = conditions[i]
+        conditions = conditions[:i] + (C.Condition(label, value, not holds),) + conditions[i + 1:]
+    return facts, Step(rule, tuple(inputs), output, conditions)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_forged_steps())
+def test_replay_of_forged_steps_matches_the_oracle(case):
+    facts, step = case
+    derivation = Derivation(step.output, (step,), step.output)
+    assert verify_derivation(derivation, facts) == replay_oracle(step, facts), step
 
 
 # byte identity: derive against the records, appliers and cascade template
