@@ -87,7 +87,8 @@ class Element:
         return cls(degree, tuple(fplin._int_array(vec).tolist()))
 
     def as_vector(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
+        """The coordinates as int64; ValueError for a bool, float or str entry."""
+        return fplin._int_array(self.coeffs)
 
     @property
     def is_zero(self) -> bool:

@@ -104,6 +104,14 @@ def _typed(kind: str, args: tuple) -> Fact:
     return fact
 
 
+def _axiom(fact) -> Fact:
+    """A goal or axiom of derive and verify_derivation, checked: ValueError
+    unless it is a Fact that _typed accepts (a plain tuple is not one)."""
+    if type(fact) is not Fact:
+        raise ValueError(f"expected a Fact, got {fact!r}")
+    return _typed(fact.kind, fact.args)
+
+
 def _check_ints(*values) -> None:
     """ValueError unless every value is an int, by the rule of _typed."""
     if any(type(v) is not int for v in values):
@@ -595,9 +603,9 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
     Returns the pruned derivation whose steps lead to the goal; raises
     Saturated when the fact set stops growing (or hits the bound) first, and
     ValueError before any rule fires when the goal or an axiom is malformed
-    (_typed).
+    (_axiom).
     """
-    _typed(goal.kind, goal.args)
+    _axiom(goal)
     known = []
     seen = set()
     stronger = {}  # subsumption key -> the known facts with that key
@@ -610,7 +618,7 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
             stronger.setdefault(key, []).append(fact)
 
     for f in facts:
-        learn(_typed(f.kind, f.args))
+        learn(_axiom(f))
     by_kind = _by_kind(known)
     steps = []
     start = 0
@@ -654,10 +662,10 @@ def verify_derivation(derivation: Derivation, facts) -> bool:
     """Replay a derivation against its axioms: every step's inputs must be
     available Facts, its rule's join must yield them as a tuple, its rule
     must reproduce the recorded output, and every recorded side condition
-    must re-evaluate identically.  A malformed goal or axiom (_typed) raises
-    ValueError."""
-    _typed(derivation.goal.kind, derivation.goal.args)
-    known = {_typed(f.kind, f.args) for f in facts}
+    must re-evaluate identically.  A malformed goal or axiom (_axiom) raises
+    ValueError; a final that is not a known Fact replays False."""
+    _axiom(derivation.goal)
+    known = {_axiom(f) for f in facts}
     for step in derivation.steps:
         rule = RULES.get(step.rule)
         # A plain tuple equals the Fact it spells, so its type is checked.
@@ -672,7 +680,7 @@ def verify_derivation(derivation: Derivation, facts) -> bool:
         if step.output not in outputs or conditions != step.conditions:
             return False
         known.update(outputs)
-    if derivation.final not in known:
+    if type(derivation.final) is not Fact or derivation.final not in known:
         return False
     return subsumes(derivation.final, derivation.goal)
 

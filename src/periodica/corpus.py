@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fplin
 from .algebra import AlgebraDefect, GradedAlgebra, verify_poincare_duality
-from .steenrod import SteenrodAction, operation_shift, verify_action
+from .steenrod import SteenrodAction, operation_shift, operations, verify_action
 
 DEFAULT_TOP_BOUND = 64
 # Specs nest at most this many levels (an atom is one level): printing,
@@ -231,17 +231,13 @@ def _build_truncated(p: int, g: int, t: int):
         if (p - 1) % w and t > 1:
             return alg, None
         for m in range(1, t + 1):
-            s = 1
-            while True:
+            for s in operations(p, g * m, n):
                 e = s * (p - 1)
-                if g * m + 2 * e > n:
-                    break
                 if e % w == 0:
                     m2 = m + e // w
                     c = math.comb(w * m, s) % p
                     if m2 <= t and c:
                         maps[(s, g * m)] = np.array([[c]], dtype=np.int64)
-                s += 1
     return alg, SteenrodAction(alg, maps)
 
 

@@ -38,10 +38,6 @@ class NotInvertible(ValueError):
     pass
 
 
-class NotSemisimple(ValueError):
-    pass
-
-
 class NotCommutative(ValueError):
     """The matrices do not commute."""
 
@@ -194,22 +190,6 @@ def pivot_columns(row, col, val, block, p: int) -> np.ndarray:
         dense[r, c] = val[lo:hi]
         pivot[cols[list(rref(dense, p)[1])]] = True
     return np.flatnonzero(pivot)
-
-
-def solve(mat, vec, p: int) -> np.ndarray | None:
-    """One solution x of ``mat @ x = vec`` mod p, or None."""
-    a = as_matrix(mat, p)
-    b = as_vector(vec, p)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("shape mismatch")
-    n = a.shape[1]
-    red, pivots = rref(np.hstack([a, b.reshape(-1, 1)]), p)
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for t, c in enumerate(pivots):
-        x[c] = red[t, n]
-    return x
 
 
 class Subspace:
@@ -694,18 +674,6 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
         raise ConsistencyFailure(
             f"{len(parts)} idempotents for a {fixed.dim}-dimensional fixed subalgebra")
     return fixed, sorted(parts, key=lambda v: tuple(int(t) for t in v)), splits
-
-
-def invariant_complement_of_kernel(mat, p: int) -> Subspace:
-    """For semisimple mat, the image is an invariant complement of the kernel."""
-    m = as_matrix(mat, p)
-    if not is_semisimple(m, p):
-        raise NotSemisimple("kernel of a non-semisimple operator may admit no invariant complement")
-    ker = kernel(m, p)
-    img = image(m, p)
-    if ker.dim + img.dim != m.shape[1] or ker.intersection(img).dim:
-        raise ConsistencyFailure("kernel and image of a semisimple operator are not complements")
-    return img
 
 
 def restricted_matrix(op, source: Subspace, target: Subspace) -> np.ndarray:

@@ -129,11 +129,15 @@ def _check_limits(cap: int, samples: int = 0) -> None:
 
 
 def verify_certificate(alg, cert: PeriodicityCertificate) -> bool:
-    """Re-run the checks that justify a certificate; True iff all still hold."""
+    """Re-run the checks that justify a certificate; True iff all still hold.
+    False for a certificate whose element has a non-integer coefficient."""
     k = cert.k
     if not 1 <= k <= alg.n - 1 or cert.element.degree != k:
         return False
-    xv = cert.element.as_vector() % alg.p
+    try:
+        xv = cert.element.as_vector() % alg.p
+    except ValueError:
+        return False
     if xv.shape[0] != alg.dim(k):
         return False
     if cert.mode == "direct":
@@ -338,7 +342,8 @@ class _ProductSpan:
     then enumeration; the direct inducers are those passes stacked.  Direct
     inducers, products and reaches are kept per degree for the engine's
     lifetime only, with the centroid tests of the direct degrees; nothing
-    is stored on the algebra.
+    is stored on the algebra.  span states the one rule by which growth
+    refuses past the cap, in terms of the reaches below k.
 
     Where a premise holds, degree d is one linear image instead: the
     products r * U of the first sorted reach row r of degree d - b, with
@@ -387,15 +392,23 @@ class _ProductSpan:
         self._reach = {}     # a -> (sorted keys as rows, product row or -1 - inducer row)
         self._spans = {}     # k -> span(k), or the message of the refusal
         self._tests = {}     # d -> unit_test(d)
-        self._counts = {}    # (d, below) -> _grow's count of the degree-d products
 
     def span(self, k: int) -> dict:
         """Degree-k products as key -> row, in the order they were found.
 
-        Raises SearchCapExceeded when a degree d <= min((n-1)//3, k-1) has
-        more than cap candidates, or when the direct inducers of those
-        degrees plus the products stored while growing to degree k pass cap
-        after at least one product was stored.  Growth stops there.
+        The cap rule of the product search, stated here once.  The reach of
+        a degree d is its direct inducers (when 3d <= n-1) together with its
+        products of direct inducers.  Raises SearchCapExceeded when
+        1. some degree d <= min((n-1)//3, k-1) has p^dim(d) > cap
+           candidates, checked first ("degree d has ... candidates"); or
+        2. T > cap and N > 0, where T is |reach(d)| summed over d < k plus
+           the number of degree-k products, and N is the part of T that is
+           not a direct inducer of a degree below k ("product search stored
+           over cap vectors").
+        _grow_to keeps T and N as one running count and stops at the first
+        degree where rule 2 holds.  Refusals are not monotone in k: a
+        product equal to a direct inducer counts toward N only at its own
+        degree, so each k's answer is kept on its own.
         """
         if k not in self._spans:
             try:
@@ -446,33 +459,25 @@ class _ProductSpan:
                 yield v[None]
 
     def _grow_to(self, k):
+        """span(k) grown from degree 1, refused by span's rule."""
         alg, cap = self.alg, self.cap
         low = min(self.top, k - 1)
         for d in range(1, low + 1):
             size = alg.p ** alg.dim(d)
             if size > cap:
                 raise SearchCapExceeded(f"degree {d} has {size} candidates, cap {cap}")
-        stored = sum(len(self._direct(d)) for d in range(1, low + 1))
+        total = fresh = 0  # span's T and N through degree d
         for d in range(1, k + 1):
-            stored += self._grow(d, d <= low, max(cap - stored, 0))
-        return self._products[k][0]
-
-    def _grow(self, d, below, limit):
-        """Count the degree-d products, outside the direct inducers when
-        below (d <= min((n-1)//3, k-1)); refuse past limit.  Below degree k
-        the reach already holds the direct inducers, so a product equal to
-        one of them is not stored again.  Each count is made once per
-        (d, below) and compared with every call's own limit."""
-        if (d, below) not in self._counts:
-            held = {tuple(v) for v in self._direct(d).tolist()} if below else set()
+            direct = len(self._direct(d)) if d <= low else 0
             if d not in self._products:
-                self._products[d] = self._multiply(d, held, limit)
-            index = self._products[d][0]
-            self._counts[d, below] = len(index) - sum(t in index for t in held)
-        count = self._counts[d, below]
-        if count > limit:
-            raise SearchCapExceeded(f"product search stored over {self.cap} vectors")
-        return count
+                held = {tuple(v) for v in self._direct(d).tolist()} if direct else set()
+                self._products[d] = self._multiply(d, held, cap - total - direct)
+            count = len(self._reach_keys(d)) if d < k else len(self._products[k][0])
+            total += count
+            fresh += count - direct
+            if fresh and total > cap:
+                raise SearchCapExceeded(f"product search stored over {cap} vectors")
+        return self._products[k][0]
 
     def _unit_degree(self, d):
         """The least degree b <= min((n-1)//3, d-1) with direct inducers when
@@ -484,6 +489,8 @@ class _ProductSpan:
         return None
 
     def _multiply(self, d, held, limit):
+        """The degree-d products as (key -> row, parents); refuses once more
+        than limit of them lie outside held, where span's rule 2 holds."""
         b = self._unit_degree(d)
         if b is None:
             blocks = [(b, self._reach_keys(d - b), self._direct(b))
@@ -941,15 +948,11 @@ def inducing_power_index(window, y: Element, cap: int = DEFAULT_SEARCH_CAP) -> P
     act = window.action
     if act is None:
         raise ValueError("window has no attached Steenrod structure")
-    s = 0
-    while True:
-        t = y.degree + steenrod.operation_shift(window.p, s)
-        if t > window.n - 1:
-            return PowerIndexReport(y, None)
+    for s in (0, *steenrod.operations(window.p, y.degree, window.n - 1)):
         img = act.apply(s, y.degree, yv)
-        if element_induces(window, t, img, cap):
+        if element_induces(window, y.degree + steenrod.operation_shift(window.p, s), img, cap):
             return PowerIndexReport(y, s)
-        s += 1
+    return PowerIndexReport(y, None)
 
 
 @dataclass(frozen=True)

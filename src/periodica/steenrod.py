@@ -42,6 +42,11 @@ def operation_shift(p: int, s: int) -> int:
     return s if p == 2 else 2 * s * (p - 1)
 
 
+def operations(p: int, j: int, top: int) -> range:
+    """The s >= 1 whose operation takes degree j to a degree <= top."""
+    return range(1, (top - j) // operation_shift(p, 1) + 1)
+
+
 class SteenrodAction:
     def __init__(self, alg: GradedAlgebra, maps):
         self.alg = alg
@@ -329,36 +334,24 @@ def induced_action_on_window(window, act: SteenrodAction) -> SteenrodAction:
     if p * k > n - 1:
         raise InducedActionFailure(f"need p*k <= n-1, got {p * k} > {n - 1}")
     xv = window.certificate.element.as_vector() % p
-    s = 1
-    while True:
+    for s in operations(p, k, n - 1):
         t = k + operation_shift(p, s)
-        if t > n - 1:
-            break
         v = act.apply(s, k, xv)
         img = fplin.image(parent.cup_matrix(k, xv, t - k), p)
         if not img.contains(v):
             raise InducedActionFailure(
                 f"operation {s} of the inducing element is not one of its multiples in degree {t}")
-        s += 1
     for u in window.degree1_kernel.basis:
-        s = 1
-        while True:
-            t = 1 + operation_shift(p, s)
-            if t > n - 1:
-                break
+        for s in operations(p, 1, n - 1):
             if act.apply(s, 1, u).any():
                 raise InducedActionFailure(
                     f"a degree-1 kernel class survives operation {s}")
-            s += 1
     maps = {}
     for j in range(1, n):
         if window.dim(j) == 0:
             continue
-        s = 1
-        while True:
+        for s in operations(p, j, n - 1):
             t = j + operation_shift(p, s)
-            if t > n - 1:
-                break
             try:
                 table = fplin.restricted_matrix(act.op_matrix(s, j), window.spaces[j],
                                                 window.spaces[t])
@@ -367,7 +360,6 @@ def induced_action_on_window(window, act: SteenrodAction) -> SteenrodAction:
                     f"operation ({s}, {j}) leaves the window at degree {t}")
             if table.any():
                 maps[(s, j)] = table
-            s += 1
     return SteenrodAction(window, maps)
 
 

@@ -904,6 +904,31 @@ def test_malformed_goals_are_refused(name):
         verify_derivation(Derivation(bad, der.steps, der.final), scenario.facts)
 
 
+@pytest.mark.parametrize("bad", [("OddBettiVanish", ("F",)), ("Dim", ("M", 40)), None,
+                                 "Dim(M, 40)"])
+def test_a_goal_or_axiom_that_is_not_a_fact_is_refused(bad):
+    """derive and verify_derivation raised AttributeError for a plain tuple
+    or None as the goal or an axiom."""
+    scenario, _ = C.codim_cascade_scenario(32)
+    der = derive(scenario.goal, scenario.facts)
+    for call in (lambda: derive(bad, scenario.facts),
+                 lambda: derive(scenario.goal, scenario.facts + (bad,)),
+                 lambda: verify_derivation(Derivation(bad, der.steps, der.final), scenario.facts),
+                 lambda: verify_derivation(der, scenario.facts + (bad,))):
+        with pytest.raises(ValueError, match="expected a Fact"):
+            call()
+
+
+def test_a_final_that_is_not_a_fact_replays_false():
+    """A plain tuple equal to the final fact replayed True, as step inputs
+    spelled as tuples no longer do."""
+    scenario, params = C.codim_cascade_scenario(40)
+    der = params["derivation"]
+    assert verify_derivation(der, scenario.facts)
+    for final in (tuple(der.final), None):
+        assert not verify_derivation(Derivation(der.goal, der.steps, final), scenario.facts)
+
+
 def test_list_arguments_are_refused():
     """A Fact built with a list of arguments: derive answered Saturated for a
     goal that is an axiom and raised TypeError (unhashable) for such an axiom,

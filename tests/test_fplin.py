@@ -117,21 +117,6 @@ def test_rref_canonical():
                 assert col[t] == 1 and np.count_nonzero(col) == 1
 
 
-def test_solve_consistent_and_inconsistent():
-    rng = np.random.default_rng(12)
-    for p in (2, 5):
-        for _ in range(40):
-            a = rng.integers(0, p, size=(rng.integers(1, 5), rng.integers(1, 5)))
-            x0 = rng.integers(0, p, size=a.shape[1])
-            b = (a @ x0) % p
-            x = fplin.solve(a, b, p)
-            assert x is not None
-            assert np.array_equal((a @ x) % p, b)
-    # no solution: e1 outside the column space
-    a = np.array([[1, 1], [1, 1], [0, 0]])
-    assert fplin.solve(a, np.array([1, 0, 0]), 2) is None
-
-
 def test_kernel_image_against_enumeration():
     rng = np.random.default_rng(13)
     for p in (2, 3):
@@ -390,32 +375,6 @@ def test_primitive_idempotents_refuse_what_is_not_an_algebra():
             fplin.primitive_idempotents(mats, 2)
 
 
-def test_invariant_complement_contract():
-    rng = np.random.default_rng(23)
-    for p in (2, 3):
-        for _ in range(20):
-            d = int(rng.integers(1, 6))
-            m = random_semisimple(rng, d, p)
-            comp = fplin.invariant_complement_of_kernel(m, p)
-            ker = fplin.kernel(m, p)
-            assert comp.dim + ker.dim == d
-            assert comp.intersection(ker).dim == 0
-            for row in comp.basis:
-                assert comp.contains((m @ row) % p)
-
-
-def test_invariant_complement_refuses_jordan_block():
-    # span(e1) = kernel; any line complementing it maps onto e1's line, never into itself
-    j = np.array([[0, 1], [0, 0]])
-    for v in fplin.enumerate_vectors(2, 2):
-        if v[1] == 0:
-            continue
-        line = Subspace.from_vectors([v], 2, 2)
-        assert not line.contains((j @ v) % 2)
-    with pytest.raises(fplin.NotSemisimple):
-        fplin.invariant_complement_of_kernel(j, 2)
-
-
 def test_direct_sum_check():
     rng = np.random.default_rng(24)
     for p in (2, 3):
@@ -598,9 +557,6 @@ def test_consistency_checks_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(fplin, "is_semisimple", lambda mat, p: False)
     with pytest.raises(fplin.ConsistencyFailure):
         fplin.semisimple_power(m, 2)
-    monkeypatch.setattr(fplin, "is_semisimple", lambda mat, p: True)
-    with pytest.raises(fplin.ConsistencyFailure):
-        fplin.invariant_complement_of_kernel(m, 2)
 
 
 # fplin.primitive_idempotents before it decided a one-dimensional algebra

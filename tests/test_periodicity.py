@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from periodica import corpus, fplin
+from periodica import corpus, decomposition, fplin
 from periodica import periodicity as P
 from periodica.algebra import Element, GradedAlgebra
 from periodica.periodicity import (ClosureViolation, ConsistencyFailure, PeriodicityCertificate,
@@ -265,6 +265,29 @@ def test_irreducibility_refuses_a_malformed_element(x, match):
     w = window_of(build("ConnectedSum(ComplexProj(4),ComplexProj(4))@2"))
     with pytest.raises(ValueError, match=match):
         P.is_irreducible(w, x)
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, 1), ("1", "1"), (1.2, 1.7), (True, 1)])
+def test_a_non_integer_coefficient_is_refused_everywhere(coeffs):
+    """Element.as_vector refuses what Element.of refuses instead of
+    truncating or parsing it, so no check certifies such an element."""
+    fx = build("ConnectedSum(ComplexProj(4),ComplexProj(4))@2")
+    alg, w, x = fx.algebra, window_of(fx), Element(2, coeffs)
+    for call in (lambda: P.induces_periodicity(alg, x),
+                 lambda: P.check_products_factors(w, x, Element(2, (1, 1))),
+                 lambda: P.is_irreducible(w, x),
+                 lambda: P.inducing_power_index(w, x),
+                 lambda: decomposition.multiplication_operator(w, x)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+    square = Element.of(4, alg.cup(2, [1, 1], 2, [1, 1]))
+    assert P.verify_certificate(alg, PeriodicityCertificate(4, square, "product",
+                                                            (Element(2, (1, 1)),) * 2))
+    product = PeriodicityCertificate(4, square, "product", (x, Element(2, (1, 1))))
+    for cert in (PeriodicityCertificate(2, x, "direct"), product):
+        assert not P.verify_certificate(alg, cert)
+    with pytest.raises(WellDefinednessFailure):
+        P.subquotient(alg, PeriodicityCertificate(2, x, "direct"))
 
 
 def test_nonperiodic_subspace():
@@ -599,6 +622,20 @@ def _nested(k, leaf):
 
 
 CP6_4 = f"{_nested(4, 'ComplexProj(6)')}@5"
+
+
+def test_product_span_refuses_at_the_boundary_of_its_count():
+    """On 3 x ComplexProj(4) at p = 5 every degree past 2 is grown as one
+    linear image, and span's count T reaches 64, 128 and 192 at degrees 3,
+    4 and 6.  Every degree is checked against the reference at the caps
+    T(k) - 1, T(k) and T(k) + 1 of every k."""
+    alg = build(f"{_nested(3, 'ComplexProj(4)')}@5").algebra
+    span = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP)
+    totals = [sum(len(span._reach_keys(d)) for d in range(1, k)) + len(span.span(k))
+              for k in range(1, alg.n)]
+    assert totals == [0, 0, 64, 128, 128, 192, 192]
+    assert {span._unit_degree(d) for d in range(3, alg.n)} == {2}
+    assert_span_matches_reference(alg, sorted({t + e for t in totals for e in (-1, 0, 1)} - {-1, 0}))
 
 
 def _every_span(alg, cap):

@@ -5,6 +5,7 @@ classical identities, against an independent one-step expansion of the
 rewriting coefficients, and by evaluating both sides on corpus actions.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -106,6 +107,12 @@ def test_operation_shift():
     assert operation_shift(2, 3) == 3
     assert operation_shift(3, 1) == 4
     assert operation_shift(5, 2) == 16
+
+
+def test_operations_are_the_shifts_that_stay_at_or_below_top():
+    for p, j, top in itertools.product((2, 3, 5, 7), range(12), range(-2, 30)):
+        want = [s for s in range(1, 40) if j + operation_shift(p, s) <= top]
+        assert list(steenrod.operations(p, j, top)) == want, (p, j, top)
 
 
 def test_action_values_on_projective_spaces():
