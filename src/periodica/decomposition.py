@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplin
-from .algebra import Element
+from .algebra import Element, _as_int
 from .fplin import Subspace
-from .periodicity import SubquotientAlgebra, direct_bound, window_ranges
+from .periodicity import EMPTY_BLOCK, SubquotientAlgebra, direct_bound, window_ranges
 
 
 class OverlapMismatch(RuntimeError):
@@ -35,7 +35,7 @@ class MultOperator:
     """Degree-preserving action of a degree-k window element.
 
     blocks[u] is the square matrix on window degree u sending v to the
-    unshift of (element cup v).
+    unshift of (element cup v); EMPTY_BLOCK on an empty degree.
     """
     element: Element
     blocks: dict
@@ -67,7 +67,8 @@ def multiplication_operator(window: SubquotientAlgebra, a) -> MultOperator:
     xv = fplin.as_vector(av, window.p)
     if xv.shape[0] != window.dim(k):
         raise ValueError("vector length does not match degree dimension")
-    blocks = {u: _action_block(window, xv, u) for u in range(1, n)}
+    blocks = dict.fromkeys(range(1, n), EMPTY_BLOCK)
+    blocks.update((u, _action_block(window, xv, u)) for u in window.nonzero_degrees)
     return MultOperator(Element.of(k, av), blocks)
 
 
@@ -110,6 +111,9 @@ def ring_product(window: SubquotientAlgebra, a, b) -> np.ndarray:
 
 
 def ring_power(window: SubquotientAlgebra, a, e: int) -> np.ndarray:
+    """a^e in the degree-k ring; ValueError for an exponent that is not a
+    positive int (a bool, float or str included)."""
+    e = _as_int(e, "the exponent")
     if e < 1:
         raise ValueError("exponent must be positive")
     base = _vector_of(window, a, window.k)
@@ -225,7 +229,9 @@ class DecompositionResult:
 def _image_spaces(window, e) -> dict:
     """The image of e's operator in every window degree."""
     op = multiplication_operator(window, e)
-    return {u: fplin.image(op.blocks[u], window.p) for u in range(1, window.n)}
+    spaces = dict.fromkeys(range(1, window.n), Subspace.zero(window.p, 0))
+    spaces.update((u, fplin.image(op.blocks[u], window.p)) for u in window.nonzero_degrees)
+    return spaces
 
 
 def decompose(window: SubquotientAlgebra) -> DecompositionResult:
@@ -255,7 +261,8 @@ def decompose(window: SubquotientAlgebra) -> DecompositionResult:
         times_q = _action_block(window, q, k)
         below = [s for s, f in zip(summands, finals)
                  if np.array_equal((times_q @ f) % window.p, f)]
-        return [sum(s.spaces[u].dim for s in below) for u in range(1, n)]
+        return [sum(s.spaces[u].dim for s in below) if u in window.nonzero_degrees else 0
+                for u in range(1, n)]
 
     trace = [SplitRecord(split_element=Element.of(k, e),
                          separator=Element.of(k, b),
@@ -311,6 +318,7 @@ def verify_decomposition(window: SubquotientAlgebra,
     act on it nontrivially.  Violations come back as report data."""
     k, n, p = window.k, window.n, window.p
     onto, into = window_ranges(n, k)
+    nonzero = window.nonzero_degrees
     violations = []
     summands = result.summands
     if not summands:
@@ -325,12 +333,13 @@ def verify_decomposition(window: SubquotientAlgebra,
                 violations.append(f"summand {i} carries no subspace of degree {u}")
                 return DecompositionReport(False, tuple(violations))
             parts.append(space)
-        if not fplin.direct_sum_check(parts, Subspace.full(p, window.dim(u)), full=True):
+        if u in nonzero and not fplin.direct_sum_check(parts, Subspace.full(p, window.dim(u)),
+                                                       full=True):
             violations.append(f"summands do not direct-sum to degree {u}")
-    # Every summand's basis in degree u, stacked; summand j holds rows
-    # starts[u][j]:starts[u][j + 1].
-    stacked = {u: np.vstack([s.spaces[u].basis for s in summands]) for u in range(1, n)}
-    starts = {u: np.cumsum([0] + [s.spaces[u].dim for s in summands]) for u in range(1, n)}
+    # Every summand's basis in nonzero degree u, stacked; summand j holds
+    # rows starts[u][j]:starts[u][j + 1].
+    stacked = {u: np.vstack([s.spaces[u].basis for s in summands]) for u in nonzero}
+    starts = {u: np.cumsum([0] + [s.spaces[u].dim for s in summands]) for u in nonzero}
     for i, s in enumerate(summands):
         if s.element.degree != k:
             violations.append(f"summand {i} element has degree {s.element.degree}")
@@ -339,22 +348,28 @@ def verify_decomposition(window: SubquotientAlgebra,
             violations.append(f"summand {i} element has {len(s.element.coeffs)} "
                               f"coordinates, need {window.dim(k)}")
             continue
-        xiv = s.element.as_vector()
-        for u in range(1, n):
-            cupm = window.cup_matrix(k, xiv, u)
-            hit = ((cupm @ stacked[u].T) % p).any(axis=0)
-            hit[starts[u][i]:starts[u][i + 1]] = False
-            if hit.any():
-                for j in range(len(summands)):
-                    if hit[starts[u][j]:starts[u][j + 1]].any():
-                        violations.append(
-                            f"summand {i} element does not annihilate summand {j} in degree {u}")
+        try:
+            xiv = s.element.as_vector()
+        except ValueError:
+            violations.append(f"summand {i} element has a non-integer coefficient")
+            continue
+        for u in nonzero:
+            if u + k in nonzero:
+                cupm = window.cup_matrix(k, xiv, u)
+                hit = ((cupm @ stacked[u].T) % p).any(axis=0)
+                hit[starts[u][i]:starts[u][i + 1]] = False
+                if hit.any():
+                    for j in range(len(summands)):
+                        if hit[starts[u][j]:starts[u][j + 1]].any():
+                            violations.append(f"summand {i} element does not annihilate "
+                                              f"summand {j} in degree {u}")
             if onto.start <= u < into.stop and s.spaces[u].dim:
                 target = s.spaces[u + k]
                 if s.spaces[u].dim != target.dim:
                     violations.append(
                         f"summand {i} degrees {u} and {u + k} have unequal dimension")
                     continue
+                # target is nonzero, so degree u + k is too and cupm is this degree's
                 try:
                     m = fplin.restricted_matrix(cupm, s.spaces[u], target)
                 except ValueError:
@@ -395,8 +410,8 @@ def _split_witness(window, idempotents, spaces) -> str:
     total = sum(s.dim for s in spaces.values())
     for e in idempotents:
         op = multiplication_operator(window, e)
-        r = sum(fplin.rank((op.blocks[u] @ s.basis.T) % p, p)
-                for u, s in spaces.items() if s.dim)
+        r = sum(fplin.rank((op.blocks[u] @ spaces[u].basis.T) % p, p)
+                for u in window.nonzero_degrees if spaces[u].dim)
         if 0 < r < total:
             return f" at {_key(e)}/{_key((_unit(window) - e) % p)}"
     return ""

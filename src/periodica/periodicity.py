@@ -25,6 +25,10 @@ from .fplin import ConsistencyFailure
 DEFAULT_SEARCH_CAP = 2**20
 DEFAULT_SAMPLE_COUNT = 10_000
 
+# The shift map and operator block of every empty window degree.
+EMPTY_BLOCK = np.zeros((0, 0), dtype=np.int64)
+EMPTY_BLOCK.setflags(write=False)
+
 
 class WellDefinednessFailure(RuntimeError):
     """Subquotient construction met data that contradicts its certificate."""
@@ -691,11 +695,22 @@ class SubquotientAlgebra(GradedAlgebra):
     full parent degree.  Products and shift maps are stored in window
     coordinates; cupping with the element is a recorded bijection from each
     window degree i <= n-k-1 onto window degree i+k.
+
+    nonzero_degrees lists the window degrees of positive dimension, and the
+    per-degree loops of the window pipeline (subquotient, ring_action,
+    induced_action_on_window and the decomposition module) read it.  A
+    degree is skipped only where its check is vacuous: it has no source
+    vector, or no target coordinate at the level the check reads (the
+    window's, or the parent's for a check on parent vectors).  An empty
+    degree keeps its entry in every returned dict, shared and read-only:
+    (0, 0) int64 shift maps and operator blocks, (dim k, 0, 0) ring-action
+    stacks that agree, and Subspace.zero(p, 0) image spaces.
     """
 
     def __init__(self, parent, certificate, spaces, shifts, shift_invs, mult, degree1_kernel):
         n = parent.n
         super().__init__(parent.p, n, [0] + [spaces[i].dim for i in range(1, n)] + [0], mult)
+        self.nonzero_degrees = tuple(i for i in range(1, n) if self.dims[i])
         self.parent = parent
         self.certificate = certificate
         self.k = certificate.k
@@ -742,17 +757,24 @@ class SubquotientAlgebra(GradedAlgebra):
         (low, high, agree): low[a] is v -> unshift(e_a v) for u <= n-1-k,
         high[a] is v -> e_a unshift(v) for u >= 1+k, each a
         (dim k, dim u, dim u) stack or None outside its range, and agree
-        says the two readings coincide on every e_a.  Computed once per
-        window; an element's action is the contraction of its coordinates
-        with a stack."""
+        says the two readings coincide on every e_a.  An empty degree holds
+        one shared read-only (dim k, 0, 0) stack in each reading of its
+        range, and agree is True.  Computed once per window; an element's
+        action is the contraction of its coordinates with a stack."""
         k, n, p = self.k, self.n, self.p
         onto, into = window_ranges(n, k)
-        out = {}
-        for u in range(1, n):
+        reads = {u: (onto.start <= u < into.stop, onto.start <= u - k < into.stop)
+                 for u in range(1, n)}
+        empty = np.zeros((self.dim(k), 0, 0), dtype=np.int64)
+        empty.setflags(write=False)
+        out = {u: (empty if low else None, empty if high else None, True)
+               for u, (low, high) in reads.items()}
+        for u in self.nonzero_degrees:
+            in_low, in_high = reads[u]
             low = high = None
-            if onto.start <= u < into.stop:
+            if in_low:
                 low = (self.shift_invs[u] @ self.mult3(k, u).transpose(1, 0, 2)) % p
-            if onto.start <= u - k < into.stop:
+            if in_high:
                 high = (self.mult3(k, u - k).transpose(1, 0, 2) @ self.shift_invs[u - k]) % p
             out[u] = (low, high, low is None or high is None or np.array_equal(low, high))
         return out
@@ -796,8 +818,10 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
             spaces[i] = ker1.coordinate_complement()
         else:
             spaces[i] = fplin.Subspace.full(p, alg.dim(i))
+    nonzero = tuple(i for i in range(1, n) if spaces[i].dim)
+    # u lies in parent degree 1, and window degrees 2..n-2 are the parent's
     for u in ker1.basis:
-        for j in range(1, n - 1):
+        for j in sorted({1, *nonzero} - {n - 1}):
             if alg.cup_matrix(1, u, j).any():
                 raise WellDefinednessFailure(
                     f"a degree-1 kernel class has a nonzero product into degree {1 + j}")
@@ -820,6 +844,9 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
         if src.dim != tgt.dim:
             raise WellDefinednessFailure(
                 f"window dimensions differ across the shift at degree {i}")
+        if i not in nonzero:
+            shifts[i] = shift_invs[i] = EMPTY_BLOCK
+            continue
         try:
             m = fplin.restricted_matrix(alg.cup_matrix(k, xv, i), src, tgt)
         except ValueError as exc:

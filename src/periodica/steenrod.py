@@ -328,6 +328,7 @@ def induced_action_on_window(window, act: SteenrodAction) -> SteenrodAction:
     representatives stay inside the window spaces, and that operations
     applied to the inducing element stay multiples of it; failures raise
     InducedActionFailure since they contradict a verified certificate.
+    A target degree is skipped only when the parent's is empty too.
     """
     parent = window.parent
     p, n, k = window.p, window.n, window.k
@@ -336,6 +337,8 @@ def induced_action_on_window(window, act: SteenrodAction) -> SteenrodAction:
     xv = window.certificate.element.as_vector() % p
     for s in operations(p, k, n - 1):
         t = k + operation_shift(p, s)
+        if not parent.dim(t):
+            continue
         v = act.apply(s, k, xv)
         img = fplin.image(parent.cup_matrix(k, xv, t - k), p)
         if not img.contains(v):
@@ -347,11 +350,11 @@ def induced_action_on_window(window, act: SteenrodAction) -> SteenrodAction:
                 raise InducedActionFailure(
                     f"a degree-1 kernel class survives operation {s}")
     maps = {}
-    for j in range(1, n):
-        if window.dim(j) == 0:
-            continue
+    for j in window.nonzero_degrees:
         for s in operations(p, j, n - 1):
             t = j + operation_shift(p, s)
+            if not parent.dim(t):
+                continue
             try:
                 table = fplin.restricted_matrix(act.op_matrix(s, j), window.spaces[j],
                                                 window.spaces[t])

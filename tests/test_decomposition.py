@@ -211,6 +211,15 @@ def test_ring_power():
     assert np.array_equal(D.ring_power(w, x, 1), x.as_vector())
 
 
+def test_ring_power_refuses_an_exponent_that_is_not_an_int():
+    w = window_of("ConnectedSum(ComplexProj(4),ComplexProj(4))@2")
+    x = Element(2, (1, 1))
+    for e in (2.0, "2", None, True, False):
+        with pytest.raises(ValueError):
+            D.ring_power(w, x, e)
+    assert np.array_equal(D.ring_power(w, x, np.int64(2)), D.ring_power(w, x, 2))
+
+
 def test_random_sums_recover_summand_count():
     rng = np.random.default_rng(5)
     leaves = {"ComplexProj(4)": (2, 3), "QuatProj(4)": (2,)}
@@ -670,11 +679,15 @@ def test_idempotents_match_the_parent_on_random_specs(text, seed, rebase):
 def test_malformed_element_is_a_violation():
     w = window_of("ConnectedSum(ComplexProj(4),ComplexProj(4))@2")
     a, b = D.decompose(w).summands
-    for coeffs in ((1,), (1, 0, 0)):
+    cases = [((1,), "summand 0 element has 1 coordinates, need 2"),
+             ((1, 0, 0), "summand 0 element has 3 coordinates, need 2")]
+    cases += [((0, bad), "summand 0 element has a non-integer coefficient")
+              for bad in (True, 1.0, "1")]
+    for coeffs, violation in cases:
         forged = D.DecompositionResult([D.Summand(Element(2, coeffs), a.spaces), b], [])
         report = D.verify_decomposition(w, forged)
         assert not report.ok
-        assert f"summand 0 element has {len(coeffs)} coordinates, need 2" in report.violations
+        assert violation in report.violations, coeffs
 
 
 # The operator assembly and verification that the window's ring_action
@@ -923,6 +936,45 @@ def test_operator_blocks_match_the_parent(text):
         _same_blocks(D.multiplication_operator(w, e), old_multiplication_operator(w, e))
     unit = Element.of(k, D._unit(w) + w.p)  # unreduced coordinates are kept as given
     _same_blocks(D.multiplication_operator(w, unit), old_multiplication_operator(w, unit))
+
+
+def _is_read_only_empty(m, shape):
+    return (m.dtype, m.shape, m.flags.writeable) == (np.dtype(np.int64), shape, False)
+
+
+@pytest.mark.parametrize("text", [t for t in ORACLE_WINDOWS if not t.startswith("Sphere")])
+def test_empty_degrees_keep_their_entries(text):
+    """Every window here is zero in some degrees.  Each such degree keeps an
+    entry in every dict: read-only (0, 0) int64 shift maps and operator
+    blocks, read-only (dim k, 0, 0) int64 ring-action stacks in the readings
+    of its range with agree True, zero image spaces and zero trace counts."""
+    w = window_of(text)
+    k, n, p = w.k, w.n, w.p
+    assert w.nonzero_degrees == tuple(u for u in range(1, n) if w.dim(u))
+    empty = [u for u in range(1, n) if not w.dim(u)]
+    assert empty
+    onto, into = P.window_ranges(n, k)
+    result = D.decompose(w)
+    operators = [D.multiplication_operator(w, s.element) for s in result.summands]
+    stacks = D._basis_operators(w)
+    for u in empty:
+        if onto.start <= u < into.stop:
+            assert _is_read_only_empty(w.shifts[u], (0, 0))
+            assert _is_read_only_empty(w.shift_invs[u], (0, 0))
+        low, high, agree = w.ring_action[u]
+        assert agree is True
+        for stack, reads in ((low, onto.start <= u < into.stop),
+                             (high, onto.start <= u - k < into.stop)):
+            assert (stack is not None) == reads
+            assert stack is None or _is_read_only_empty(stack, (w.dim(k), 0, 0))
+        assert _is_read_only_empty(stacks[u], (w.dim(k), 0, 0))
+        for op in operators:
+            assert _is_read_only_empty(op.blocks[u], (0, 0))
+        for s in result.summands:
+            assert s.spaces[u] == fplin.Subspace.zero(p, 0)
+            assert _is_read_only_empty(s.spaces[u].basis, (0, 0))
+        for record in result.trace:
+            assert record.part_dims[u - 1] == (u,) + (0,) * len(record.replacements)
 
 
 @pytest.mark.parametrize("text", [

@@ -8,13 +8,14 @@ byte for byte on the tables and on the actions.
 """
 
 import functools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodica import corpus, fplin
+from periodica import corpus, fplin, steenrod
 from periodica import periodicity as P
 from periodica.algebra import Element, GradedAlgebra
 from periodica.corpus import _with_units
@@ -400,6 +401,25 @@ def test_windows_match_the_pair_loops(text):
     fx = corpus.build(corpus.parse_spec(text))
     count = assert_windows_match(fx.algebra, fx.action, range(1, fx.algebra.n))
     assert count == len(P.minimum_period(fx.algebra).all_periods)
+
+
+@pytest.mark.parametrize("op, message", [
+    ((1, 6), "operation (1, 6) leaves the window at degree 7"),
+    ((5, 2), "operation 5 of the inducing element is not one of its multiples in degree 7"),
+])
+def test_an_operation_into_a_degree_empty_only_in_the_window_is_refused(op, message):
+    """Degree 7 of KERNEL_SPECS[0] at p = 2 holds the S^7 class, and its
+    window degree, the image of x from the zero degree 5, is empty.  A
+    forged operation into it is refused, as by the reference."""
+    fx = corpus.build(corpus.parse_spec(KERNEL_SPECS[0]))
+    alg = fx.algebra
+    window = P.subquotient(alg, P.find_inducing_element(alg, 2))
+    assert (window.dim(7), alg.dim(7)) == (0, 1)
+    forged = SteenrodAction(alg, {**fx.action.maps,
+                                  op: np.ones((1, alg.dim(op[1])), dtype=np.int64)})
+    for induced in (steenrod.induced_action_on_window, old_induced_action_on_window):
+        with pytest.raises(InducedActionFailure, match=re.escape(message)):
+            induced(window, forged)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -481,20 +481,35 @@ def test_one_range_holds_a_fixture_and_a_small_bound_splits_it(monkeypatch):
     assert len(whole) == 1 and len(steps) > 1 and sum(steps) == whole[0]
 
 
-# Inner nodes with a direct certificate at p * k <= n - 1, so their windows
-# carry an induced action.
+# Inner nodes with a direct certificate.  The windows of the p = 5 sums
+# below have p * k > n - 1 and carry no induced action; every other window
+# carries one.
 WINDOW_SPECS = [t for t in NODES if t.startswith("ConnectedSum") or "Sphere(2)" in t]
+NO_ACTION_SPECS = [f"{_chain(m, leaf)}@5" for m, leaf in (
+    (2, "ComplexProj(4)"), (3, "ComplexProj(4)"), (2, "ComplexProj(5)"),
+    (2, "QuatProj(3)"), (3, "QuatProj(3)"))]
 
 
-@pytest.mark.parametrize("text", WINDOW_SPECS)
-def test_windows_pass_both_action_checks(text):
+def _window(text):
     fx = build(text)
     rep = P.minimum_period(fx.algebra)
     window = P.subquotient(fx.algebra, rep.certificate, action=fx.action)
     assert same_defects(window) == (window.associativity_defect, window.commutativity_defect)
-    if window.action is None:
-        same_checks(window)
-        pytest.skip("p * k exceeds n - 1: no induced action")
+    return fx, window
+
+
+@pytest.mark.parametrize("text", NO_ACTION_SPECS)
+def test_windows_past_p_k_carry_no_action(text):
+    assert text in WINDOW_SPECS
+    _, window = _window(text)
+    assert window.action is None and window.p * window.k > window.n - 1
+    same_checks(window)
+
+
+@pytest.mark.parametrize("text", [t for t in WINDOW_SPECS if t not in NO_ACTION_SPECS])
+def test_windows_pass_both_action_checks(text):
+    fx, window = _window(text)
+    assert window.action is not None
     assert same_verdict(window, window.action, unital=False) is None
     assert same_checks(window, window.action)[3] is None
     steenrod.verify_induced_action(window, fx.action, window.action)
