@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplin, steenrod
-from .algebra import Element, GradedAlgebra, _computed_once
+from .algebra import Element, GradedAlgebra, _as_int, _computed_once
 from .fplin import ConsistencyFailure
 
 DEFAULT_SEARCH_CAP = 2**20
@@ -126,9 +126,11 @@ def _element_vector(alg, x: Element) -> np.ndarray:
 
 
 def _check_limits(cap: int, samples: int = 0) -> None:
-    if cap < 1:
+    """ValueError unless cap is an int >= 1 and samples an int >= 0 (a bool,
+    float, str or None is refused, not rounded or compared)."""
+    if _as_int(cap, "the search cap") < 1:
         raise ValueError(f"the search cap must be at least 1, got {cap}")
-    if samples < 0:
+    if _as_int(samples, "the sample count") < 0:
         raise ValueError(f"the sample count must be at least 0, got {samples}")
 
 
@@ -363,21 +365,19 @@ class _ProductSpan:
     below d is too, and a degree d that b does not divide gets no product.
     By _unit_test's proof R = A^b is a commutative ring with unit x0 and
     product u * v = (x0 .)^(-1)(uv), and U is its unit group, so uv =
-    x0 (u * v) and u U = x0 (u * U) = x0 U for every u in U.  Cupping with
-    x0 is bijective from A^(jb) onto A^((j+1)b) while (j+1)b <= (n-1)//3,
-    inside the window, so a direct inducer w of degree mb >= 2b is
-    x0^(m-1) v for one v in A^b; w a = 0 forces a = 0 for a in A^b (w is
-    injective there), so v * is injective, hence bijective, on R, and v is
-    in U.  By induction on the degree, every reach row of degree mb is then
-    in x0^(m-1) U (a product of x0^i u and x0^j v is x0^(i+j+1) (u * v)),
-    the reach of every multiple of b up to d - b is nonempty (the (mb, b)
-    block of degree (m+1)b is), and every block of degree d = (j+1)b lies
-    in x0^j U, while the first row r = x0^(j-1) u of the (d - b, b) block
-    gives r U = x0^(j-1) x0 U = x0^j U, all of it.  The block engine keeps
-    first occurrences with b' ascending (no b' < b has inducers), rows
-    sorted and inducers in enumeration order, so it meets the whole set in
-    row r and nothing new after it: the keys, their order, the parents and
-    the point where a refusal fires are the same.
+    x0 (u * v) and u U = x0 (u * U) = x0 U for every u in U.  The direct
+    inducers of degree mb >= 2b are exactly x0^(m-1) U, as the unit_test
+    method proves.  By induction on the degree, every reach row of degree
+    mb is then in x0^(m-1) U (a product of x0^i u and x0^j v is
+    x0^(i+j+1) (u * v)), the reach of every multiple of b up to d - b is
+    nonempty (the (mb, b) block of degree (m+1)b is), and every block of
+    degree d = (j+1)b lies in x0^j U, while the first row r = x0^(j-1) u
+    of the (d - b, b) block gives r U = x0^(j-1) x0 U = x0^j U, all of
+    it.  The block engine keeps first occurrences with b' ascending (no
+    b' < b has inducers), rows sorted and inducers in enumeration order,
+    so it meets the whole set in row r and nothing new after it: the keys,
+    their order, the parents and the point where a refusal fires are the
+    same.
 
     Cupping with x0 is injective from degree i for 1 < i <= n-1-b, into
     every degree up to n-1, so u -> r u is injective on U, but it is not
@@ -436,14 +436,71 @@ class _ProductSpan:
         return head + (Element.of(b, self._inducers[b][s]),)
 
     def unit_test(self, d: int) -> _UnitTest | None:
-        """_unit_test(alg, d) when its generator passes the window test, else
-        None, and then no degree-d vector passes (see _unit_test); computed
-        once per search."""
+        """The test for the direct inducers of degree d, where the centroid
+        decides d; None when there are none.  Computed once per search.
+
+        Let b be the least divisor of d with 2 <= b < d that the dimensions
+        do not rule out (_ruled_out), the centroid decides
+        (_centroid_decides) and unit_test(b) is not None, and x0 b's
+        generator.  When b exists, this is b's test carried along L, the
+        matrix of cupping with x0^(d/b - 1) from A^b to A^d: the tests
+        tests_b L^(-1) and the generator L x0 = x0^(d/b), with no centroid
+        and no window test at d.  Otherwise it is _unit_test(alg, d) when
+        its generator passes the window test, else None, and then no
+        degree-d vector passes (see _unit_test).
+
+        Proof that the carried test passes exactly the degree-d inducers.
+        By _unit_test's proof, b's test passes exactly the units of the
+        ring R_b = A^b with unit x0 and product u * v = (x0 .)^(-1)(uv), and
+        these are the degree-b inducers.  Then:
+        - L is bijective: 3d <= n-1, so each x0 . maps A^(jb) onto
+          A^((j+1)b) inside the window, and L is their composite.
+        - If L^(-1) w = u is a unit of R_b, w = x0^(d/b - 1) u passes the
+          window test: cupping with w is the composite of cupping with u
+          and with x0 d/b - 1 times, and from a source degree i the j-th of
+          them starts at i + jb, inside each one's surjective (injective)
+          range whenever i is inside w's; compose the cup ranges.
+        - If w is an inducer and v = L^(-1) w, then w a = x0^(d/b) (v * a)
+          for a in A^b, and w is injective from degree b (2 <= b and
+          b + d <= n-1), so v * is injective, hence bijective, on R_b, and
+          v is a unit.
+        A singular L contradicts the ring axioms _centroid_decides checked
+        and raises ConsistencyFailure.  Under the cap, passes(d) yields the
+        same vectors in the same order either way; past it,
+        find_inducing_element's rule 5 answers x0^(d/b), a direct inducer,
+        instead of d's own Nakayama generator.
+
+        A lone call at d also computes the centroids of the divisors b
+        tried before the one used: those the dimensions leave open but that
+        have no inducer.  search_degrees, which asks every degree in turn,
+        computes them anyway.
+        """
         if d not in self._tests:
-            test = _unit_test(self.alg, d)
-            passes = test is not None and _window_failure(self.alg, d, test.generator) is None
-            self._tests[d] = test if passes else None
+            alg = self.alg
+            b = next((b for b in range(2, d) if d % b == 0 and not _ruled_out(alg, b)
+                      and _centroid_decides(alg, b) and self.unit_test(b) is not None), None)
+            if b is not None:
+                self._tests[d] = self._carried(self._tests[b], b, d)
+            else:
+                test = _unit_test(alg, d)
+                passes = test is not None and _window_failure(alg, d, test.generator) is None
+                self._tests[d] = test if passes else None
         return self._tests[d]
+
+    def _carried(self, test, b, d):
+        """test, the degree-b unit test, carried to degree d along cupping
+        with its generator's power (see unit_test)."""
+        alg, p, x0 = self.alg, self.alg.p, test.generator
+        power = x0
+        for e in range(b, d - b, b):  # power = x0^(e/b) becomes x0^(e/b + 1)
+            power = alg.cup(b, x0, e, power)
+        carry = alg.cup_matrix(d - b, power, b)
+        try:
+            back = fplin.mat_inv(carry, p)
+        except fplin.NotInvertible:
+            raise ConsistencyFailure(
+                f"cupping with the power of a degree-{b} inducer is singular onto degree {d}")
+        return _UnitTest(p, (test.tests @ back) % p, (carry @ x0) % p)
 
     def passes(self, d: int):
         """The degree-d window passes in lexicographic order, lazily, as row
@@ -605,8 +662,11 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
        _ProductSpan.passes (none when the dimensions rule k out, the least
        unit where the centroid decides k), else exhausted.
     4. Past the cap: exhausted when the dimensions rule k out (_ruled_out).
-    5. Direct where the centroid decides k (see _unit_test): its Nakayama
-       generator when it passes the window test, else exhausted.
+    5. Direct where the centroid decides k (see _unit_test): the generator
+       of _ProductSpan.unit_test(k), else exhausted.  That is x0^(k/b)
+       when a least divisor b of k carries its test to k (x0 the
+       generator at b), and otherwise k's own Nakayama generator when it
+       passes the window test.
     6. Window-test `samples` random vectors drawn from `seed`, else inconclusive.
 
     _span shares one product span across calls (search_degrees).  Raises
@@ -809,11 +869,14 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
     n, p, k = alg.n, alg.p, cert.k
     onto, into = window_ranges(n, k)
     xv = cert.element.as_vector() % p
-    ker1 = fplin.kernel(alg.cup_matrix(k, xv, 1), p)
+    # A zero parent degree 1 (n-1) has a zero kernel (image) in it.
+    ker1 = (fplin.kernel(alg.cup_matrix(k, xv, 1), p) if alg.dim(1)
+            else fplin.Subspace.zero(p, 0))
     spaces = {}
     for i in range(1, n):
         if i == n - 1:
-            spaces[i] = fplin.image(alg.cup_matrix(k, xv, into.stop - 1), p)
+            spaces[i] = (fplin.image(alg.cup_matrix(k, xv, into.stop - 1), p) if alg.dim(i)
+                         else fplin.Subspace.zero(p, 0))
         elif i == 1:
             spaces[i] = ker1.coordinate_complement()
         else:

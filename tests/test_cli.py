@@ -380,6 +380,34 @@ def test_window_golden_output(capsys, tmp_path, command, name):
     assert out == (GOLDEN / f"{command}_{name}.json").read_text(encoding="utf-8")
 
 
+S2CP10, CS2CP8 = "Product(Sphere(2),ComplexProj(10))@3", "ConnectedSum(ComplexProj(8),ComplexProj(8))@5"
+# name -> (spec, PERIODICA_SEARCH_CAP or None for the default, command and
+# its flags).  At cap 2, degrees 4 and 6 of S2CP10 are direct multiples of
+# degree 2 answered past the cap by find_inducing_element's rule 5.
+SEARCH_GOLDEN = {
+    "min_period_s2cp10": (S2CP10, None, ("min-period",)),
+    "min_period_s2cp10_cap2": (S2CP10, "2", ("min-period",)),
+    "min_period_cs2cp8": (CS2CP8, None, ("min-period",)),
+    "min_period_cs2cp8_cap2": (CS2CP8, "2", ("min-period",)),
+    "periodicity_s2cp10_k4_cap2": (S2CP10, "2", ("periodicity", "--k", "4")),
+    "periodicity_s2cp10_k6_cap2": (S2CP10, "2", ("periodicity", "--k", "6")),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_GOLDEN)
+def test_search_golden_output(capsys, tmp_path, monkeypatch, name):
+    spec, cap, (command, *flags) = SEARCH_GOLDEN[name]
+    path = str(tmp_path / "alg.json")
+    assert run(capsys, "corpus", "export", spec, "--out", path)[0] == 0
+    if cap is None:
+        monkeypatch.delenv("PERIODICA_SEARCH_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PERIODICA_SEARCH_CAP", cap)
+    code, out, _ = run(capsys, command, path, *flags)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
 def _with_first_fact(doc, fact):
     return {**doc, "facts": [fact] + doc["facts"][1:]}
 

@@ -841,8 +841,8 @@ def _forgeries(w, result):
     """The decomposition and mutants of it: every merged pair, dropped
     summand, pair of swapped elements and perturbed element, each degree's
     space swapped between the first two summands, a space of the first
-    summand the ring does not keep, a wrong-degree element and an appended
-    zero summand."""
+    summand the ring does not keep, a wrong-degree element, an appended
+    zero summand and the _space_forgeries."""
     p, k, d = w.p, w.k, w.dim(w.k)
     summands = result.summands
     s = len(summands)
@@ -880,7 +880,23 @@ def _forgeries(w, result):
     zero = D.Summand(Element(k, (0,) * d),
                      {u: fplin.Subspace.zero(p, w.dim(u)) for u in range(1, w.n)})
     out.append(D.DecompositionResult(summands + [zero], []))
-    return out
+    return out + [forged for forged, _, _ in _space_forgeries(w, result)]
+
+
+def _space_forgeries(w, result):
+    """(forgery, i, u), where summand i has no space of degree u: the last
+    summand without its degree-k space, and the first with a degree-(n-1)
+    space one coordinate too long."""
+    summands = result.summands
+    if not summands:
+        return []
+    last, first = len(summands) - 1, summands[0]
+    dropped = {u: space for u, space in summands[last].spaces.items() if u != w.k}
+    long = {**first.spaces, w.n - 1: fplin.Subspace.zero(w.p, w.dim(w.n - 1) + 1)}
+    return [(D.DecompositionResult(summands[:last] + [D.Summand(summands[last].element, dropped)],
+                                   []), last, w.k),
+            (D.DecompositionResult([D.Summand(first.element, long)] + summands[1:], []),
+             0, w.n - 1)]
 
 
 def _same_blocks(got, want):
@@ -902,6 +918,19 @@ def test_verify_decomposition_matches_the_parent(text):
         want = _outcome(old_verify_decomposition, w, forged)
         assert _outcome(D.verify_decomposition, w, forged) == want
         assert _outcome(D.verify_decomposition, w, forged) == want
+
+
+@pytest.mark.parametrize("text", [t for t in ORACLE_WINDOWS if not t.startswith("Sphere")])
+def test_a_summand_without_a_space_is_the_one_violation(text):
+    """A missing degree, or a space of the wrong ambient, stops the check at
+    that degree with one violation."""
+    w = window_of(text)
+    forgeries = _space_forgeries(w, D.decompose(w))
+    assert len(forgeries) == 2
+    for forged, i, u in forgeries:
+        report = D.verify_decomposition(w, forged)
+        assert report == D.DecompositionReport(
+            False, (f"summand {i} carries no subspace of degree {u}",))
 
 
 def test_verify_decomposition_on_a_zero_ring_matches_the_parent():

@@ -236,6 +236,26 @@ def test_searches_refuse_a_cap_below_one_or_negative_samples(cap, samples):
             search()
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, "5", None])
+def test_searches_refuse_a_cap_or_sample_count_that_is_not_an_int(bad):
+    """A cap of True ran as cap 1, 2.5 left degree 6 of ComplexProj(4)@2
+    inconclusive, and "5" and None raised TypeError; each is a ValueError
+    naming the argument."""
+    fx = build("ComplexProj(4)@2")
+    alg, w, x = fx.algebra, window_of(fx), Element(2, (1,))
+    for call in (lambda: P.minimum_period(alg, cap=bad),
+                 lambda: P.find_inducing_element(alg, 2, cap=bad),
+                 lambda: P.induces_periodicity(alg, x, cap=bad),
+                 lambda: P.is_irreducible(w, x, cap=bad)):
+        with pytest.raises(ValueError, match="the search cap must be an integer"):
+            call()
+    for call in (lambda: P.minimum_period(alg, samples=bad),
+                 lambda: P.find_inducing_element(alg, 2, samples=bad)):
+        with pytest.raises(ValueError, match="the sample count must be an integer"):
+            call()
+    assert P.minimum_period(alg, cap=np.int64(5)) == P.minimum_period(alg, cap=5)
+
+
 def test_irreducibility_reports():
     w = window_of(build("ComplexProj(4)@2"))
     rep = P.is_irreducible(w, Element(2, (1,)))
