@@ -343,13 +343,14 @@ class _ProductSpan:
     first factorization met wins, so certificates are deterministic.  The
     reach of degree a is its direct inducers (when 3a <= n-1) followed by
     the degree-a products not among them.  Each (a, b) block is two matrix
-    products, deduplicated with np.unique.  A degree's window passes are
-    decided in one place, passes: the dimension bound, then the centroid,
-    then enumeration; the direct inducers are those passes stacked.  Direct
-    inducers, products and reaches are kept per degree for the engine's
-    lifetime only, with the centroid tests of the direct degrees; nothing
-    is stored on the algebra.  span states the one rule by which growth
-    refuses past the cap, in terms of the reaches below k.
+    products, whose rows are kept by first occurrence in row order.  A
+    degree's window passes are decided in one place, passes: the dimension
+    bound, then the centroid, then enumeration; the direct inducers are
+    those passes stacked.  Direct inducers, products and reaches are kept
+    per degree for the engine's lifetime only, with the centroid tests of
+    the direct degrees; nothing is stored on the algebra.  span states the
+    one rule by which growth refuses past the cap: a count over the reaches
+    below k, kept once per search as a prefix, plus degree k's own term.
 
     Where a premise holds, degree d is one linear image instead: the
     products r * U of the first sorted reach row r of degree d - b, with
@@ -396,6 +397,11 @@ class _ProductSpan:
         self._reach = {}     # a -> (sorted keys as rows, product row or -1 - inducer row)
         self._spans = {}     # k -> span(k), or the message of the refusal
         self._tests = {}     # d -> unit_test(d)
+        self._bases = {}     # min(top, d - 1) -> _unit_degree(d)
+        self._ledger = [(0, 0)]  # d -> span's (T, N) through the reach of degree d
+        self._refused = None     # the first degree whose reach breaks span's rule 2
+        # span's rule 1 refuses every k past this degree
+        self._wide = next((d for d in range(1, self.top + 1) if alg.p ** alg.dim(d) > cap), alg.n)
 
     def span(self, k: int) -> dict:
         """Degree-k products as key -> row, in the order they were found.
@@ -409,10 +415,16 @@ class _ProductSpan:
            the number of degree-k products, and N is the part of T that is
            not a direct inducer of a degree below k ("product search stored
            over cap vectors").
-        _grow_to keeps T and N as one running count and stops at the first
-        degree where rule 2 holds.  Refusals are not monotone in k: a
-        product equal to a direct inducer counts toward N only at its own
-        degree, so each k's answer is kept on its own.
+        T and N are a prefix over the degrees below k plus degree k's term.
+        For d < k, d <= min((n-1)//3, k-1) exactly when d <= (n-1)//3, so
+        degree d's count, its direct inducers and the arguments of its
+        products do not depend on k: _prefix counts each degree once per
+        search, and a degree where rule 2 first holds refuses every later k
+        as well.  Only the last term depends on k: it counts degree-k
+        products, not the reach, and none of them is a direct inducer of a
+        degree below k.  So refusals are not monotone in k: a product equal
+        to a direct inducer counts toward N only at its own degree, and
+        each k's answer is kept on its own.
         """
         if k not in self._spans:
             try:
@@ -520,34 +532,59 @@ class _ProductSpan:
                 yield v[None]
 
     def _grow_to(self, k):
-        """span(k) grown from degree 1, refused by span's rule."""
+        """span(k): rule 1, then degree k's products, with nothing held,
+        counted on top of the prefix through k - 1 (see span).  Where the
+        prefix does not refuse, its T > cap only with N = 0, so degree k
+        refuses exactly when it has products and they bring T past the cap."""
         alg, cap = self.alg, self.cap
-        low = min(self.top, k - 1)
-        for d in range(1, low + 1):
-            size = alg.p ** alg.dim(d)
-            if size > cap:
-                raise SearchCapExceeded(f"degree {d} has {size} candidates, cap {cap}")
-        total = fresh = 0  # span's T and N through degree d
-        for d in range(1, k + 1):
-            direct = len(self._direct(d)) if d <= low else 0
+        if k > self._wide:
+            raise SearchCapExceeded(
+                f"degree {self._wide} has {alg.p ** alg.dim(self._wide)} candidates, cap {cap}")
+        total = self._prefix(k - 1)
+        if k not in self._products:
+            self._products[k] = self._multiply(k, set(), cap - total)
+        count = len(self._products[k][0])
+        if count and total + count > cap:
+            raise SearchCapExceeded(f"product search stored over {cap} vectors")
+        return self._products[k][0]
+
+    def _prefix(self, m):
+        """span's T through the reach of degree m, each degree counted once
+        per search; refuses when rule 2 holds at a degree <= m."""
+        ledger, cap = self._ledger, self.cap
+        while len(ledger) <= m and self._refused is None:
+            d = len(ledger)
+            total, fresh = ledger[-1]
+            direct = len(self._direct(d)) if d <= self.top else 0
             if d not in self._products:
                 held = {tuple(v) for v in self._direct(d).tolist()} if direct else set()
-                self._products[d] = self._multiply(d, held, cap - total - direct)
-            count = len(self._reach_keys(d)) if d < k else len(self._products[k][0])
-            total += count
-            fresh += count - direct
+                try:
+                    self._products[d] = self._multiply(d, held, cap - total - direct)
+                except SearchCapExceeded:
+                    self._refused = d
+                    break
+            count = len(self._reach_keys(d))
+            total, fresh = total + count, fresh + count - direct
             if fresh and total > cap:
-                raise SearchCapExceeded(f"product search stored over {cap} vectors")
-        return self._products[k][0]
+                self._refused = d
+            else:
+                ledger.append((total, fresh))
+        if len(ledger) <= m:
+            raise SearchCapExceeded(f"product search stored over {cap} vectors")
+        return ledger[m][0]
 
     def _unit_degree(self, d):
         """The least degree b <= min((n-1)//3, d-1) with direct inducers when
-        the linear premise holds for degree d, else None (see the class)."""
-        found = [e for e in range(1, min(self.top, d - 1) + 1) if len(self._direct(e))]
-        b = found[0] if found else None
-        if b and _centroid_decides(self.alg, b) and all(e % b == 0 for e in found):
-            return b
-        return None
+        the linear premise holds for degree d, else None (see the class).
+        It depends on d only through that bound, so it is decided once per
+        bound."""
+        m = min(self.top, d - 1)
+        if m not in self._bases:
+            found = [e for e in range(1, m + 1) if len(self._direct(e))]
+            b = found[0] if found else None
+            holds = b and _centroid_decides(self.alg, b) and all(e % b == 0 for e in found)
+            self._bases[m] = b if holds else None
+        return self._bases[m]
 
     def _multiply(self, d, held, limit):
         """The degree-d products as (key -> row, parents); refuses once more
@@ -566,9 +603,8 @@ class _ProductSpan:
             m3 = alg.mult3(d - b, b)
             for r0, r1, s0, s1 in _tiles(len(keys), len(inducers)):
                 flat = _block_products(m3, keys[r0:r1], inducers[s0:s1], p)
-                first = np.sort(np.unique(flat, axis=0, return_index=True)[1])
                 width = s1 - s0
-                for j, row in zip(first.tolist(), flat[first].tolist()):
+                for j, row in enumerate(flat.tolist()):
                     t = tuple(row)
                     if t in index:
                         continue
