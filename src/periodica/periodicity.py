@@ -23,7 +23,6 @@ from .algebra import Element, GradedAlgebra, _as_int, _computed_once
 from .fplin import ConsistencyFailure
 
 DEFAULT_SEARCH_CAP = 2**20
-DEFAULT_SAMPLE_COUNT = 10_000
 
 # The shift map and operator block of every empty window degree.
 EMPTY_BLOCK = np.zeros((0, 0), dtype=np.int64)
@@ -125,13 +124,11 @@ def _element_vector(alg, x: Element) -> np.ndarray:
     return xv
 
 
-def _check_limits(cap: int, samples: int = 0) -> None:
-    """ValueError unless cap is an int >= 1 and samples an int >= 0 (a bool,
-    float, str or None is refused, not rounded or compared)."""
+def _check_limits(cap: int) -> None:
+    """ValueError unless cap is an int >= 1 (a bool, float, str or None is
+    refused, not rounded or compared)."""
     if _as_int(cap, "the search cap") < 1:
         raise ValueError(f"the search cap must be at least 1, got {cap}")
-    if _as_int(samples, "the sample count") < 0:
-        raise ValueError(f"the sample count must be at least 0, got {samples}")
 
 
 def verify_certificate(alg, cert: PeriodicityCertificate) -> bool:
@@ -451,8 +448,8 @@ class _ProductSpan:
         """The test for the direct inducers of degree d, where the centroid
         decides d; None when there are none.  Computed once per search.
 
-        Let b be the least divisor of d with 2 <= b < d that the dimensions
-        do not rule out (_ruled_out), the centroid decides
+        Let b be divisor(d): the least divisor of d with 2 <= b < d that the
+        dimensions do not rule out (_ruled_out), the centroid decides
         (_centroid_decides) and unit_test(b) is not None, and x0 b's
         generator.  When b exists, this is b's test carried along L, the
         matrix of cupping with x0^(d/b - 1) from A^b to A^d: the tests
@@ -489,8 +486,7 @@ class _ProductSpan:
         """
         if d not in self._tests:
             alg = self.alg
-            b = next((b for b in range(2, d) if d % b == 0 and not _ruled_out(alg, b)
-                      and _centroid_decides(alg, b) and self.unit_test(b) is not None), None)
+            b = self.divisor(d)
             if b is not None:
                 self._tests[d] = self._carried(self._tests[b], b, d)
             else:
@@ -499,14 +495,27 @@ class _ProductSpan:
                 self._tests[d] = test if passes else None
         return self._tests[d]
 
+    def divisor(self, d: int) -> int | None:
+        """The least divisor b of d with 2 <= b < d that the dimensions do not
+        rule out, the centroid decides and where unit_test(b) is not None;
+        None when there is none.  Every such b is direct."""
+        alg = self.alg
+        return next((b for b in range(2, d) if d % b == 0 and not _ruled_out(alg, b)
+                     and _centroid_decides(alg, b) and self.unit_test(b) is not None), None)
+
+    def power(self, x0, b: int, m: int) -> np.ndarray:
+        """x0^m for the degree-b vector x0, multiplied from the left one
+        factor at a time."""
+        out = x0
+        for e in range(b, m * b, b):  # out = x0^(e/b) becomes x0^(e/b + 1)
+            out = self.alg.cup(b, x0, e, out)
+        return out
+
     def _carried(self, test, b, d):
         """test, the degree-b unit test, carried to degree d along cupping
         with its generator's power (see unit_test)."""
         alg, p, x0 = self.alg, self.alg.p, test.generator
-        power = x0
-        for e in range(b, d - b, b):  # power = x0^(e/b) becomes x0^(e/b + 1)
-            power = alg.cup(b, x0, e, power)
-        carry = alg.cup_matrix(d - b, power, b)
+        carry = alg.cup_matrix(d - b, self.power(x0, b, d // b - 1), b)
         try:
             back = fplin.mat_inv(carry, p)
         except fplin.NotInvertible:
@@ -679,8 +688,18 @@ def _certificate(alg, k: int, v, mode: str):
     return PeriodicityCertificate(k, Element.of(k, v), mode)
 
 
+def _power_certificate(span: _ProductSpan, k: int) -> PeriodicityCertificate | None:
+    """x0^(k/b) with factors (x0, ..., x0), for b = span.divisor(k) and x0
+    the generator of span.unit_test(b); None when k has no such divisor."""
+    b = span.divisor(k)
+    if b is None:
+        return None
+    x0 = span.unit_test(b).generator
+    return PeriodicityCertificate(k, Element.of(k, span.power(x0, b, k // b)), "product",
+                                  (Element.of(b, x0),) * (k // b))
+
+
 def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
-                          samples: int = DEFAULT_SAMPLE_COUNT, seed: int = 0,
                           *, _span: _ProductSpan | None = None):
     """Search degree k for an inducing element.
 
@@ -692,8 +711,8 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
        degree-k product of direct inducers.
     2. Window mode (3k > n-1) with nonzero degrees no window condition
        touches: exhausted when the product search ends, _ruled_out, or k
-       is no sum of product factor degrees (_product_degree), else
-       inconclusive.
+       is no sum of product factor degrees (_product_degree), else the
+       power of rule 6, else inconclusive.
     3. p^dim(k) <= cap: the least window pass in lexicographic order, from
        _ProductSpan.passes (none when the dimensions rule k out, the least
        unit where the centroid decides k), else exhausted.
@@ -703,13 +722,20 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
        when a least divisor b of k carries its test to k (x0 the
        generator at b), and otherwise k's own Nakayama generator when it
        passes the window test.
-    6. Window-test `samples` random vectors drawn from `seed`, else inconclusive.
+    6. Powers: x0^(k/b) as a product certificate with factors (x0, ...,
+       x0), for the least divisor b of k that _ProductSpan.divisor finds
+       and x0 the generator of its test.  A power of an inducer induces.
+    7. dim A^k = 1: the first of (0) and (1) that passes the window test,
+       else exhausted.  Cupping with c v has the rank of cupping with v for
+       c != 0, so this is the least pass the enumeration would give.
+    Otherwise inconclusive.  As with rule 5, a certificate of rule 6 past
+    the cap is not the least one.
 
     _span shares one product span across calls (search_degrees).  Raises
-    ValueError for k outside 1..n-1, cap < 1 or samples < 0.
+    ValueError for k outside 1..n-1 or cap < 1.
     """
     _check_degree(alg, k)
-    _check_limits(cap, samples)
+    _check_limits(cap)
     space = alg.p ** alg.dim(k)
     direct = k <= direct_bound(alg.n)
     mode = "direct" if direct else "window"
@@ -728,7 +754,8 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
             if complete or _ruled_out(alg, k) or not _product_degree(alg, k):
                 return SearchVerdict(k, "exhausted", f"no product of inducers reaches degree {k}"
                                      f" and degrees {gap} escape the window")
-            return SearchVerdict(k, "inconclusive", "product search passed the cap")
+            return (_power_certificate(_span, k)
+                    or SearchVerdict(k, "inconclusive", "product search passed the cap"))
     if space <= cap:
         return _certificate(alg, k, next((b[0] for b in _span.passes(k)), None), mode)
     if _ruled_out(alg, k):
@@ -736,36 +763,34 @@ def find_inducing_element(alg, k: int, cap: int = DEFAULT_SEARCH_CAP,
     if direct and _centroid_decides(alg, k):
         test = _span.unit_test(k)
         return _certificate(alg, k, None if test is None else test.generator, mode)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        v = rng.integers(0, alg.p, size=alg.dim(k)).astype(np.int64)
-        if _window_failure(alg, k, v) is None:
-            return PeriodicityCertificate(k, Element.of(k, v), mode)
-    tried = "products and " if direct else ""
-    return SearchVerdict(
-        k, "inconclusive",
-        f"{space} candidates exceed cap {cap}; {tried}{samples} samples found nothing")
+    power = _power_certificate(_span, k)
+    if power is not None:
+        return power
+    if alg.dim(k) == 1:
+        least = next((v for v in ([0], [1]) if _window_failure(alg, k, np.array(v)) is None), None)
+        return _certificate(alg, k, least, mode)
+    return SearchVerdict(k, "inconclusive", f"{space} candidates exceed cap {cap};"
+                         " no product or power of inducers found")
 
 
-def search_degrees(alg, degrees, cap: int = DEFAULT_SEARCH_CAP,
-                   samples: int = DEFAULT_SAMPLE_COUNT, seed: int = 0) -> dict:
+def search_degrees(alg, degrees, cap: int = DEFAULT_SEARCH_CAP) -> dict:
     """find_inducing_element for each degree, all sharing one product span."""
-    _check_limits(cap, samples)
+    _check_limits(cap)
     span = _ProductSpan(alg, cap)
-    return {k: find_inducing_element(alg, k, cap=cap, samples=samples, seed=seed, _span=span)
-            for k in degrees}
+    return {k: find_inducing_element(alg, k, cap=cap, _span=span) for k in degrees}
 
 
-def minimum_period(alg, cap: int = DEFAULT_SEARCH_CAP,
-                   samples: int = DEFAULT_SAMPLE_COUNT, seed: int = 0) -> MinimumPeriodReport:
+def minimum_period(alg, cap: int = DEFAULT_SEARCH_CAP, *, seed=None) -> MinimumPeriodReport:
     """Scan every degree for inducing elements and report the least period.
 
     All degrees 1..n-1 are scanned so the report also carries every other
     period found; when 3 * period <= n - 2 each of those must be a multiple
     of the minimum, and ConsistencyFailure is raised when one is not.
+    seed is ignored: the search draws nothing at random, and the keyword is
+    accepted only so that callers which still pass it keep running.
     """
     n = alg.n
-    found = search_degrees(alg, range(1, n), cap=cap, samples=samples, seed=seed)
+    found = search_degrees(alg, range(1, n), cap=cap)
     periods = [k for k, out in found.items() if isinstance(out, PeriodicityCertificate)]
     inconclusive = [k for k, out in found.items()
                     if isinstance(out, SearchVerdict) and out.status == "inconclusive"]

@@ -101,10 +101,10 @@ def test_a_moved_certificate_is_the_power_of_x0():
     """Past the cap, rule 5 at a direct multiple answers x0^(d/b), which
     verifies, where d's own Nakayama generator is another vector."""
     alg = rebased(build("Product(Sphere(2),ComplexProj(12))@5"), 1)
-    x0 = P.find_inducing_element(alg, 2, cap=1, samples=0).element.as_vector()
+    x0 = P.find_inducing_element(alg, 2, cap=1).element.as_vector()
     moved = 0
     for d in (4, 6):
-        out = P.find_inducing_element(alg, d, cap=1, samples=0)
+        out = P.find_inducing_element(alg, d, cap=1)
         own = reference_test(alg, d).generator
         assert out == PeriodicityCertificate(d, Element.of(d, power(alg, 2, x0, d // 2)), "direct")
         assert P.verify_certificate(alg, out)

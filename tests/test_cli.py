@@ -97,6 +97,18 @@ def test_min_period_json(capsys, cs_file):
     assert doc["payload"]["certificate"]["element"] == {"degree": 2, "coeffs": [1, 1]}
 
 
+def test_min_period_answers_a_wide_chain_past_the_cap(capsys, tmp_path):
+    """Degree 2 of 24 x ComplexProj(6) has 2^24 candidates, past the default
+    cap.  Degrees 4..10 get the powers of its Nakayama generator."""
+    spec = functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", ["ComplexProj(6)"] * 24)
+    path = str(tmp_path / "wide.json")
+    assert run(capsys, "corpus", "export", f"{spec}@2", "--out", path)[0] == 0
+    code, out, _ = run(capsys, "min-period", path)
+    assert code == 0
+    payload = report(out)["payload"]
+    assert payload["all_periods"] == [2, 4, 6, 8, 10] and payload["inconclusive"] == []
+
+
 def test_adem_human(capsys):
     code, out, _ = run(capsys, "adem", "Sq2 Sq2", "--human")
     assert code == 0
@@ -264,7 +276,8 @@ def test_usage_error_exits_two(capsys):
 
 def test_search_cap_env(capsys, tmp_path, monkeypatch):
     path = str(tmp_path / "mixed.json")
-    # degree 2 is past the direct bound 3k <= n-1 = 5, so a capped search samples
+    # degree 2 is past the direct bound 3k <= n-1 = 5 and has no divisor
+    # b >= 2 below it, so past cap 1 no rule decides it
     code, _, _ = run(capsys, "corpus", "export",
                      "ConnectedSum(Product(Sphere(2),Sphere(4)),Product(Sphere(2),Sphere(4)))@2",
                      "--out", path)
@@ -383,7 +396,8 @@ def test_window_golden_output(capsys, tmp_path, command, name):
 S2CP10, CS2CP8 = "Product(Sphere(2),ComplexProj(10))@3", "ConnectedSum(ComplexProj(8),ComplexProj(8))@5"
 # name -> (spec, PERIODICA_SEARCH_CAP or None for the default, command and
 # its flags).  At cap 2, degrees 4 and 6 of S2CP10 are direct multiples of
-# degree 2 answered past the cap by find_inducing_element's rule 5.
+# degree 2 answered past the cap by find_inducing_element's rule 5, and its
+# window degrees 8..20 (CS2CP8's 6..14) by the powers of rule 6.
 SEARCH_GOLDEN = {
     "min_period_s2cp10": (S2CP10, None, ("min-period",)),
     "min_period_s2cp10_cap2": (S2CP10, "2", ("min-period",)),

@@ -5,8 +5,9 @@ _reference_passes is the scan the search made before the dimension bound
 and the centroid: one window test per candidate.  reference_search()
 patches it in for periodicity._ProductSpan.passes, the one place that
 decides a degree's passes, and turns the dimension bound and the centroid
-off, so that past the cap only sampling is left and a search run inside it
-gives the answers the enumeration gave.
+off, and with them the powers of a divisor's inducer, so that past the cap
+only the dimension-1 rule is left and a search run inside it gives the
+answers the enumeration gave.
 """
 
 import contextlib
@@ -56,28 +57,49 @@ def nested(k, leaf):
     return functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", [leaf] * k)
 
 
-def assert_matches_reference(alg, cap=P.DEFAULT_SEARCH_CAP, samples=20):
+def power_of_a_divisor(alg, k):
+    """x0^(k/b) with factors (x0, ..., x0), for the least divisor b of k
+    with 2 <= b < k that the dimensions leave open, the centroid decides
+    (so b is direct) and that has an inducer, x0 the generator of its
+    test; None when there is no such b."""
+    span = P._ProductSpan(alg, P.DEFAULT_SEARCH_CAP)
+    for b in range(2, k):
+        if k % b == 0 and not P._ruled_out(alg, b) and P._centroid_decides(alg, b):
+            test = span.unit_test(b)
+            if test is not None:
+                x0 = out = test.generator
+                for j in range(1, k // b):
+                    out = alg.cup(b, x0, j * b, out)
+                return PeriodicityCertificate(k, Element.of(k, out), "product",
+                                              (Element.of(b, x0),) * (k // b))
+    return None
+
+
+def assert_matches_reference(alg, cap=P.DEFAULT_SEARCH_CAP):
     """Every degree's answer equals the enumeration's, except that past the
     cap an inconclusive answer may become a certificate or exhausted (as
-    the uncapped enumeration says), and a sampled direct certificate may
-    become another one.  Every certificate re-verifies."""
+    the uncapped enumeration says), a direct certificate may become another
+    one, and a window certificate may become the power x0^(k/b) of a
+    divisor's inducer.  Every certificate re-verifies."""
     degrees = range(1, alg.n)
-    got = P.search_degrees(alg, degrees, cap=cap, samples=samples)
+    got = P.search_degrees(alg, degrees, cap=cap)
     with reference_search():
-        want = P.search_degrees(alg, degrees, cap=cap, samples=samples)
-        truth = None
-        for k in degrees:
-            if got[k] == want[k]:
-                continue
-            if isinstance(want[k], SearchVerdict):
-                assert want[k].status == "inconclusive", k
-                truth = truth or P.search_degrees(alg, degrees, samples=0)
-                assert type(got[k]) is type(truth[k]), k
-                if isinstance(truth[k], SearchVerdict):
-                    assert got[k].status == "exhausted", k
-            else:
-                assert want[k].mode == got[k].mode == "direct", k
-                assert alg.p ** alg.dim(k) > cap, k
+        want = P.search_degrees(alg, degrees, cap=cap)
+        moved = [k for k in degrees if got[k] != want[k]]
+        truth = (P.search_degrees(alg, degrees)
+                 if any(isinstance(want[k], SearchVerdict) for k in moved) else None)
+    for k in moved:
+        if isinstance(want[k], SearchVerdict):
+            assert want[k].status == "inconclusive", k
+            assert type(got[k]) is type(truth[k]), k
+            if isinstance(truth[k], SearchVerdict):
+                assert got[k].status == "exhausted", k
+        elif want[k].mode == "window" and got[k].mode == "product":
+            assert alg.p ** alg.dim(k) > cap, k
+            assert got[k] == power_of_a_divisor(alg, k), k
+        else:
+            assert want[k].mode == got[k].mode == "direct", k
+            assert alg.p ** alg.dim(k) > cap, k
     for out in got.values():
         assert not isinstance(out, PeriodicityCertificate) or P.verify_certificate(alg, out)
     return got
@@ -272,16 +294,46 @@ def test_a_degree_the_dimensions_rule_out_is_not_window_tested(monkeypatch):
 
 
 def test_past_the_cap_direct_degrees_are_decided():
-    """Past the cap the Nakayama generator answers a direct degree exactly,
-    with no samples drawn."""
+    """Past the cap the Nakayama generator answers a direct degree exactly."""
     big = build(f"{nested(21, 'ComplexProj(6)')}@2")
-    assert P.find_inducing_element(big, 2, samples=0) == \
+    assert P.find_inducing_element(big, 2) == \
         PeriodicityCertificate(2, Element(2, (1,) * 21), "direct")
     alg = build(f"{nested(6, 'ComplexProj(6)')}@5")
-    out = P.find_inducing_element(alg, 2, cap=100, samples=0)
+    out = P.find_inducing_element(alg, 2, cap=100)
     assert out.mode == "direct" and P.verify_certificate(alg, out)
     none = build("Product(ComplexProj(3),ComplexProj(4))@5")
-    assert P.find_inducing_element(none, 2, cap=4, samples=0).status == "exhausted"
+    assert P.find_inducing_element(none, 2, cap=4).status == "exhausted"
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+def test_past_the_cap_powers_and_dimension_one_match_their_definitions(cap, monkeypatch):
+    """Past the cap a power answer is x0^(k/b) for the least divisor b of k
+    with an inducer, and it induces at the default cap; a dimension-1
+    answer is the least window pass, the first of passes(k).  Each fixture
+    runs in its own basis and rebased."""
+    answers = []
+    real = P._power_certificate
+    monkeypatch.setattr(P, "_power_certificate",
+                        lambda span, k: answers.append((span.alg, k)) or real(span, k))
+    powers = ones = 0
+    for alg in (a for text in CORPUS_SPECS for a in (build(text), rebased(build(text), 1))):
+        found = P.search_degrees(alg, range(1, alg.n), cap=cap)
+        for k in (k for a, k in answers if a is alg):
+            out, power = found[k], power_of_a_divisor(alg, k)
+            if power is not None:
+                powers += 1
+                assert out == power, (alg, k)
+                assert P.verify_certificate(alg, out), (alg, k)
+                assert isinstance(P.induces_periodicity(alg, out.element), PeriodicityCertificate)
+            elif alg.dim(k) == 1 and getattr(out, "status", None) != "inconclusive":
+                ones += 1
+                first = next(P._ProductSpan(alg, alg.p).passes(k), None)
+                if first is None:
+                    assert out.status == "exhausted", (alg, k)
+                else:
+                    assert out.element == Element.of(k, first[0]), (alg, k)
+        answers.clear()
+    assert (powers, ones) == {1: (72, 6), 4: (42, 2)}[cap]
 
 
 def test_found_certificates_satisfy_the_predicate():
@@ -311,16 +363,13 @@ def _as_json(out):
 
 def search_verdicts():
     """search_degrees over every degree of each CORPUS_SPECS algebra, for
-    each cap and sample count, as JSON-ready lists keyed by spec, cap and
-    samples."""
+    each cap, as JSON-ready lists keyed by spec and cap."""
     doc = {}
     for text in CORPUS_SPECS:
         alg = build(text)
         for cap in (1, 4, 30, 500, P.DEFAULT_SEARCH_CAP):
-            for samples in (0, 20):
-                found = P.search_degrees(alg, range(1, alg.n), cap=cap, samples=samples, seed=3)
-                doc[f"{text} cap={cap} samples={samples}"] = [
-                    _as_json(out) for out in found.values()]
+            found = P.search_degrees(alg, range(1, alg.n), cap=cap)
+            doc[f"{text} cap={cap}"] = [_as_json(out) for out in found.values()]
     return doc
 
 

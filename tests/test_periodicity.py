@@ -226,18 +226,18 @@ def test_element_induces_refuses_out_of_range_input(k, vec):
         P.element_induces(alg, k, vec)
 
 
-@pytest.mark.parametrize("cap, samples", [(0, 10), (-5, 10), (1, -1), (-5, -1)])
-def test_searches_refuse_a_cap_below_one_or_negative_samples(cap, samples):
+@pytest.mark.parametrize("cap", [0, -5])
+def test_searches_refuse_a_cap_below_one(cap):
     alg = build("ComplexProj(4)@2").algebra
-    for search in (lambda: P.find_inducing_element(alg, 2, cap=cap, samples=samples),
-                   lambda: P.search_degrees(alg, [], cap=cap, samples=samples),
-                   lambda: P.minimum_period(alg, cap=cap, samples=samples)):
-        with pytest.raises(ValueError, match="cap|sample"):
+    for search in (lambda: P.find_inducing_element(alg, 2, cap=cap),
+                   lambda: P.search_degrees(alg, [], cap=cap),
+                   lambda: P.minimum_period(alg, cap=cap)):
+        with pytest.raises(ValueError, match="cap"):
             search()
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "5", None])
-def test_searches_refuse_a_cap_or_sample_count_that_is_not_an_int(bad):
+def test_searches_refuse_a_cap_that_is_not_an_int(bad):
     """A cap of True ran as cap 1, 2.5 left degree 6 of ComplexProj(4)@2
     inconclusive, and "5" and None raised TypeError; each is a ValueError
     naming the argument."""
@@ -249,11 +249,21 @@ def test_searches_refuse_a_cap_or_sample_count_that_is_not_an_int(bad):
                  lambda: P.is_irreducible(w, x, cap=bad)):
         with pytest.raises(ValueError, match="the search cap must be an integer"):
             call()
-    for call in (lambda: P.minimum_period(alg, samples=bad),
-                 lambda: P.find_inducing_element(alg, 2, samples=bad)):
-        with pytest.raises(ValueError, match="the sample count must be an integer"):
-            call()
+    # the searches draw nothing at random, so they take no sample count or seed
+    for search in (P.find_inducing_element, P.search_degrees):
+        for knob in ("samples", "seed"):
+            with pytest.raises(TypeError):
+                search(alg, [2] if search is P.search_degrees else 2, **{knob: bad})
     assert P.minimum_period(alg, cap=np.int64(5)) == P.minimum_period(alg, cap=5)
+
+
+def test_minimum_period_ignores_its_seed():
+    """TruncatedPoly(6,3)@7 has dim A^6 = 1 and 7 candidates there; at cap 1
+    sampling once answered (5) with seed 0 and (6) with seed 7."""
+    alg = build("TruncatedPoly(6,3)@7").algebra
+    got = P.minimum_period(alg, cap=1)
+    assert P.minimum_period(alg, cap=1, seed=7) == got
+    assert got.certificate == PeriodicityCertificate(6, Element(6, (1,)), "window")
 
 
 def test_irreducibility_reports():
@@ -474,15 +484,16 @@ def test_search_verdicts():
     alg = build("Product(Sphere(3),Sphere(3))@2").algebra
     out = P.find_inducing_element(alg, 3)
     assert out.status == "exhausted"
-    # past a tiny cap a window-mode degree is sampled, which cannot prove absence
+    # past a tiny cap a window-mode degree of dimension 2 that no power of a
+    # divisor's inducer reaches stays open
     hs = build("ConnectedSum(QuatProj(3),QuatProj(3))@2").algebra
-    out = P.find_inducing_element(hs, 4, cap=1, samples=0)
-    assert out.status == "inconclusive" and "0 samples found nothing" in out.reason
+    out = P.find_inducing_element(hs, 4, cap=1)
+    assert out == P.SearchVerdict(
+        4, "inconclusive", "4 candidates exceed cap 1; no product or power of inducers found")
     assert P.find_inducing_element(hs, 4).mode == "window"
-    # and so is degree 1, which the centroid does not decide
+    # degree 1 has dimension 1, so testing (0) and (1) decides it at any cap
     one = build("ConnectedSum(ComplexProj(2),Product(Sphere(1),Sphere(3)))@2").algebra
-    out = P.find_inducing_element(one, 1, cap=1, samples=50)
-    assert out.status == "inconclusive" and "50 samples found nothing" in out.reason
+    assert P.find_inducing_element(one, 1, cap=1).status == "exhausted"
     assert P.find_inducing_element(one, 1).status == "exhausted"
 
 
@@ -711,11 +722,15 @@ def test_linear_span_multiplies_one_reach_row(monkeypatch):
 def test_unreachable_window_degrees_are_exhausted_at_any_cap():
     """On 9 x ComplexProj(6) degree 11 has a nonempty window gap and every
     inducer degree is even, so no product reaches it: exhausted, although
-    degree 2 alone has 5^9 candidates, past the cap."""
+    degree 2 alone has 5^9 candidates, past the cap.  Degree 10 gets x0^5,
+    x0 the degree-2 generator."""
     alg = build(f"{_nested(9, 'ComplexProj(6)')}@5").algebra
-    out = P.find_inducing_element(alg, 11, samples=0)
+    out = P.find_inducing_element(alg, 11)
     assert out.status == "exhausted" and out.reason.startswith("no product of inducers")
-    assert P.find_inducing_element(alg, 10, samples=0).status == "inconclusive"
+    x0 = P.find_inducing_element(alg, 2).element
+    ten = P.find_inducing_element(alg, 10)
+    assert ten.mode == "product" and ten.factors == (x0,) * 5
+    assert P.verify_certificate(alg, ten)
 
 
 def test_block_products_are_exact_near_the_bound():
