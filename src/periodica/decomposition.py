@@ -93,13 +93,10 @@ def _basis_operators(window: SubquotientAlgebra) -> dict:
         return {u: np.zeros((0, window.dim(u), window.dim(u)), dtype=np.int64)
                 for u in range(1, n)}
     _check_action(window)
-    stacks = {}
-    for u in range(1, n):
-        low, high, agree = window.ring_action[u]
+    for u, (_, _, agree) in window.ring_action.items():
         if not agree:
             raise OverlapMismatch(f"action formulas disagree in degree {u}")
-        stacks[u] = low if low is not None else high
-    return stacks
+    return {u: high if low is None else low for u, (low, high, _) in window.ring_action.items()}
 
 
 def ring_product(window: SubquotientAlgebra, a, b) -> np.ndarray:
@@ -127,27 +124,6 @@ def ring_power(window: SubquotientAlgebra, a, e: int) -> np.ndarray:
     return result
 
 
-def check_ring_homomorphism(window: SubquotientAlgebra, a, b) -> bool:
-    """Composition of actions matches the action of the ring product, and
-    evaluating an action on the certified element recovers the acting
-    element (so distinct elements act distinctly)."""
-    k = window.k
-    av = _vector_of(window, a, k)
-    bv = _vector_of(window, b, k)
-    op_a = multiplication_operator(window, av)
-    op_b = multiplication_operator(window, bv)
-    op_ab = multiplication_operator(window, ring_product(window, av, bv))
-    for u in range(1, window.n):
-        composed = (op_a.blocks[u] @ op_b.blocks[u]) % window.p
-        if not np.array_equal(composed, op_ab.blocks[u]):
-            return False
-    xv = window.to_window(k, window.certificate.element.as_vector())
-    for v, op in ((av, op_a), (bv, op_b)):
-        if not np.array_equal((op.blocks[k] @ xv) % window.p, v):
-            return False
-    return True
-
-
 def _key(v) -> tuple:
     return tuple(int(t) for t in v)
 
@@ -158,15 +134,9 @@ def _unit(window) -> np.ndarray:
 
 def primitive_idempotents(window: SubquotientAlgebra) -> tuple[list, list]:
     """The primitive idempotents of the degree-k ring, sorted by coefficients,
-    and the splits that found them, as (e, b, parts).
-
-    fplin.primitive_idempotents on the ring's multiplication matrices, the
-    degree-k slice of ring_action; coordinates in that basis are window
-    vectors.
-    """
-    low = window.ring_action[window.k][0]
-    _, idempotents, splits = fplin.primitive_idempotents(low, window.p)
-    return idempotents, splits
+    and the splits that found them, as (e, b, parts): window.ring_idempotents,
+    computed once per window; coordinates there are window vectors."""
+    return window.ring_idempotents[1:]
 
 
 @dataclass(eq=False)
@@ -282,136 +252,166 @@ class DecompositionReport:
     violations: tuple
 
 
-def _local_factor_count(window, operators, spaces) -> int:
-    """Number of local factors of the algebra A the given operators span on
-    the summand, as block-diagonal matrices over its nonzero degrees: 1
-    exactly when A is local, 0 when the summand is zero.  operators[u]
-    stacks the operators' blocks on degree u, and each degree is one
-    restricted solve for all of them.
+def _stack(summands, u: int) -> tuple:
+    """The summands' degree-u bases stacked, and each row's summand and pivot."""
+    spaces = [s.spaces[u] for s in summands]
+    return (np.concatenate([s.basis for s in spaces]),
+            np.repeat(np.arange(len(spaces)), [s.dim for s in spaces]),
+            np.array([c for s in spaces for c in s.pivots], dtype=np.int64))
 
-    ValueError when an operator does not map the summand into itself or A
-    is not closed under products.
-    """
-    p = window.p
-    degrees = [u for u, s in sorted(spaces.items()) if s.dim]
-    if not degrees:
-        return 0
-    ends = np.cumsum([spaces[u].dim for u in degrees])
-    size = int(ends[-1])
-    count = window.dim(window.k)
-    blocks = np.zeros((count, size, size), dtype=np.int64)
-    for u, end in zip(degrees, ends):
-        at = end - spaces[u].dim
-        blocks[:, at:end, at:end] = fplin.restricted_matrix(operators[u], spaces[u], spaces[u])
-    algebra = Subspace.from_vectors(blocks.reshape(count, size * size), p, size * size)
-    return fplin.primitive_idempotents(algebra.basis.reshape(-1, size, size), p)[0].dim
+
+def _block_coords(images, same: np.ndarray, target: tuple, p: int) -> tuple:
+    """Coordinates [..., t, q] of images[..., t, :], the image of stacked row
+    t, read at the pivots of target = _stack(...) rows q with same[t, q] (row
+    t's own summand); and per row t whether its image leaves that summand."""
+    basis, _, pivots = target
+    coords = images[..., pivots] * same
+    return coords, ((coords @ basis) % p != images).any(axis=-1)
 
 
 def verify_decomposition(window: SubquotientAlgebra,
                          result: DecompositionResult) -> DecompositionReport:
     """Check a decomposition from scratch: degreewise direct sum, each
     element a degree-k window vector inducing on its own summand and
-    annihilating the rest, and each summand local: the algebra the degree-k
-    ring induces on it, as block-diagonal restricted operators, has one
-    primitive idempotent (fplin.primitive_idempotents).  A summand that is
-    not local is reported with a pair (e, unit - e) of idempotents that both
-    act on it nontrivially.  Violations come back as report data."""
+    annihilating the rest, and each summand local; violations as data.
+
+    One pass per nonzero degree u multiplies the stacked summand bases once
+    by all elements' cup matrices into degree u + k and once by the basis
+    operators of R, the degree-k ring.  Each image, read at its own
+    summand's pivots (_block_coords), decides annihilation and stability.
+    With every summand stable and of matching dimensions, one rank of the
+    elements' images decides that degree u + k is a direct sum and that
+    each element is bijective at u; a shortfall ranks each summand's block.
+
+    Locality: R is the product of the local rings R f_j, f_j the primitive
+    idempotents (window.ring_idempotents, computed once per window and
+    shared with decompose).  If R's basis operators, restricted to a
+    summand, multiply by R's structure constants and R's unit acts as the
+    identity, R induces on it a ring image of R, the product of the nonzero
+    images of the R f_j, each local: the summand is local exactly when one
+    f_j acts on it nonzero.  Both hypotheses are checked on all summands at
+    once, their blocks padded to one size; a summand failing one does not
+    support the degree-k action, one that is not local is named with the
+    first f_j acting on it and unit - f_j.
+    """
     k, n, p = window.k, window.n, window.p
-    onto, into = window_ranges(n, k)
+    into = window_ranges(n, k)[1]
     nonzero = window.nonzero_degrees
-    violations = []
     summands = result.summands
     if not summands:
-        if window.total_dim:
-            violations.append("empty decomposition of a nonzero window")
+        violations = ["empty decomposition of a nonzero window"] if window.total_dim else []
         return DecompositionReport(not violations, tuple(violations))
+
+    def unsummed(degrees):
+        return [f"summands do not direct-sum to degree {u}" for u in degrees
+                if not fplin.direct_sum_check([s.spaces[u] for s in summands],
+                                              Subspace.full(p, window.dim(u)), full=True)]
+
     for u in range(1, n):
-        parts = []
         for i, s in enumerate(summands):
             space = s.spaces.get(u)
             if space is None or space.ambient != window.dim(u):
-                violations.append(f"summand {i} carries no subspace of degree {u}")
-                return DecompositionReport(False, tuple(violations))
-            parts.append(space)
-        if u in nonzero and not fplin.direct_sum_check(parts, Subspace.full(p, window.dim(u)),
-                                                       full=True):
-            violations.append(f"summands do not direct-sum to degree {u}")
-    # Every summand's basis in nonzero degree u, stacked; summand j holds
-    # rows starts[u][j]:starts[u][j + 1].
-    stacked = {u: np.vstack([s.spaces[u].basis for s in summands]) for u in nonzero}
-    starts = {u: np.cumsum([0] + [s.spaces[u].dim for s in summands]) for u in nonzero}
+                return DecompositionReport(False, (*unsummed(t for t in nonzero if t < u),
+                                                   f"summand {i} carries no subspace of degree {u}"))
+    count, dk = len(summands), window.dim(k)
+    found = [[] for _ in summands]  # each summand's violations in the pass
+    valid, vectors = [], []
     for i, s in enumerate(summands):
         if s.element.degree != k:
-            violations.append(f"summand {i} element has degree {s.element.degree}")
-            continue
-        if len(s.element.coeffs) != window.dim(k):
-            violations.append(f"summand {i} element has {len(s.element.coeffs)} "
-                              f"coordinates, need {window.dim(k)}")
-            continue
-        try:
-            xiv = s.element.as_vector()
-        except ValueError:
-            violations.append(f"summand {i} element has a non-integer coefficient")
-            continue
-        for u in nonzero:
-            if u + k in nonzero:
-                cupm = window.cup_matrix(k, xiv, u)
-                hit = ((cupm @ stacked[u].T) % p).any(axis=0)
-                hit[starts[u][i]:starts[u][i + 1]] = False
-                if hit.any():
-                    for j in range(len(summands)):
-                        if hit[starts[u][j]:starts[u][j + 1]].any():
-                            violations.append(f"summand {i} element does not annihilate "
-                                              f"summand {j} in degree {u}")
-            if onto.start <= u < into.stop and s.spaces[u].dim:
-                target = s.spaces[u + k]
-                if s.spaces[u].dim != target.dim:
-                    violations.append(
-                        f"summand {i} degrees {u} and {u + k} have unequal dimension")
-                    continue
-                # target is nonzero, so degree u + k is too and cupm is this degree's
-                try:
-                    m = fplin.restricted_matrix(cupm, s.spaces[u], target)
-                except ValueError:
-                    violations.append(
-                        f"summand {i} is not stable under its element at degree {u}")
-                    continue
-                if fplin.rank(m, p) < target.dim:
-                    violations.append(
-                        f"summand {i} element is not bijective at degree {u}")
+            found[i].append(f"summand {i} element has degree {s.element.degree}")
+        elif len(s.element.coeffs) != dk:
+            found[i].append(f"summand {i} element has {len(s.element.coeffs)} "
+                            f"coordinates, need {dk}")
+        else:
+            try:
+                vectors.append(s.element.as_vector() % p)
+                valid.append(i)
+            except ValueError:
+                found[i].append(f"summand {i} element has a non-integer coefficient")
+    valid = np.array(valid, dtype=np.int64)
+    is_valid = np.bincount(valid, minlength=count) > 0
+    elements = np.array(vectors, dtype=np.int64).reshape(valid.size, dk)
+    position = np.cumsum(is_valid) - 1  # a valid summand's row in elements
     try:
         operators = _basis_operators(window)
     except (ValueError, OverlapMismatch):
+        operators = None
+    idempotents = np.zeros((0, dk), dtype=np.int64)
+    if operators is not None:
+        unit, structure = _unit(window), operators[k]
+        try:
+            idempotents = np.array(primitive_idempotents(window)[0]) if dk else idempotents
+        except (ValueError, fplin.ConsistencyFailure):
+            pass  # R is no commutative ring, so no summand is found local
+    layout = {u: _stack(summands, u) for u in nonzero}
+    # Each summand's restricted basis operators, one block per nonzero
+    # degree, padded to the largest block: [summand, degree, x, y, a].
+    width = max((s.spaces[u].dim for s in summands for u in nonzero), default=0)
+    blocks = np.zeros((count, len(nonzero), width, width, dk), dtype=np.int64)
+    identity = np.zeros(blocks.shape[:-1], dtype=np.int64)
+    unsupported, size, summed = np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64), set()
+    for d, u in enumerate(nonzero):
+        basis, own, _ = layout[u]
+        dims = np.bincount(own, minlength=count)
+        size += dims
+        if valid.size and u + k in nonzero:
+            cups = (elements @ window.mult3(k, u)) % p
+            cupped = ((cups @ basis.T) % p).transpose(1, 2, 0)  # [element, row, coordinate]
+            hit = cupped.any(axis=-1) & (own != valid[:, None])
+            if hit.any():
+                for e, j in np.argwhere(hit @ (own[:, None] == np.arange(count))):
+                    found[valid[e]].append(f"summand {valid[e]} element does not annihilate "
+                                           f"summand {j} in degree {u}")
+        if u < into.stop:
+            target = layout.get(u + k)
+            checked = is_valid & (dims > 0)
+            matched = dims == (0 if target is None else np.bincount(target[1], minlength=count))
+            good = checked & matched
+            for i in (checked ^ good).nonzero()[0]:
+                found[i].append(f"summand {i} degrees {u} and {u + k} have unequal dimension")
+            if good.any():
+                diagonal = cupped[position[own], np.arange(own.size)]
+                coords, leaves = _block_coords(diagonal, own[:, None] == target[1], target, p)
+                unstable = good & (np.bincount(own[leaves], minlength=count) > 0)
+                for i in unstable.nonzero()[0]:
+                    found[i].append(f"summand {i} is not stable under its element at degree {u}")
+                if (is_valid.all() and matched.all() and not unstable.any()
+                        and fplin.rank(diagonal, p) == own.size == window.dim(u + k)):
+                    summed.add(u + k)
+                else:
+                    for i in (good & ~unstable).nonzero()[0]:
+                        if fplin.rank(coords[own == i][:, target[1] == i], p) < dims[i]:
+                            found[i].append(f"summand {i} element is not bijective at degree {u}")
+        if operators is not None:
+            same = own[:, None] == own
+            coords, leaves = _block_coords((basis @ operators[u].transpose(0, 2, 1)) % p,
+                                           same, layout[u], p)
+            unsupported[own[leaves.any(axis=0)]] = True
+            local = np.arange(own.size) - np.searchsorted(own, own)
+            t, q = same.nonzero()
+            blocks[own[t], d, local[q], local[t]] = coords[:, t, q].T
+            identity[own, d, local, local] = 1
+    violations = unsummed(u for u in nonzero if u not in summed)
+    violations += [v for vs in found for v in vs]
+    if operators is None:
         violations.append("the window does not support the degree-k action")
         return DecompositionReport(False, tuple(violations))
-    idempotents = None
-    for i, s in enumerate(summands):
+    blocks = blocks.transpose(0, 1, 4, 2, 3)  # [summand, degree, a, x, y]
+    products = (blocks[:, :, :, None] @ blocks[:, :, None]) % p
+    unsupported |= ((np.einsum("a,sdaxy->sdxy", unit, blocks) % p != identity).any(axis=(1, 2, 3))
+                    | (products != np.einsum("sdcxy,acb->sdabxy", blocks, structure) % p)
+                    .any(axis=(1, 2, 3, 4, 5)))
+    acts = (np.einsum("sdaxy,ja->sjdxy", blocks, idempotents) % p).any(axis=(2, 3, 4))
+    verdicts = zip(size.tolist(), (unsupported | ~acts.any(axis=1)).tolist(),
+                   acts.sum(axis=1).tolist())
+    for i, (s, (dim, bad, factors)) in enumerate(zip(summands, verdicts)):
         if s.element.degree != k:
             continue
-        try:
-            local = _local_factor_count(window, operators, s.spaces)
-        except ValueError:
-            violations.append(f"summand {i} does not support the degree-k action")
-            continue
-        if local == 0:
+        if not dim:
             violations.append(f"summand {i} is zero")
-        elif local > 1:
-            if idempotents is None:
-                idempotents = primitive_idempotents(window)[0]
-            violations.append(f"summand {i} splits further" + _split_witness(
-                window, idempotents, s.spaces))
+        elif bad:
+            violations.append(f"summand {i} does not support the degree-k action")
+        elif factors > 1:
+            e = idempotents[acts[i].argmax()]
+            violations.append(f"summand {i} splits further at {_key(e)}/{_key((unit - e) % p)}")
     return DecompositionReport(not violations, tuple(violations))
-
-
-def _split_witness(window, idempotents, spaces) -> str:
-    """" at a/b" for the first primitive idempotent a that acts on the
-    summand as neither zero nor the identity, and b = unit - a."""
-    p = window.p
-    total = sum(s.dim for s in spaces.values())
-    for e in idempotents:
-        op = multiplication_operator(window, e)
-        r = sum(fplin.rank((op.blocks[u] @ spaces[u].basis.T) % p, p)
-                for u in window.nonzero_degrees if spaces[u].dim)
-        if 0 < r < total:
-            return f" at {_key(e)}/{_key((_unit(window) - e) % p)}"
-    return ""

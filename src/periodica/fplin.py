@@ -114,27 +114,33 @@ def as_matrix(data, p: int) -> np.ndarray:
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row-reduce mod p.  Returns (nonzero rows, pivot columns)."""
-    m = np.array(mat, dtype=np.int64) % p
+    """Row-reduce mod p.  Returns (nonzero rows, pivot columns).  Works in place
+    on a copy, each step from its pivot column on (the rows not yet reduced are
+    zero to its left) and only in the rows nonzero there."""
+    m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError("rref expects a 2-D array")
     nrows, ncols = m.shape
-    r = 0
-    pivots = []
+    r, pivots = 0, []
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
+        if nz[0]:
+            m[r], m[r + nz[0]] = m[r + nz[0]].copy(), m[r].copy()
+        row = m[r, c:]
+        if row[0] != 1:
+            row *= pow(int(row[0]), -1, p)
+            row %= p
+        other = m[:, c].nonzero()[0]
+        if other.size > 1:
+            other = other[other != r]
+            rest = m[other, c:]
+            rest -= np.outer(rest[:, 0], row)
+            rest %= p
+            m[other, c:] = rest
         pivots.append(c)
         r += 1
     return m[:r], tuple(pivots)
@@ -240,8 +246,6 @@ class Subspace:
         v = as_vector(vec, self.p)
         if v.shape[0] != self.ambient:
             raise ValueError("ambient mismatch")
-        if self.dim == 0:
-            return not v.any()
         c = v[list(self.pivots)]
         return np.array_equal((c @ self.basis) % self.p, v)
 
@@ -284,10 +288,8 @@ class Subspace:
         Always a direct complement of this subspace in GF(p)^ambient.
         """
         free = [j for j in range(self.ambient) if j not in self.pivots]
-        rows = np.zeros((len(free), self.ambient), dtype=np.int64)
-        for t, j in enumerate(free):
-            rows[t, j] = 1
-        return Subspace(self.p, self.ambient, rows, tuple(free))
+        return Subspace(self.p, self.ambient, np.eye(self.ambient, dtype=np.int64)[free],
+                        tuple(free))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -311,11 +313,9 @@ def kernel(mat, p: int) -> Subspace:
     m = as_matrix(mat, p)
     red, pivots = rref(m, p)
     n = m.shape[1]
-    is_free = np.ones(n, dtype=bool)
-    is_free[list(pivots)] = False
-    free = np.flatnonzero(is_free)
-    rows = np.zeros((free.size, n), dtype=np.int64)
-    rows[np.arange(free.size), free] = 1
+    free = np.ones(n, dtype=bool)
+    free[list(pivots)] = False
+    rows = np.eye(n, dtype=np.int64)[free]
     rows[:, list(pivots)] = -red[:, free].T % p
     return Subspace.from_vectors(rows, p, n)
 

@@ -653,8 +653,10 @@ def induces_periodicity(alg, x: Element, cap: int = DEFAULT_SEARCH_CAP, *,
     1. Direct (3k <= n-1): x passes the window test.  Nothing else is tried.
     2. Window: x passes the window test and window_gap(alg, k) is empty.
     3. Product: x is a product of direct inducers; the certificate names
-       the factors.  Raises SearchCapExceeded when the product search
-       passes cap.
+       the factors.  When the product search passes cap, x is accepted if
+       it is the power of a divisor's inducer that find_inducing_element
+       answers there (_power_certificate), with that certificate; else
+       SearchCapExceeded is raised.
     Otherwise the WindowRefusal names the first failed window condition,
     or else the first gap degree with the condition "gap".
 
@@ -674,7 +676,14 @@ def induces_periodicity(alg, x: Element, cap: int = DEFAULT_SEARCH_CAP, *,
         return PeriodicityCertificate(k, x, "window")
     span = _ProductSpan(alg, cap) if _span is None else _span
     key = tuple(xv.tolist())
-    if key in span.span(k):
+    try:
+        products = span.span(k)
+    except SearchCapExceeded:
+        power = _power_certificate(span, k)
+        if power is None or power.element.coeffs != key:
+            raise
+        return power
+    if key in products:
         return PeriodicityCertificate(k, x, "product", span.factors(k, key))
     return WindowRefusal(k, x, *(fail or (gap[0], "gap")))
 
@@ -899,6 +908,14 @@ class SubquotientAlgebra(GradedAlgebra):
                 high = (self.mult3(k, u - k).transpose(1, 0, 2) @ self.shift_invs[u - k]) % p
             out[u] = (low, high, low is None or high is None or np.array_equal(low, high))
         return out
+
+    @_computed_once
+    def ring_idempotents(self) -> tuple:
+        """fplin.primitive_idempotents of the degree-k ring, as its
+        multiplication matrices (the degree-k slice of ring_action): the
+        fixed subalgebra, the idempotents and the splits.  Computed once
+        per window; what it raises is raised again on every read."""
+        return fplin.primitive_idempotents(self.ring_action[self.k][0], self.p)
 
     def to_dict(self) -> dict:
         return {

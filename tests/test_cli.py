@@ -592,6 +592,17 @@ def test_subquotient_accepts_a_product_certificate(capsys, tmp_path):
                                       "window_dims": [0, 1, 0, 1, 0, 1, 0]}
 
 
+def test_subquotient_accepts_a_power_past_the_cap(capsys, tmp_path):
+    """On 24xCP(6)@2 the product search passes the cap, and x0^3 (x0 the
+    sum of the degree-2 classes) is the power min-period certifies in
+    degree 6: the window is built as a product certificate."""
+    spec = functools.reduce(lambda a, b: f"ConnectedSum({a},{b})", ["ComplexProj(6)"] * 24)
+    path = _export(capsys, tmp_path, f"{spec}@2")
+    code, out, _ = run(capsys, "subquotient", path, "--x", "6:" + ",".join(["1"] * 24))
+    assert code == 0
+    assert report(out)["payload"]["mode"] == "product"
+
+
 def test_irreducible_accepts_a_window_mode_inducer(capsys, tmp_path):
     """4:1 induces on QuatProj(3) by the window test with an empty gap, so
     the splitting (0, 4:1) keeps an inducing summand."""

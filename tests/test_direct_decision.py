@@ -351,6 +351,27 @@ def test_found_certificates_satisfy_the_predicate():
     assert found == 157
 
 
+def test_past_the_cap_the_predicate_accepts_the_search_powers():
+    """On 24xCP(6)@2 the product search refuses past the cap from degree 4
+    on, and degrees 6, 8 and 10 are answered by x0^(k/2).  The predicate
+    returns those same certificates; any other element of those degrees is
+    still refused with the span's SearchCapExceeded."""
+    alg = build(f"{nested(24, 'ComplexProj(6)')}@2")
+    found = P.search_degrees(alg, range(1, alg.n))
+    certified = {k: out for k, out in found.items() if isinstance(out, PeriodicityCertificate)}
+    assert sorted(certified) == [2, 4, 6, 8, 10]
+    for k, out in certified.items():
+        verdict = P.induces_periodicity(alg, out.element)
+        assert isinstance(verdict, PeriodicityCertificate), (k, verdict)
+        if k >= 6:
+            assert verdict == out and out.mode == "product"
+            coeffs = list(out.element.coeffs)
+            assert P.induces_periodicity(alg, Element(k, [c + alg.p for c in coeffs])) == out
+            coeffs[0] = (coeffs[0] + 1) % alg.p
+            with pytest.raises(P.SearchCapExceeded, match="degree 2 has 16777216 candidates"):
+                P.induces_periodicity(alg, Element(k, coeffs))
+
+
 VERDICTS = Path(__file__).parent / "golden" / "search_verdicts.json"
 
 

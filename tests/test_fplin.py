@@ -117,6 +117,71 @@ def test_rref_canonical():
                 assert col[t] == 1 and np.count_nonzero(col) == 1
 
 
+# fplin.rref before it worked in place, kept verbatim as its reference.
+def old_rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Row-reduce mod p.  Returns (nonzero rows, pivot columns)."""
+    m = np.array(mat, dtype=np.int64) % p
+    if m.ndim != 2:
+        raise ValueError("rref expects a 2-D array")
+    nrows, ncols = m.shape
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        other = np.nonzero(m[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m[:r], tuple(pivots)
+
+
+def _rref_cases(rng, p):
+    """Dense matrices of sizes 1x1 to 64x64, two 48x2304 ones (one with 1%
+    nonzero entries), 256x256 with three entries per row, and matrices with
+    zero rows and columns; entries run over -p..2p so some need reducing."""
+    sizes = (1, 2, 3, 5, 8, 13, 21, 34, 64)
+    out = [rng.integers(-p, 2 * p, size=(r, c)) for r in sizes for c in sizes]
+    wide = rng.integers(-p, 2 * p, size=(48, 2304))
+    out += [wide, wide * (rng.random(wide.shape) < 0.01)]
+    sparse = np.zeros((256, 256), dtype=np.int64)
+    rows = np.repeat(np.arange(256), 3)
+    sparse[rows, rng.integers(0, 256, size=rows.size)] = rng.integers(1, p, size=rows.size)
+    out.append(sparse)
+    for r, c in ((6, 9), (9, 6), (20, 20)):
+        m = rng.integers(0, p, size=(r, c))
+        m[rng.random(r) < 0.4] = 0
+        m[:, rng.random(c) < 0.4] = 0
+        out += [m, np.zeros((r, c), dtype=np.int64)]
+    return out + [np.zeros((0, 4), dtype=np.int64), np.zeros((4, 0), dtype=np.int64)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, fplin.P_MAX - 9])
+def test_rref_matches_the_reference(p):
+    """Same reduced rows, dtype and pivots as the reference, and the
+    caller's array, or list, is left as it was."""
+    rng = np.random.default_rng(p)
+    for m in _rref_cases(rng, p):
+        before = m.copy()
+        got, want = fplin.rref(m, p), old_rref(m, p)
+        assert got[1] == want[1], m.shape
+        assert (got[0].dtype, got[0].shape) == (want[0].dtype, want[0].shape)
+        assert got[0].tobytes() == want[0].tobytes(), m.shape
+        assert np.array_equal(m, before)
+    rows = [[p + 1, -1], [2, 2 * p]]
+    assert fplin.rref(rows, p)[0].tobytes() == old_rref(rows, p)[0].tobytes()
+    assert rows == [[p + 1, -1], [2, 2 * p]]
+
+
 def test_kernel_image_against_enumeration():
     rng = np.random.default_rng(13)
     for p in (2, 3):
