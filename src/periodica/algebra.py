@@ -3,13 +3,18 @@
 A GradedAlgebra stores one multiplication matrix per degree pair (i, j):
 shape (dim(i+j), dim(i) * dim(j)), column a * dim(j) + b holding the
 product of the a-th degree-i and b-th degree-j basis vectors.  Degrees
-outside 0..top_degree are zero.  Missing tables are zero maps.  Tables
-are read-only once built, so the generators and the axiom verdicts are
-computed once per algebra.
+outside 0..top_degree are zero.  Missing tables are zero maps.  The
+constructor checks each table, then reduces all of them mod p into one new
+buffer and keeps the nonzero ones as read-only views of it (a Steenrod
+action stores its maps the same way), so the generators and the axiom
+verdicts are computed once per algebra.  from_dict reads the JSON tables
+in one pass when every one is a list of equal-length lists of ints that
+fit in int64; other input goes to the constructor as it is, which checks
+it table by table.
 
-Every check reads the nonzero table entries, listed once per algebra, not
-whole tables.  The unit is read off the entries with the unit as a factor.
-The generators and the duality verdict are pivots of sparse matrices of
+Every check reads the nonzero table entries, listed once per algebra from
+the buffer, not whole tables.  The unit is read off the entries with the
+unit as a factor.  The generators and the duality verdict are pivots of sparse matrices of
 entries (fplin.pivot_columns): a row with a single entry gives its pivot
 directly, and only the other rows are made dense, one degree at a time.
 Associativity is a join of entry pairs, summed per product of three basis
@@ -25,6 +30,7 @@ counted in, as most rows there hold several entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -148,19 +154,81 @@ def _unbalanced(key, val, p: int) -> np.ndarray:
     return key[first[np.add.reduceat(val[order], first) % p != 0]]
 
 
-def _nonzero_entries(tables: dict) -> tuple[np.ndarray, ...]:
-    """Every nonzero entry of the 2-D arrays in tables, which are keyed by
-    pairs of integers, as arrays (i, j, r, c, v): entry (r, c) of
-    tables[(i, j)] is v."""
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.setflags(write=False)
+
+
+def _reduced(tables: dict, p: int) -> tuple[dict, tuple]:
+    """The 2-D int64 arrays in tables, keyed by pairs of integers, reduced
+    mod p into one new read-only buffer, and the nonzero ones as views of
+    it, in their order.  Returns the views and (buffer, at, start) for
+    _nonzero_entries: at lists the buffer's nonzero positions, start[t]
+    where the t-th view begins."""
     arrays = list(tables.values())
-    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [m.ravel() for m in arrays])
-    at = np.flatnonzero(flat)
-    start = np.cumsum([0] + [m.size for m in arrays])
-    which = np.searchsorted(start, at, side="right") - 1  # the array of each entry
+    flat = np.concatenate([_EMPTY] + [m.ravel() for m in arrays])
+    # a builder's tables are already reduced, and one scan for an entry
+    # outside 0..p-1 (negative ones read as large unsigned) costs far less
+    # than the division
+    if flat.view(np.uint64).max(initial=0) >= p:
+        np.remainder(flat, p, out=flat)
+    flat.setflags(write=False)
+    # the method forms, as np.flatnonzero and np.searchsorted cost more
+    # than the work on the few small tables of a window
+    at = flat.nonzero()[0]
+    bounds = list(accumulate([m.size for m in arrays], initial=0))
+    count = at.searchsorted(bounds).tolist()  # nonzero entries before each bound
+    kept, start = {}, []
+    for t, (key, m) in enumerate(tables.items()):
+        if count[t] < count[t + 1]:
+            kept[key] = flat[bounds[t]:bounds[t + 1]].reshape(m.shape)
+            start.append(bounds[t])
+    return kept, (flat, at, start)
+
+
+def _nonzero_entries(tables: dict, buffer: tuple) -> tuple[np.ndarray, ...]:
+    """Every nonzero entry of tables, as arrays (i, j, r, c, v): entry (r, c)
+    of tables[(i, j)] is v.  tables and buffer are what _reduced returned."""
+    flat, at, start = buffer
+    start = np.array(start, dtype=np.int64)
+    which = np.searchsorted(start, at, side="right") - 1  # the table of each entry
     i, j = np.array(list(tables), dtype=np.int64).reshape(-1, 2)[which].T
-    width = np.array([m.shape[1] for m in arrays], dtype=np.int64)
+    width = np.array([m.shape[1] for m in tables.values()], dtype=np.int64)
     r, c = np.divmod(at - start[which], width[which])
     return i, j, r, c, flat[at]
+
+
+def _tables_from_json(data: dict, what: str) -> dict:
+    """{(a, b): table} from a JSON object {"a,b": table}; ValueError when two
+    keys name one pair.  The tables are read in one pass when each is a
+    non-empty list of equal-length lists of ints that fit in int64; any
+    other tables are handed on as they are, so that the constructor checks
+    them one by one and refuses them as it refuses any input."""
+    tables, names = {}, {}
+    for key, m in data.items():
+        i, j = (int(s) for s in key.split(","))
+        if (i, j) in names:
+            raise ValueError(f"{what} names ({i}, {j}) twice, as {names[(i, j)]!r} and {key!r}")
+        names[(i, j)] = key
+        tables[(i, j)] = m
+    shapes, rows = [], []
+    for m in tables.values():
+        if type(m) is not list or set(map(type, m)) != {list}:
+            return tables
+        widths = set(map(len, m))
+        if len(widths) != 1:
+            return tables
+        shapes.append((len(m), *widths))
+        rows += m
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int}:
+        return tables
+    try:
+        flat = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        return tables
+    ends = accumulate(r * w for r, w in shapes)
+    return {key: flat[end - r * w:end].reshape(r, w)
+            for key, (r, w), end in zip(tables, shapes, ends)}
 
 
 class GradedAlgebra:
@@ -179,17 +247,16 @@ class GradedAlgebra:
             raise ValueError("negative dimension")
         if sum(self.dims) >= MAX_TOTAL_DIM:
             raise ValueError(f"total dimension {sum(self.dims)} is not below {MAX_TOTAL_DIM}")
-        self.mult: dict[tuple[int, int], np.ndarray] = {}
+        tables = {}
         for (i, j), m in mult.items():
             if i < 0 or j < 0 or i + j > top_degree:
                 raise ValueError(f"multiplication table for out-of-range degrees ({i}, {j})")
-            arr = fplin.as_matrix(m, p)
+            arr = fplin._int_matrix(m)
             want = (self.dim(i + j), self.dim(i) * self.dim(j))
             if arr.shape != want:
                 raise ValueError(f"table ({i}, {j}) has shape {arr.shape}, expected {want}")
-            if arr.size and arr.any():
-                arr.setflags(write=False)
-                self.mult[(i, j)] = arr
+            tables[(i, j)] = arr
+        self.mult, self._buffer = _reduced(tables, p)
         self.labels: dict[int, tuple[str, ...]] = {}
         if labels:
             for i, names in labels.items():
@@ -292,7 +359,7 @@ class GradedAlgebra:
         are global: the index within the degree plus the dimensions of the
         degrees below."""
         off = np.cumsum((0, *self.dims))
-        i, j, c, ab, v = _nonzero_entries(self.mult)
+        i, j, c, ab, v = _nonzero_entries(self.mult, self._buffer)
         a, b = np.divmod(ab, np.array(self.dims, dtype=np.int64)[j])
         return off[i + j] + c, off[i] + a, off[j] + b, v
 
@@ -412,10 +479,7 @@ class GradedAlgebra:
     @classmethod
     def from_dict(cls, data: dict) -> "GradedAlgebra":
         data = _object(data, "the algebra")
-        mult = {}
-        for key, m in _object(data.get("mult", {}), "mult").items():
-            i, j = (int(s) for s in key.split(","))
-            mult[(i, j)] = m
+        mult = _tables_from_json(_object(data.get("mult", {}), "mult"), "mult")
         labels = {int(k): v for k, v in _object(data.get("labels", {}), "labels").items()} or None
         return cls(data["p"], data["top_degree"], data["dims"], mult, labels)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplin
-from .algebra import AlgebraDefect, GradedAlgebra, verify_poincare_duality
+from .algebra import AlgebraDefect, GradedAlgebra, _nonzero_entries, verify_poincare_duality
 from .steenrod import SteenrodAction, operation_shift, operations, verify_action
 
 DEFAULT_TOP_BOUND = 64
@@ -245,30 +245,35 @@ def _kunneth_blocks(A: GradedAlgebra, B: GradedAlgebra):
     """Offsets [k, i] of the blocks A_i (x) B_(k-i) in degree k, and the dims.
 
     Blocks run in ascending i; inside a block the basis vector
-    a (x) b sits at offset + a * B.dim(k-i) + b.
+    a (x) b sits at offset + a * B.dim(k-i) + b.  An offset [k, i] with no
+    block A_i (x) B_(k-i) is 0.
     """
-    offsets = np.zeros((A.n + B.n + 1, A.n + 1), dtype=np.int64)
-    dims = []
-    for k in range(A.n + B.n + 1):
-        size = 0
-        for i in range(max(0, k - B.n), min(A.n, k) + 1):
-            offsets[k, i] = size
-            size += A.dim(i) * B.dim(k - i)
-        dims.append(size)
-    return offsets, dims
+    i, j = np.indices((A.n + 1, B.n + 1))
+    blocks = np.zeros((A.n + B.n + 1, A.n + 1), dtype=np.int64)
+    blocks[i + j, i] = np.outer(A.dims, B.dims)  # the size of A_i (x) B_j
+    ends = np.cumsum(blocks, axis=1)
+    offsets = np.zeros_like(blocks)
+    offsets[i + j, i] = (ends - blocks)[i + j, i]
+    return offsets, ends[:, -1].tolist()
 
 
-def _entries(arrays, width: int) -> np.ndarray:
-    """The nonzero entries of the (key, array) pairs as the columns of a
-    (width, count) array, each column (*key, *index, value)."""
-    keys, counts, parts = [], [], [np.zeros((width - 2, 0), dtype=np.int64)]
-    for key, m in arrays:
-        index = np.nonzero(m)
-        keys.append(key)
-        counts.append(index[0].size)
-        parts.append(np.array([*index, m[index]]))
-    key_rows = np.repeat(np.array(keys, dtype=np.int64).reshape(-1, 2).T, counts, axis=1)
-    return np.concatenate([key_rows, np.concatenate(parts, axis=1)])
+def _factor_entries(alg: GradedAlgebra) -> np.ndarray:
+    """The nonzero table entries of alg as the columns of a (6, count)
+    array, each column (i, j, c, a, b, v): v at row c, column (a, b) of
+    table (i, j)."""
+    i, j, c, ab, v = _nonzero_entries(alg.mult, alg._buffer)
+    return np.array([i, j, c, *np.divmod(ab, np.array(alg.dims, dtype=np.int64)[j]), v])
+
+
+def _op_entries(act: SteenrodAction) -> np.ndarray:
+    """The nonzero entries of act's operations, P^0 the identity included,
+    as the columns of a (5, count) array, each column (s, j, x, a, v): v at
+    row x, column a of operation s on degree j."""
+    dims = act.alg.dims
+    j = np.repeat(np.arange(len(dims)), dims)
+    x = np.arange(j.size) - np.repeat(np.cumsum(dims) - dims, dims)
+    eye = (np.zeros_like(j), j, x, x, np.ones_like(j))
+    return np.concatenate([eye, _nonzero_entries(act.maps, act._buffer)], axis=1)
 
 
 def _scatter(codes, rows, cols, vals, shape) -> dict:
@@ -301,9 +306,8 @@ def _build_product(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
     w = A.n + B.n + 1  # a key (hi, lo) is coded hi * w + lo
     off, dims = _kunneth_blocks(A, B)
     dB, dk = np.array(B.dims), np.array(dims)
-    # (i, j, c, a, b, v): v at row c, column (a, b) of table (i, j)
-    (i1, i2, c1, a1, b1, v1) = _entries(((key, A.mult3(*key)) for key in A.mult), 6)[:, :, None]
-    (j1, j2, c2, a2, b2, v2) = _entries(((key, B.mult3(*key)) for key in B.mult), 6)[:, None, :]
+    (i1, i2, c1, a1, b1, v1) = _factor_entries(A)[:, :, None]
+    (j1, j2, c2, a2, b2, v2) = _factor_entries(B)[:, None, :]
     k, l = i1 + j1, i2 + j2
     row = off[k + l, i1 + i2] + c1 * dB[j1 + j2] + c2
     col = (off[k, i1] + a1 * dB[j1] + a2) * dk[l] + off[l, i2] + b1 * dB[j2] + b2
@@ -314,13 +318,8 @@ def _build_product(A: GradedAlgebra, actA, B: GradedAlgebra, actB):
     if actA is None or actB is None:
         return alg, None
 
-    def op_entries(act):
-        """(s, j, x, a, v): v at row x, column a of operation s on degree j."""
-        eye = [((0, j), np.eye(act.alg.dim(j), dtype=np.int64)) for j in range(act.alg.n + 1)]
-        return _entries(eye + list(act.maps.items()), 5)
-
-    (h, i, x, a, va) = op_entries(actA)[:, :, None]
-    (r, j, y, b, vb) = op_entries(actB)[:, None, :]
+    (h, i, x, a, va) = _op_entries(actA)[:, :, None]
+    (r, j, y, b, vb) = _op_entries(actB)[:, None, :]
     s, k = h + r, i + j
     ti, tj = i + operation_shift(p, h), j + operation_shift(p, r)
     row = off[ti + tj, ti] + x * dB[tj] + y

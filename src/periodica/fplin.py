@@ -106,11 +106,17 @@ def as_vector(data, p: int) -> np.ndarray:
     return v
 
 
-def as_matrix(data, p: int) -> np.ndarray:
-    m = _int_array(data) % p
+def _int_matrix(data) -> np.ndarray:
+    """data as a 2-D int64 array, not reduced; the caller's own int64 array
+    is returned as it is."""
+    m = _int_array(data)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     return m
+
+
+def as_matrix(data, p: int) -> np.ndarray:
+    return _int_matrix(data) % p
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import fplin
-from .algebra import GradedAlgebra, _Groups, _nonzero_entries, _object, _ranges, _unbalanced
+from .algebra import (GradedAlgebra, _Groups, _nonzero_entries, _object, _ranges, _reduced,
+                      _tables_from_json, _unbalanced)
 
 
 class ActionDefect(ValueError):
@@ -51,20 +52,19 @@ class SteenrodAction:
     def __init__(self, alg: GradedAlgebra, maps):
         self.alg = alg
         self.p = alg.p
-        self.maps: dict[tuple[int, int], np.ndarray] = {}
+        tables = {}
         for (s, j), m in maps.items():
             if s < 1:
                 raise ValueError("store only operations with s >= 1; s = 0 is implied")
-            arr = fplin.as_matrix(m, self.p)
+            arr = fplin._int_matrix(m)
             t = j + operation_shift(self.p, s)
             if t > alg.n:
                 continue
             want = (alg.dim(t), alg.dim(j))
             if arr.shape != want:
                 raise ValueError(f"operation ({s}, {j}) has shape {arr.shape}, expected {want}")
-            if arr.size and arr.any():
-                arr.setflags(write=False)
-                self.maps[(s, j)] = arr
+            tables[(s, j)] = arr
+        self.maps, self._buffer = _reduced(tables, self.p)
 
     def target_degree(self, s: int, j: int) -> int:
         return j + operation_shift(self.p, s)
@@ -87,11 +87,7 @@ class SteenrodAction:
     @classmethod
     def from_dict(cls, alg: GradedAlgebra, data: dict) -> "SteenrodAction":
         data = _object(data, "the action")
-        maps = {}
-        for key, m in _object(data.get("maps", {}), "maps").items():
-            s, j = (int(v) for v in key.split(","))
-            maps[(s, j)] = m
-        return cls(alg, maps)
+        return cls(alg, _tables_from_json(_object(data.get("maps", {}), "maps"), "maps"))
 
 
 def _cartan_defect(alg: GradedAlgebra, act: SteenrodAction) -> str | None:
@@ -114,7 +110,7 @@ def _cartan_defect(alg: GradedAlgebra, act: SteenrodAction) -> str | None:
     p, size, deg = alg.p, alg.total_dim, alg._degrees()
     # the operation entries (x; u): P^s(u), s >= 1, has coordinate ov on x,
     # with global indices as in alg._entries
-    s, j, ox, ou, ov = _nonzero_entries(act.maps)
+    s, j, ox, ou, ov = _nonzero_entries(act.maps, act._buffer)
     off = np.cumsum((0, *alg.dims))
     ox, ou = off[j + operation_shift(p, s)] + ox, off[j] + ou
     gen = alg._is_generator

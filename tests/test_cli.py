@@ -640,6 +640,23 @@ def test_well_formed_degree1_document_passes(capsys, tmp_path):
     assert code == 0 and report(out)["status"] == "ok"
 
 
+@pytest.mark.parametrize("table, key", [("mult", "01,1"), ("maps", "1,01")])
+def test_a_degree_pair_written_twice_is_bad_input(capsys, tmp_path, table, key):
+    """"1,1" and "01,1" name one degree pair: exit 2 naming the pair, where
+    the last of them used to be kept and "01,1": [[0]] read as a broken
+    pairing (exit 1)."""
+    doc = _degree1_document(1, action={"maps": {"1,1": [[1]]}})
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path))[0] == 0
+    (doc["algebra"] if table == "mult" else doc["action"])[table][key] = [[0]]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: {path} does not hold an algebra document: "
+                   f"{table} names (1, 1) twice, as '1,1' and '{key}'\n")
+
+
 def test_steenrod_check_refuses_a_nonassociative_algebra(capsys, cp4_file, tmp_path):
     doc = json.loads(open(cp4_file).read())
     del doc["algebra"]["mult"]["2,4"]

@@ -256,3 +256,55 @@ def test_failed_duality_check_is_a_typed_defect(monkeypatch):
     monkeypatch.setattr(corpus, "verify_poincare_duality", lambda alg: False)
     with pytest.raises(AlgebraDefect, match="duality"):
         build(parse_spec("ComplexProj(4)@2"))
+
+
+def loop_kunneth_blocks(A: GradedAlgebra, B: GradedAlgebra):
+    """The Python double loop that corpus._kunneth_blocks replaced, verbatim
+    apart from its name."""
+    offsets = np.zeros((A.n + B.n + 1, A.n + 1), dtype=np.int64)
+    dims = []
+    for k in range(A.n + B.n + 1):
+        size = 0
+        for i in range(max(0, k - B.n), min(A.n, k) + 1):
+            offsets[k, i] = size
+            size += A.dim(i) * B.dim(k - i)
+        dims.append(size)
+    return offsets, dims
+
+
+_ATOMS = ("Sphere(2)", "Sphere(4)", "ComplexProj(2)", "ComplexProj(3)", "QuatProj(2)")
+# Every product spec built in this file, with all the pairs that
+# test_random_nested_specs_build_clean can draw.
+PRODUCT_SPECS = (
+    "Product(Sphere(3),Sphere(3))@2", "Product(ComplexProj(2),Sphere(2))@2",
+    "Product(Sphere(3),ComplexProj(2))@3", "Product(ComplexProj(4),Sphere(2))@2",
+    "Product(Sphere(3),Sphere(3))@3",
+    *(f"Product(Sphere(2),ComplexProj({m}))@{p}" for m in range(1, 7) for p in (2, 3, 5)),
+    *(f"ConnectedSum(Product(Sphere(2),ComplexProj(4)),Product(Sphere(2),ComplexProj(4)))@{p}"
+      for p in (2, 3, 5)),
+    "Product(ConnectedSum(ComplexProj(2),ComplexProj(2)),"
+    "ConnectedSum(ComplexProj(2),ComplexProj(2)))@3",
+    *(f"Product({a},{b})@{p}" for a in _ATOMS for b in _ATOMS for p in (2, 3, 5)),
+)
+
+
+def _products(spec):
+    """Every Product node of spec, innermost first."""
+    if spec.family in ("Product", "ConnectedSum"):
+        for arg in spec.args:
+            yield from _products(arg)
+    if spec.family == "Product":
+        yield spec
+
+
+def test_kunneth_blocks_match_the_loop():
+    """The outer product and cumsum give the loop's offsets, 0 where degree
+    k has no block A_i (x) B_(k-i), and its dims as Python ints."""
+    for text in PRODUCT_SPECS:
+        for node in _products(parse_spec(text)):
+            A, B = (build(arg).algebra for arg in node.args)
+            offsets, dims = corpus._kunneth_blocks(A, B)
+            want_offsets, want_dims = loop_kunneth_blocks(A, B)
+            assert offsets.dtype == np.int64 and offsets.shape == want_offsets.shape, text
+            assert np.array_equal(offsets, want_offsets), text
+            assert dims == want_dims and all(type(d) is int for d in dims), text
