@@ -6,8 +6,10 @@ periodicity, move windows across highly connected inclusions, extend
 windows past fixed-point components, upgrade integral windows to rational
 ones, and conclude odd-Betti vanishing.  Each rule is one entry of RULES, in
 firing order: the fact kinds it reads, its join (the input tuples it may
-consume) and its applier.  Every derivation carries its side conditions
-with evaluated values and can be replayed independently.
+consume) and its applier.  The applier is the one place where a rule's
+hypotheses and arithmetic are stated: it records each hypothesis as a
+condition with its evaluated value and computes the output inline.  Every
+derivation carries its side conditions and can be replayed independently.
 """
 
 import json
@@ -35,10 +37,6 @@ FACT_KINDS = {
     "TransverseIntersection": (str, str, str),  # (sub1, sub2, intersection)
     "OddBettiVanish": (str,),                 # (space,)
 }
-
-
-class OrderViolation(ValueError):
-    """Codimension arguments supplied in the wrong order."""
 
 
 class Saturated(RuntimeError):
@@ -153,78 +151,6 @@ def subsumes(fact: Fact, other: Fact) -> bool:
     return False
 
 
-# Pure rule arithmetic.  Each returns the computed value and raises when a
-# hypothesis fails; the engine wrappers below turn these into fact steps.
-
-def rule_connectedness_fixed_point(n: int, k: int) -> int:
-    """Connectivity of a circle-action fixed-point component inclusion."""
-    if k <= 0:
-        raise HypothesisNotMet("codimension must be positive")
-    return n - 2 * k + 1
-
-
-def rule_connectedness_intersection(n: int, k1: int, k2: int) -> int:
-    """Connectivity of a transverse intersection inside the larger-codimension side."""
-    if k1 > k2:
-        raise OrderViolation("codimensions must satisfy k1 <= k2")
-    return n - k1 - k2 - 1
-
-
-def rule_periodicity_window(n: int, k: int, l: int) -> tuple:
-    """Window produced by a (n-k-l)-connected codimension-k inclusion."""
-    if n - k - 2 * l <= 0:
-        raise HypothesisNotMet(f"need n - k - 2l > 0, got {n - k - 2 * l}")
-    return (l, n - l)
-
-
-def rule_transfer(c: int, k: int, hi: int, direction: str) -> int:
-    """Move a window 1..hi across a c-connected inclusion.
-
-    Both directions reach up to c; submanifold to ambient reaches c + 1.
-    """
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    if not 0 < k < c - 1:
-        raise HypothesisNotMet(f"need 0 < k < c - 1 with c = {c}, k = {k}")
-    limit = c + 1 if direction == "up" else c
-    out = min(hi, limit)
-    if out <= k:
-        raise HypothesisNotMet("transferred window is shorter than the period")
-    return out
-
-
-def rule_extend(n: int, k: int, hi: int) -> int:
-    """Extend a 4-periodic window 1..k+3 past a codimension-k fixed component."""
-    if k < 6:
-        raise HypothesisNotMet("extension needs codimension at least 6")
-    if hi < k + 3:
-        raise HypothesisNotMet(f"need the window to reach k + 3 = {k + 3}")
-    if 4 * k <= n + 3:
-        return n - 1
-    return n - 2 * k + 2
-
-
-def rule_rational_upgrade(n: int, k: int) -> int:
-    """Rational period after combining the mod-2 and mod-3 lifts."""
-    if 3 * k > n - 2:
-        raise HypothesisNotMet(f"need 3k <= n - 2, got 3*{k} > {n} - 2")
-    return math.gcd(4, k)
-
-
-@dataclass(frozen=True)
-class BorelVerdict:
-    sum_matches: bool
-    residue_ok: bool
-
-
-def rule_borel(codims, total: int) -> BorelVerdict:
-    """Codimension bookkeeping: parts must sum to the total, and a total
-    congruent to 2 mod 4 forces some part congruent to 2 mod 4."""
-    sum_matches = sum(codims) == total
-    residue_ok = not (total % 4 == 2 and not any(c % 4 == 2 for c in codims))
-    return BorelVerdict(sum_matches, residue_ok)
-
-
 # Condition and Step are tuples: a derive records about a hundred of them.
 class Condition(NamedTuple):
     label: str
@@ -297,14 +223,16 @@ def _apply_dim_from_codim(inputs):
     return (Fact("Dim", (sub, n - k)),), conds
 
 
-def _join_fixed_point_connectedness(fpcs, dims, codims):
-    for fpc in fpcs:
+def _join_inclusion(inclusions, dims, codims):
+    """A fact about an inclusion (sub, ambient, ...), the ambient's dimension
+    and the inclusion's codimension."""
+    for inc in inclusions:
         for dim in dims:
-            if dim.args[0] != fpc.args[1]:
+            if dim.args[0] != inc.args[1]:
                 continue
             for cod in codims:
-                if cod.args[:2] == fpc.args:
-                    yield (fpc, dim, cod)
+                if cod.args[:2] == inc.args[:2]:
+                    yield (inc, dim, cod)
 
 
 def _apply_fixed_point_connectedness(inputs):
@@ -316,7 +244,7 @@ def _apply_fixed_point_connectedness(inputs):
     conds = (_cond("positive codimension", k, ok),)
     if not ok:
         return (), conds
-    c = rule_connectedness_fixed_point(n, k)
+    c = n - 2 * k + 1
     conds += (_cond("connectivity nonnegative", c, c >= 0),)
     if c < 0:
         return (), conds
@@ -352,21 +280,10 @@ def _apply_intersection_connectedness(inputs):
              _cond("intersection nonempty", f"{ks + kb} < {n}", nonempty))
     if not (ordered and nonempty):
         return (), conds
-    c = rule_connectedness_intersection(n, ks, kb)
-    return (Fact("Connected", (w, big, c)),
+    return (Fact("Connected", (w, big, n - ks - kb - 1)),
             Fact("Dim", (w, n - ks - kb)),
             Fact("Codim", (w, big, ks)),
             Fact("Codim", (w, small, kb))), conds
-
-
-def _join_ambient_periodicity(conns, dims, codims):
-    for conn in conns:
-        for dim in dims:
-            if dim.args[0] != conn.args[1]:
-                continue
-            for cod in codims:
-                if cod.args[:2] == conn.args[:2]:
-                    yield (conn, dim, cod)
 
 
 def _apply_ambient_periodicity(inputs):
@@ -380,8 +297,7 @@ def _apply_ambient_periodicity(inputs):
              _cond("n - k - 2l positive", gap, gap > 0))
     if l < 1 or gap <= 0:
         return (), conds
-    lo, hi = rule_periodicity_window(d, k, l)
-    return (Fact("Periodic", (amb, k, lo, hi, "integral")),), conds
+    return (Fact("Periodic", (amb, k, l, d - l, "integral")),), conds
 
 
 def _join_torus_fixed_periodicity(riccis, tori, tfcs, dims):
@@ -440,8 +356,7 @@ def _apply_rational_upgrade(inputs):
              _cond("3k <= n - 2", f"3*{k} <= {n - 2}", short))
     if not (full and short):
         return (), conds
-    kq = rule_rational_upgrade(n, k)
-    return (Fact("Periodic", (space, kq, 1, n - 1, "rational")),), conds
+    return (Fact("Periodic", (space, math.gcd(4, k), 1, n - 1, "rational")),), conds
 
 
 def _join_transfer(end, conns, pers):
@@ -494,8 +409,9 @@ def _apply_extension(inputs):
              _cond("window reaches k + 3", f"{hi} >= {k + 3}", reaches))
     if not (four and starts and deep and reaches):
         return (), conds
-    conds += (_cond("k <= (n+3)/4", f"{k} vs {_ratio(n + 3, 4)}", 4 * k <= n + 3),)
-    out = rule_extend(n, k, hi)
+    shallow = 4 * k <= n + 3
+    conds += (_cond("k <= (n+3)/4", f"{k} vs {_ratio(n + 3, 4)}", shallow),)
+    out = n - 1 if shallow else n - 2 * k + 2
     conds += (_cond("extension strictly grows", f"{out} > {hi}", out > hi),)
     if out <= hi:
         return (), conds
@@ -548,12 +464,12 @@ RULES = {
         (("Codim", "Dim"), _join_dim_from_codim, _apply_dim_from_codim),
     "fixed-point-connectedness":
         (("FixedPointComponent", "Dim", "Codim"),
-         _join_fixed_point_connectedness, _apply_fixed_point_connectedness),
+         _join_inclusion, _apply_fixed_point_connectedness),
     "intersection-connectedness":
         (("TransverseIntersection", "Codim", "Dim"),
          _join_intersection_connectedness, _apply_intersection_connectedness),
     "ambient-periodicity":
-        (("Connected", "Dim", "Codim"), _join_ambient_periodicity, _apply_ambient_periodicity),
+        (("Connected", "Dim", "Codim"), _join_inclusion, _apply_ambient_periodicity),
     "torus-fixed-periodicity":
         (("RicciPositive", "TorusSymmetry", "TorusFixedComponent", "Dim"),
          _join_torus_fixed_periodicity, _apply_torus_fixed_periodicity),
@@ -729,8 +645,8 @@ def codim_cascade_scenario(n: int) -> tuple:
     """Nested fixed-point scenario with the worst-case codimension cascade.
 
     The top codimension is 2*floor(n/8); the lower two are searched
-    downward under their fractional bounds (3/10 and 2/7 of the current
-    dimension) until the full chain derives.  Returns (scenario, params)
+    downward under their fractional bounds (2/7 of f1 for k2, then 3/10 of
+    f2 for k3) until the full chain derives.  Returns (scenario, params)
     where params records the chosen codimensions, the exact lower bound
     ceil(3n/8) on the smallest fixed component and the goal's derivation.
     """
@@ -790,9 +706,6 @@ def four_weight_scenario(n: int, weights) -> tuple:
     f = n - sum(ws)
     if f <= 0 or f % 4:
         raise HypothesisNotMet("the component dimension must be positive, divisible by 4")
-    verdict = rule_borel(ws, n - f)
-    if not verdict.sum_matches:
-        raise HypothesisNotMet("weights must sum to the total codimension")
     pair = None
     for i in range(1, 4):
         for j in range(i + 1, 4):

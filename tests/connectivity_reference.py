@@ -6,8 +6,11 @@ enumeration `_candidates`, `RULE_ORDER` and `RULE_INPUTS` are copied, verbatim
 too, as they stood before each rule became one `RULES` entry with its own
 join: the reference the joins must match tuple for tuple.
 
-Everything those rewrites left alone (facts, the other rules, subsumption)
-is imported from the live module.
+The rule arithmetic these appliers call is copied verbatim as well:
+`rule_extend` as it stood before the move to integer arithmetic, and the
+other four rules with `OrderViolation` as they stood before the live
+appliers took their arithmetic inline.  Everything else those rewrites left
+alone (facts, subsumption) is imported from the live module.
 """
 
 import math
@@ -28,13 +31,41 @@ from periodica.connectivity import (
     connected,
     dimension,
     periodic,
-    rule_connectedness_fixed_point,
-    rule_connectedness_intersection,
-    rule_periodicity_window,
-    rule_rational_upgrade,
     subsumes,
 )
 from periodica.periodicity import HypothesisNotMet
+
+
+class OrderViolation(ValueError):
+    """Codimension arguments supplied in the wrong order."""
+
+
+def rule_connectedness_fixed_point(n: int, k: int) -> int:
+    """Connectivity of a circle-action fixed-point component inclusion."""
+    if k <= 0:
+        raise HypothesisNotMet("codimension must be positive")
+    return n - 2 * k + 1
+
+
+def rule_connectedness_intersection(n: int, k1: int, k2: int) -> int:
+    """Connectivity of a transverse intersection inside the larger-codimension side."""
+    if k1 > k2:
+        raise OrderViolation("codimensions must satisfy k1 <= k2")
+    return n - k1 - k2 - 1
+
+
+def rule_periodicity_window(n: int, k: int, l: int) -> tuple:
+    """Window produced by a (n-k-l)-connected codimension-k inclusion."""
+    if n - k - 2 * l <= 0:
+        raise HypothesisNotMet(f"need n - k - 2l > 0, got {n - k - 2 * l}")
+    return (l, n - l)
+
+
+def rule_rational_upgrade(n: int, k: int) -> int:
+    """Rational period after combining the mod-2 and mod-3 lifts."""
+    if 3 * k > n - 2:
+        raise HypothesisNotMet(f"need 3k <= n - 2, got 3*{k} > {n} - 2")
+    return math.gcd(4, k)
 
 
 def rule_extend(n: int, k: int, hi: int) -> int:

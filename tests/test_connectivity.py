@@ -1,5 +1,6 @@
-"""Degree-propagation deduction engine: rule arithmetic, forward chaining,
-replay verification, and the two scenario templates."""
+"""Degree-propagation deduction engine: each rule's applier on hand-checked
+values, forward chaining, replay verification, and the two scenario
+templates."""
 
 import math
 import pickle
@@ -30,65 +31,81 @@ from periodica.periodicity import HypothesisNotMet
 import connectivity_reference as R
 
 
-# hand-checked rule values
+# hand-checked rule values, fed through the appliers; a refused hypothesis
+# is a failed condition and no output
+
+def _refused(result, label):
+    outputs, conditions = result
+    assert outputs == ()
+    assert [c.label for c in conditions if not c.holds] == [label]
+
 
 def test_fixed_point_connectedness_rule():
-    assert C.rule_connectedness_fixed_point(14, 4) == 7
-    assert C.rule_connectedness_fixed_point(8, 2) == 5
-    assert C.rule_connectedness_fixed_point(6, 3) == 1
-    with pytest.raises(HypothesisNotMet):
-        C.rule_connectedness_fixed_point(10, 0)
+    def apply(n, k):
+        return C._apply_fixed_point_connectedness(
+            (Fact("FixedPointComponent", ("F", "M")), dimension("M", n), codimension("F", "M", k)))
+
+    assert apply(14, 4)[0] == (connected("F", "M", 7),)
+    assert apply(8, 2)[0] == (connected("F", "M", 5),)
+    assert apply(6, 3)[0] == (connected("F", "M", 1),)
+    _refused(apply(10, 0), "positive codimension")
 
 
 def test_intersection_connectedness_rule():
-    assert C.rule_connectedness_intersection(14, 4, 4) == 5
-    assert C.rule_connectedness_intersection(8, 2, 4) == 1
-    with pytest.raises(C.OrderViolation):
-        C.rule_connectedness_intersection(10, 6, 2)
+    def apply(n, ks, kb):
+        return C._apply_intersection_connectedness(
+            (Fact("TransverseIntersection", ("A", "B", "W")), codimension("A", "M", ks),
+             codimension("B", "M", kb), dimension("M", n)))
+
+    assert apply(14, 4, 4)[0][0] == connected("W", "B", 5)
+    assert apply(8, 2, 4)[0][0] == connected("W", "B", 1)
+    _refused(apply(10, 6, 2), "ordered codimensions")
 
 
 def test_periodicity_window_rule():
-    assert C.rule_periodicity_window(12, 4, 1) == (1, 11)
-    assert C.rule_periodicity_window(9, 4, 2) == (2, 7)
-    with pytest.raises(HypothesisNotMet):
-        C.rule_periodicity_window(8, 4, 2)
+    def apply(d, k, l):
+        return C._apply_ambient_periodicity(
+            (connected("F", "M", d - k - l), dimension("M", d), codimension("F", "M", k)))
+
+    assert apply(12, 4, 1)[0] == (periodic("M", 4, 1, 11),)
+    assert apply(9, 4, 2)[0] == (periodic("M", 4, 2, 7),)
+    _refused(apply(8, 4, 2), "n - k - 2l positive")
 
 
 def test_transfer_rule():
-    assert C.rule_transfer(10, 4, 30, "up") == 11
-    assert C.rule_transfer(10, 4, 30, "down") == 10
-    assert C.rule_transfer(10, 4, 8, "up") == 8
-    with pytest.raises(HypothesisNotMet):
-        C.rule_transfer(5, 4, 30, "up")  # needs k < c - 1
-    with pytest.raises(HypothesisNotMet):
-        C.rule_transfer(6, 4, 4, "down")  # window collapses to the period
-    with pytest.raises(ValueError):
-        C.rule_transfer(10, 4, 30, "sideways")
+    def apply(c, k, hi, direction):
+        space = "F" if direction == "up" else "M"
+        return C._apply_transfer(direction, (connected("F", "M", c), periodic(space, k, 1, hi)))
+
+    assert apply(10, 4, 30, "up")[0] == (periodic("M", 4, 1, 11),)
+    assert apply(10, 4, 30, "down")[0] == (periodic("F", 4, 1, 10),)
+    assert apply(10, 4, 8, "up")[0] == (periodic("M", 4, 1, 8),)
+    _refused(apply(5, 4, 30, "up"), "0 < k < c - 1")
+    _refused(apply(6, 4, 4, "down"), "window longer than period")  # collapses to the period
+
+
+def _extension_inputs(n, k, hi):
+    return (Fact("FixedPointComponent", ("F", "M")), codimension("F", "M", k),
+            dimension("M", n), periodic("M", 4, 1, hi))
 
 
 def test_extension_rule():
-    assert C.rule_extend(40, 10, 13) == 39
-    assert C.rule_extend(40, 12, 15) == 18
-    with pytest.raises(HypothesisNotMet):
-        C.rule_extend(40, 4, 10)
-    with pytest.raises(HypothesisNotMet):
-        C.rule_extend(40, 10, 12)
+    apply = C._apply_extension
+    assert apply(_extension_inputs(40, 10, 13))[0] == (periodic("M", 4, 1, 39),)
+    assert apply(_extension_inputs(40, 12, 15))[0] == (periodic("M", 4, 1, 18),)
+    _refused(apply(_extension_inputs(40, 4, 10)), "codimension at least 6")
+    _refused(apply(_extension_inputs(40, 10, 12)), "window reaches k + 3")
 
 
 def test_rational_upgrade_rule():
-    assert C.rule_rational_upgrade(20, 6) == 2
-    assert C.rule_rational_upgrade(32, 4) == 4
-    with pytest.raises(HypothesisNotMet):
-        C.rule_rational_upgrade(19, 6)
+    def apply(n, k):
+        return C._apply_rational_upgrade(
+            (periodic("M", k, 1, n - 1), dimension("M", n),
+             h1_vanishes("M", 2), h1_vanishes("M", 3)))
 
-
-def test_borel_counting_rule():
-    good = C.rule_borel([2, 4, 2], 8)
-    assert good.sum_matches and good.residue_ok
-    bad_sum = C.rule_borel([4, 4], 6)
-    assert not bad_sum.sum_matches
-    bad_residue = C.rule_borel([3, 3, 4], 10)
-    assert bad_residue.sum_matches and not bad_residue.residue_ok
+    assert apply(20, 6)[0] == (periodic("M", 2, 1, 19, "rational"),)
+    assert apply(32, 4)[0] == (periodic("M", 4, 1, 31, "rational"),)
+    _refused(apply(19, 6), "3k <= n - 2")
 
 
 def test_fact_validation():
@@ -812,7 +829,11 @@ def test_integer_rule_values_print_as_fractions_did():
             assert C._even_floor(num, den) == (math.floor(Fraction(num, den)) // 2) * 2
     for n in range(-10, 60):
         for k in range(6, 20):
-            assert C.rule_extend(n, k, k + 3) == R.rule_extend(n, k, k + 3), (n, k)
+            end = R.rule_extend(n, k, k + 3)
+            outputs, conditions = C._apply_extension(_extension_inputs(n, k, k + 3))
+            assert conditions[-1] == ("extension strictly grows", f"{end} > {k + 3}",
+                                      end > k + 3), (n, k)
+            assert outputs == ((periodic("M", 4, 1, end),) if end > k + 3 else ()), (n, k)
 
 
 # well-formed axioms derive well-formed facts; malformed ones are refused
