@@ -10,6 +10,15 @@ J. Symb. Comput. 1990).  The summands are the primitive idempotents of B
 and the images of their operators.  They are found by linear algebra and
 root finding, polynomial in dim R and log p, never by enumerating R.
 Every split lands in a replayable trace.
+
+The window's degrees are worked on together, on a leading degree axis,
+not one at a time.  Arrays that differ in size from degree to degree are
+padded with zeros to one size: the operator blocks whose images are the
+summands (one stacked rref per window), and in verify_decomposition the
+summands' bases, the cup tables and the ring action.  A padded row is the
+zero vector and a padded column is zero in every row, so padding changes
+no product in the unpadded corner, and no rank or pivot: a zero row adds
+nothing to a row space and a zero column is never a pivot.
 """
 
 from dataclasses import dataclass
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplin
-from .algebra import Element, _as_int
+from .algebra import Element
 from .fplin import Subspace
 from .periodicity import EMPTY_BLOCK, SubquotientAlgebra, direct_bound, window_ranges
 
@@ -58,8 +67,11 @@ def multiplication_operator(window: SubquotientAlgebra, a) -> MultOperator:
     """Assemble the degree-preserving operator of a degree-k element.
 
     Low degrees unshift after cupping, high degrees cup after unshifting;
-    the overlap 1+k..n-1-k must agree under both readings.  Each block
-    contracts the element with the window's ring_action.
+    the overlap 1+k..n-1-k must agree under both readings.  One contraction
+    of the element with the window's padded ring_action (degree_stacks)
+    gives every block, cut back to its degree; where the basis's two
+    readings disagree, the element's own readings are compared
+    (_action_block).
     """
     k, n = window.k, window.n
     _check_action(window)
@@ -67,19 +79,24 @@ def multiplication_operator(window: SubquotientAlgebra, a) -> MultOperator:
     xv = fplin.as_vector(av, window.p)
     if xv.shape[0] != window.dim(k):
         raise ValueError("vector length does not match degree dimension")
+    stacked = np.einsum("a,daxy->dxy", xv, window.degree_stacks[0]) % window.p
     blocks = dict.fromkeys(range(1, n), EMPTY_BLOCK)
-    blocks.update((u, _action_block(window, xv, u)) for u in window.nonzero_degrees)
+    for d, u in enumerate(window.nonzero_degrees):
+        if not window.ring_action[u][2]:
+            _action_block(window, xv, u)  # raises where the readings of a differ
+        blocks[u] = stacked[d, :window.dim(u), :window.dim(u)]
     return MultOperator(Element.of(k, av), blocks)
 
 
 def _action_block(window: SubquotientAlgebra, av, u: int) -> np.ndarray:
     """Matrix of v -> unshift(a cup v) on window degree u, for a degree-k
     vector a; in degree k it is multiplication by a on the degree-k ring.
-    Where the basis's two readings disagree, a's own readings are compared."""
+    For a stack of vectors, the stack of their matrices.  Where the basis's
+    two readings disagree, a's own readings are compared."""
     p = window.p
     low, high, agree = window.ring_action[u]
-    block = np.einsum("a,auv->uv", av, low if low is not None else high) % p
-    if not agree and not np.array_equal(block, np.einsum("a,auv->uv", av, high) % p):
+    block = np.einsum("...a,auv->...uv", av, low if low is not None else high) % p
+    if not agree and not np.array_equal(block, np.einsum("...a,auv->...uv", av, high) % p):
         raise OverlapMismatch(f"action formulas disagree in degree {u}")
     return block
 
@@ -107,23 +124,6 @@ def ring_product(window: SubquotientAlgebra, a, b) -> np.ndarray:
     return window.unshift(k, window.cup(k, av, k, bv))
 
 
-def ring_power(window: SubquotientAlgebra, a, e: int) -> np.ndarray:
-    """a^e in the degree-k ring; ValueError for an exponent that is not a
-    positive int (a bool, float or str included)."""
-    e = _as_int(e, "the exponent")
-    if e < 1:
-        raise ValueError("exponent must be positive")
-    base = _vector_of(window, a, window.k)
-    result = None
-    while e:
-        if e & 1:
-            result = base.copy() if result is None else ring_product(window, result, base)
-        e >>= 1
-        if e:
-            base = ring_product(window, base, base)
-    return result
-
-
 def _key(v) -> tuple:
     return tuple(int(t) for t in v)
 
@@ -143,9 +143,6 @@ def primitive_idempotents(window: SubquotientAlgebra) -> tuple[list, list]:
 class Summand:
     element: Element
     spaces: dict
-
-    def degree_dims(self) -> dict:
-        return {u: s.dim for u, s in sorted(self.spaces.items())}
 
     def to_dict(self) -> dict:
         return {
@@ -196,11 +193,28 @@ class DecompositionResult:
         }
 
 
-def _image_spaces(window, e) -> dict:
-    """The image of e's operator in every window degree."""
-    op = multiplication_operator(window, e)
-    spaces = dict.fromkeys(range(1, window.n), Subspace.zero(window.p, 0))
-    spaces.update((u, fplin.image(op.blocks[u], window.p)) for u in window.nonzero_degrees)
+def _image_spaces(window, elements) -> list:
+    """The image of each element's operator in every window degree.  The
+    blocks of all elements in all nonzero degrees, padded with zero rows
+    and columns to the widest degree, are reduced in one stacked rref: a
+    zero column is never a pivot and a zero row adds nothing to the row
+    space, so each item's reduced rows, cut back to its degree, are those
+    of its own block."""
+    p, degrees = window.p, window.nonzero_degrees
+    operators = [multiplication_operator(window, e) for e in elements]
+    width = max(map(window.dim, degrees), default=0)
+    blocks = np.zeros((len(operators), len(degrees), width, width), dtype=np.int64)
+    for d, u in enumerate(degrees):
+        blocks[:, d, :window.dim(u), :window.dim(u)] = np.reshape(
+            [op.blocks[u] for op in operators], (-1, window.dim(u), window.dim(u)))
+    reduced, pivots = fplin.rref(blocks.swapaxes(-1, -2).reshape(-1, width, width), p)
+    spaces = []
+    for i, rows in enumerate(reduced.reshape(blocks.shape)):
+        image = dict.fromkeys(range(1, window.n), Subspace.zero(p, 0))
+        for d, u in enumerate(degrees):
+            columns = pivots[i * len(degrees) + d]
+            image[u] = Subspace(p, window.dim(u), rows[d, :len(columns), :window.dim(u)], columns)
+        spaces.append(image)
     return spaces
 
 
@@ -223,21 +237,22 @@ def decompose(window: SubquotientAlgebra) -> DecompositionResult:
     if window.total_dim == 0:
         return DecompositionResult([], [])
     finals, splits = primitive_idempotents(window)
-    summands = [Summand(Element.of(k, f), _image_spaces(window, f)) for f in finals]
+    summands = [Summand(Element.of(k, f), spaces)
+                for f, spaces in zip(finals, _image_spaces(window, finals))]
 
-    def dims(q):
-        # q is the sum of the primitive idempotents f with q * f = f, so its
-        # image is the direct sum of theirs.
-        times_q = _action_block(window, q, k)
-        below = [s for s, f in zip(summands, finals)
-                 if np.array_equal((times_q @ f) % window.p, f)]
-        return [sum(s.spaces[u].dim for s in below) if u in window.nonzero_degrees else 0
-                for u in range(1, n)]
-
+    # A part q is the sum of the primitive idempotents f with q * f = f, so
+    # its image is the direct sum of theirs.  All parts go in one stack:
+    # below[q, i] says that f_i is one of q's idempotents.
+    every_part = np.array([q for _, _, parts in splits for q in parts],
+                          dtype=np.int64).reshape(-1, window.dim(k))
+    columns = np.transpose(finals)
+    below = ((_action_block(window, every_part, k) @ columns) % window.p == columns).all(axis=1)
+    sizes = [[s.spaces[u].dim for u in range(1, n)] for s in summands]
+    part_dims = iter((below.astype(np.int64) @ np.array(sizes, dtype=np.int64)).tolist())
     trace = [SplitRecord(split_element=Element.of(k, e),
                          separator=Element.of(k, b),
                          replacements=tuple(Element.of(k, q) for q in parts),
-                         part_dims=tuple(zip(range(1, n), *map(dims, parts))))
+                         part_dims=tuple(zip(range(1, n), *[next(part_dims) for _ in parts])))
              for e, b, parts in splits]
     result = DecompositionResult(summands, trace)
     report = verify_decomposition(window, result)
@@ -252,20 +267,57 @@ class DecompositionReport:
     violations: tuple
 
 
-def _stack(summands, u: int) -> tuple:
-    """The summands' degree-u bases stacked, and each row's summand and pivot."""
-    spaces = [s.spaces[u] for s in summands]
-    return (np.concatenate([s.basis for s in spaces]),
-            np.repeat(np.arange(len(spaces)), [s.dim for s in spaces]),
-            np.array([c for s in spaces for c in s.pivots], dtype=np.int64))
+def _layout(window, summands, degrees) -> tuple:
+    """The summands' bases in the given degrees, on a leading degree axis,
+    and one zero degree after them, as (basis, pivots, dims).  basis[d, i,
+    x] is row x of summand i's basis in degree d, padded with zero rows to
+    the largest summand and zero columns to the widest degree; pivots[d, i]
+    holds one column per row, the unit vector at that row's pivot (zero on
+    a padded row), so that images @ pivots[d, i] reads images at summand
+    i's pivots; dims[d, i] is summand i's dimension in degree d."""
+    count = len(summands)
+    spaces = [s.spaces[u] for u in degrees for s in summands]
+    flat = np.array([space.dim for space in spaces], dtype=np.int64)
+    dims = np.zeros((len(degrees) + 1, count), dtype=np.int64)
+    dims[:-1] = flat.reshape(len(degrees), count)
+    widths = np.array([window.dim(u) for u in degrees], dtype=np.int64)
+    size, width = int(flat.max(initial=0)), int(widths.max(initial=0))
+    # Each row of the concatenated bases: its degree, summand and place.
+    degree, summand = np.divmod(np.repeat(np.arange(flat.size), flat), count)
+    place = np.arange(degree.size) - np.repeat(flat.cumsum() - flat, flat)
+    pivots = np.zeros((len(degrees) + 1, count, width, size), dtype=np.int64)
+    columns = [c for space in spaces for c in space.pivots]
+    pivots[degree, summand, np.array(columns, dtype=np.int64), place] = 1
+    # Each entry of the concatenated bases, at its row's place.
+    basis = np.zeros((len(degrees) + 1) * count * size * width, dtype=np.int64)
+    if spaces:
+        row_width = widths[degree]
+        start = ((degree * count + summand) * size + place) * width
+        basis[np.repeat(start - (row_width.cumsum() - row_width), row_width)
+              + np.arange(row_width.sum())] = np.concatenate([s.basis for s in spaces], axis=None)
+    return basis.reshape(len(degrees) + 1, count, size, width), pivots, dims
 
 
-def _block_coords(images, same: np.ndarray, target: tuple, p: int) -> tuple:
-    """Coordinates [..., t, q] of images[..., t, :], the image of stacked row
-    t, read at the pivots of target = _stack(...) rows q with same[t, q] (row
-    t's own summand); and per row t whether its image leaves that summand."""
-    basis, _, pivots = target
-    coords = images[..., pivots] * same
+def _unsummed(window, degrees, dims, ranks) -> list:
+    """A violation for each degree whose summand bases, dims[d] rows of
+    them, have rank short of their row count or a row count short of the
+    degree's dimension."""
+    return [f"summands do not direct-sum to degree {u}"
+            for u, rank, rows in zip(degrees, ranks.tolist(), dims.sum(axis=1).tolist())
+            if not rank == rows == window.dim(u)]
+
+
+def _stacked_rows(basis) -> np.ndarray:
+    """Each degree's summand bases of a _layout as one stack of rows."""
+    degrees, count, size, width = basis.shape
+    return basis[:-1].reshape(degrees - 1, count * size, width)
+
+
+def _block_coords(images, pivots, basis, p: int) -> tuple:
+    """Coordinates [..., x, y] of images[..., x, :] on row y of a summand's
+    basis, read at its pivots (pivots as in _layout); and per image x
+    whether it leaves the span of those rows."""
+    coords = images @ pivots
     return coords, ((coords @ basis) % p != images).any(axis=-1)
 
 
@@ -275,13 +327,23 @@ def verify_decomposition(window: SubquotientAlgebra,
     element a degree-k window vector inducing on its own summand and
     annihilating the rest, and each summand local; violations as data.
 
-    One pass per nonzero degree u multiplies the stacked summand bases once
-    by all elements' cup matrices into degree u + k and once by the basis
+    One array pass checks every nonzero degree u at once.  The degrees lie
+    on a leading axis (_layout), and each degree holds every summand's
+    basis, padded with zero rows to the largest summand and with zero
+    columns to the widest degree; the window's cup tables and ring_action
+    are padded alike (window.degree_stacks, computed once per window).  A
+    padded row is the zero vector, so its images and coordinates are zero
+    and it adds nothing to a rank; a padded column is zero in every vector
+    and every image, so it changes no product and no rank either.  The pass
+    multiplies the bases by all elements into degree u + k and by the basis
     operators of R, the degree-k ring.  Each image, read at its own
     summand's pivots (_block_coords), decides annihilation and stability.
-    With every summand stable and of matching dimensions, one rank of the
-    elements' images decides that degree u + k is a direct sum and that
-    each element is bijective at u; a shortfall ranks each summand's block.
+    One fplin.rank call over a stack of padded items then gives every rank:
+    per degree, the summands' bases, which direct-sum exactly when their
+    rank is their row count and the degree's dimension; and per stable
+    summand and degree u of matching dimensions, the coordinates of its
+    element's images in degree u + k, a block that is bijective at u
+    exactly when it has full rank.
 
     Locality: R is the product of the local rings R f_j, f_j the primitive
     idempotents (window.ring_idempotents, computed once per window and
@@ -301,21 +363,19 @@ def verify_decomposition(window: SubquotientAlgebra,
     if not summands:
         violations = ["empty decomposition of a nonzero window"] if window.total_dim else []
         return DecompositionReport(not violations, tuple(violations))
-
-    def unsummed(degrees):
-        return [f"summands do not direct-sum to degree {u}" for u in degrees
-                if not fplin.direct_sum_check([s.spaces[u] for s in summands],
-                                              Subspace.full(p, window.dim(u)), full=True)]
-
     for u in range(1, n):
         for i, s in enumerate(summands):
             space = s.spaces.get(u)
-            if space is None or space.ambient != window.dim(u):
-                return DecompositionReport(False, (*unsummed(t for t in nonzero if t < u),
-                                                   f"summand {i} carries no subspace of degree {u}"))
+            if space is None or space.ambient != window.dim(u) or space.p != p:
+                below = [t for t in nonzero if t < u]
+                basis, _, dims = _layout(window, summands, below)
+                return DecompositionReport(False, (
+                    *_unsummed(window, below, dims, fplin.rank(_stacked_rows(basis), p)),
+                    f"summand {i} carries no subspace of degree {u}"))
     count, dk = len(summands), window.dim(k)
     found = [[] for _ in summands]  # each summand's violations in the pass
-    valid, vectors = [], []
+    elements = np.zeros((count, dk), dtype=np.int64)  # zero where no valid element
+    is_valid = np.zeros(count, dtype=bool)
     for i, s in enumerate(summands):
         if s.element.degree != k:
             found[i].append(f"summand {i} element has degree {s.element.degree}")
@@ -324,14 +384,10 @@ def verify_decomposition(window: SubquotientAlgebra,
                             f"coordinates, need {dk}")
         else:
             try:
-                vectors.append(s.element.as_vector() % p)
-                valid.append(i)
+                elements[i] = s.element.as_vector() % p
+                is_valid[i] = True
             except ValueError:
                 found[i].append(f"summand {i} element has a non-integer coefficient")
-    valid = np.array(valid, dtype=np.int64)
-    is_valid = np.bincount(valid, minlength=count) > 0
-    elements = np.array(vectors, dtype=np.int64).reshape(valid.size, dk)
-    position = np.cumsum(is_valid) - 1  # a valid summand's row in elements
     try:
         operators = _basis_operators(window)
     except (ValueError, OverlapMismatch):
@@ -343,66 +399,67 @@ def verify_decomposition(window: SubquotientAlgebra,
             idempotents = np.array(primitive_idempotents(window)[0]) if dk else idempotents
         except (ValueError, fplin.ConsistencyFailure):
             pass  # R is no commutative ring, so no summand is found local
-    layout = {u: _stack(summands, u) for u in nonzero}
-    # Each summand's restricted basis operators, one block per nonzero
-    # degree, padded to the largest block: [summand, degree, x, y, a].
-    width = max((s.spaces[u].dim for s in summands for u in nonzero), default=0)
-    blocks = np.zeros((count, len(nonzero), width, width, dk), dtype=np.int64)
-    identity = np.zeros(blocks.shape[:-1], dtype=np.int64)
-    unsupported, size, summed = np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64), set()
-    for d, u in enumerate(nonzero):
-        basis, own, _ = layout[u]
-        dims = np.bincount(own, minlength=count)
-        size += dims
-        if valid.size and u + k in nonzero:
-            cups = (elements @ window.mult3(k, u)) % p
-            cupped = ((cups @ basis.T) % p).transpose(1, 2, 0)  # [element, row, coordinate]
-            hit = cupped.any(axis=-1) & (own != valid[:, None])
-            if hit.any():
-                for e, j in np.argwhere(hit @ (own[:, None] == np.arange(count))):
-                    found[valid[e]].append(f"summand {valid[e]} element does not annihilate "
-                                           f"summand {j} in degree {u}")
-        if u < into.stop:
-            target = layout.get(u + k)
-            checked = is_valid & (dims > 0)
-            matched = dims == (0 if target is None else np.bincount(target[1], minlength=count))
-            good = checked & matched
-            for i in (checked ^ good).nonzero()[0]:
-                found[i].append(f"summand {i} degrees {u} and {u + k} have unequal dimension")
-            if good.any():
-                diagonal = cupped[position[own], np.arange(own.size)]
-                coords, leaves = _block_coords(diagonal, own[:, None] == target[1], target, p)
-                unstable = good & (np.bincount(own[leaves], minlength=count) > 0)
-                for i in unstable.nonzero()[0]:
-                    found[i].append(f"summand {i} is not stable under its element at degree {u}")
-                if (is_valid.all() and matched.all() and not unstable.any()
-                        and fplin.rank(diagonal, p) == own.size == window.dim(u + k)):
-                    summed.add(u + k)
-                else:
-                    for i in (good & ~unstable).nonzero()[0]:
-                        if fplin.rank(coords[own == i][:, target[1] == i], p) < dims[i]:
-                            found[i].append(f"summand {i} element is not bijective at degree {u}")
-        if operators is not None:
-            same = own[:, None] == own
-            coords, leaves = _block_coords((basis @ operators[u].transpose(0, 2, 1)) % p,
-                                           same, layout[u], p)
-            unsupported[own[leaves.any(axis=0)]] = True
-            local = np.arange(own.size) - np.searchsorted(own, own)
-            t, q = same.nonzero()
-            blocks[own[t], d, local[q], local[t]] = coords[:, t, q].T
-            identity[own, d, local, local] = 1
-    violations = unsummed(u for u in nonzero if u not in summed)
+    basis, pivots, dims = _layout(window, summands, nonzero)
+    degrees, size = len(nonzero), basis.shape[2]
+    action, cups = window.degree_stacks
+    rows = _stacked_rows(basis)
+    # Every element's image of every row, in degree u + k:
+    # cupped[degree, coordinate, element, summand, row].
+    cupped = ((elements @ ((cups @ rows[:, None].swapaxes(-1, -2)) % p)) % p
+              ).reshape(degrees, cups.shape[1], count, count, size)
+    annihilates = cupped.any(axis=(1, 4)) & ~np.eye(count, dtype=bool)
+    # Each summand's images under its own element, read in its space in
+    # degree u + k (the zero degree where u + k is empty), for u < n - k.
+    after = {u: d for d, u in enumerate(nonzero)}
+    target = [after.get(u + k, degrees) for u in nonzero]
+    checked = is_valid & (dims[:-1] > 0) & (np.array(nonzero, dtype=np.int64)[:, None] < into.stop)
+    matched = dims[:-1] == dims[target]
+    good = checked & matched
+    images = np.diagonal(cupped, axis1=2, axis2=3).transpose(0, 3, 2, 1)
+    coords, leaves = _block_coords(images, pivots[target], basis[target], p)
+    unstable = good & leaves.any(axis=-1)
+    bijective = good & ~unstable
+    stack = np.zeros((degrees + bijective.sum(), rows.shape[1], max(rows.shape[2], size)),
+                     dtype=np.int64)
+    stack[:degrees, :, :rows.shape[2]] = rows
+    stack[degrees:, :size, :size] = coords[bijective]
+    ranks = fplin.rank(stack, p)
+    short = np.zeros_like(bijective)
+    short[bijective] = ranks[degrees:] < dims[:-1][bijective]
+    flags = (checked & ~matched, unstable, short)
+    if annihilates.any() or any(f.any() for f in flags):
+        events = [(i, d, 0, j) for d, i, j in np.argwhere(annihilates).tolist()]
+        events += [(i, d, kind, 0) for kind, f in enumerate(flags, 1)
+                   for d, i in np.argwhere(f).tolist()]
+        for i, d, kind, j in sorted(events):
+            u = nonzero[d]
+            found[i].append((
+                f"summand {i} element does not annihilate summand {j} in degree {u}",
+                f"summand {i} degrees {u} and {u + k} have unequal dimension",
+                f"summand {i} is not stable under its element at degree {u}",
+                f"summand {i} element is not bijective at degree {u}")[kind])
+    violations = _unsummed(window, nonzero, dims, ranks[:degrees])
     violations += [v for vs in found for v in vs]
     if operators is None:
         violations.append("the window does not support the degree-k action")
         return DecompositionReport(False, tuple(violations))
-    blocks = blocks.transpose(0, 1, 4, 2, 3)  # [summand, degree, a, x, y]
-    products = (blocks[:, :, :, None] @ blocks[:, :, None]) % p
-    unsupported |= ((np.einsum("a,sdaxy->sdxy", unit, blocks) % p != identity).any(axis=(1, 2, 3))
-                    | (products != np.einsum("sdcxy,acb->sdabxy", blocks, structure) % p)
-                    .any(axis=(1, 2, 3, 4, 5)))
-    acts = (np.einsum("sdaxy,ja->sjdxy", blocks, idempotents) % p).any(axis=(2, 3, 4))
-    verdicts = zip(size.tolist(), (unsupported | ~acts.any(axis=1)).tolist(),
+    # Each summand's restricted basis operators, one block per nonzero
+    # degree, padded to the largest summand: coords[degree, a, summand] is
+    # the matrix of basis element a acting on row vectors of coordinates,
+    # so coords[a] @ coords[b] must be the block of the product of b and a,
+    # whose coordinates are structure[b, :, a].
+    images = (basis[:-1, None] @ action[:, :, None].swapaxes(-1, -2)) % p
+    coords, leaves = _block_coords(images, pivots[:-1, None], basis[:-1, None], p)
+    flat = coords.reshape(degrees, dk, count * size * size)
+    identity = np.eye(size, dtype=bool) & (np.arange(size) < dims[:-1, :, None])[..., None]
+    unit_acts = ((unit @ flat) % p).reshape(identity.shape) == identity
+    expected = (structure.transpose(2, 0, 1).reshape(dk * dk, dk) @ flat) % p
+    multiplies = ((coords[:, :, None] @ coords[:, None]) % p).reshape(expected.shape) == expected
+    unsupported = (leaves.any(axis=(0, 1, 3)) | ~unit_acts.all(axis=(0, 2, 3))
+                   | ~multiplies.reshape(degrees, dk * dk, count, size * size).all(axis=(0, 1, 3)))
+    acts = ((idempotents @ flat) % p).reshape(degrees, len(idempotents), count, size * size)
+    acts = acts.any(axis=(0, 3)).T
+    verdicts = zip(dims.sum(axis=0).tolist(), (unsupported | ~acts.any(axis=1)).tolist(),
                    acts.sum(axis=1).tolist())
     for i, (s, (dim, bad, factors)) in enumerate(zip(summands, verdicts)):
         if s.element.degree != k:

@@ -8,6 +8,7 @@ tuples of coefficients, lowest degree first, with no trailing zeros.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 
@@ -122,10 +123,17 @@ def as_matrix(data, p: int) -> np.ndarray:
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Row-reduce mod p.  Returns (nonzero rows, pivot columns).  Works in place
     on a copy, each step from its pivot column on (the rows not yet reduced are
-    zero to its left) and only in the rows nonzero there."""
+    zero to its left) and only in the rows nonzero there.
+
+    A (B, m, n) stack is reduced item by item in one pass (_stacked_rref):
+    it returns the (B, m, n) stack of reduced items, each with its nonzero
+    rows on top and zero rows below, and a tuple of each item's pivot
+    columns."""
     m = np.asarray(mat, dtype=np.int64) % p
+    if m.ndim == 3:
+        return _stacked_rref(m, p)
     if m.ndim != 2:
-        raise ValueError("rref expects a 2-D array")
+        raise ValueError("rref expects a 2-D array or a stack of them")
     nrows, ncols = m.shape
     r, pivots = 0, []
     for c in range(ncols):
@@ -152,8 +160,67 @@ def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return m[:r], tuple(pivots)
 
 
-def rank(mat, p: int) -> int:
-    return len(rref(mat, p)[1])
+def _stacked_rref(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple]:
+    """rref of every item of a (B, m, n) stack, reduced mod p, in place.
+
+    A row with a single entry, in a column no other row of its item is
+    nonzero in, is a pivot row as it stands (as in pivot_columns): no other
+    row ever needs that column eliminated, and the row itself is zero
+    elsewhere.  The other nonzero rows are live, and only the columns they
+    are nonzero in can hold another pivot, since a step adds a multiple of
+    a live row to a row.  Each such column c is one step for every item at
+    once, over the whole stack: an item with a live row not yet a pivot
+    row that is nonzero in c takes the first such row as its pivot row;
+    then each of its other rows becomes lead * row - row[c] * pivot row,
+    lead the pivot row's entry in c.  That scales rows by units and adds
+    multiples of the pivot row, so no row space changes, and no row moves.
+    A row that is never a pivot row ends zero, as it is zero in every pivot
+    column and was zero in each other column when that column's step found
+    no pivot.  At the end the pivot rows are ordered by their pivot columns
+    and scaled to lead 1, which is the reduced form of the 2-D path, with
+    the same pivots."""
+    count, nrows, ncols = m.shape
+    if not m.size:
+        return m, ((),) * count
+    items = np.arange(count)
+    nonzero = m != 0
+    first = nonzero.argmax(axis=2)
+    solo = (nonzero.sum(axis=2) == 1) & (nonzero.sum(axis=1)[items[:, None], first] == 1)
+    column = np.where(solo, first, ncols)  # each pivot row's pivot column
+    live = nonzero & ~solo[..., None]
+    for c in np.flatnonzero(live.reshape(-1, ncols).any(axis=0)).tolist():
+        found = (m[:, :, c] != 0) & (column == ncols)
+        at = found.argmax(axis=1)
+        has = found[items, at]
+        if not has.any():
+            continue
+        pivot = m[items, at]
+        factor = m[:, :, c] * has[:, None]
+        factor[items, at] = 0
+        if p > 2:  # over GF(2) every lead is 1
+            m *= np.where(has, pivot[:, c], 1)[:, None, None]
+        m -= factor[:, :, None] * pivot[:, None, :]
+        m %= p
+        column[items[has], at[has]] = c
+    order = np.argsort(column, axis=1, kind="stable")
+    m, column = m[items[:, None], order], column[items[:, None], order]
+    if p > 2:
+        b, r = (column < ncols).nonzero()
+        lead = m[b, r, column[b, r]].tolist()
+        inverse = {x: pow(x, -1, p) for x in set(lead)}
+        m[b, r] = (m[b, r] * np.array([inverse[x] for x in lead], dtype=np.int64)[:, None]) % p
+    return m, tuple(tuple(row[:bisect.bisect_left(row, ncols)]) for row in column.tolist())
+
+
+def rank(mat, p: int):
+    """The rank of a matrix; for a (B, m, n) stack, each item's rank as an
+    int64 array of length B, from one stacked rref.  Items of different
+    shapes may share a stack padded with zero rows and columns, which
+    change no item's rank or pivots."""
+    reduced, pivots = rref(mat, p)
+    if reduced.ndim == 3:
+        return np.array([len(c) for c in pivots], dtype=np.int64)
+    return len(pivots)
 
 
 def _single_entry_columns(row, col, ncols: int) -> np.ndarray:

@@ -910,6 +910,29 @@ class SubquotientAlgebra(GradedAlgebra):
         return out
 
     @_computed_once
+    def degree_stacks(self) -> tuple:
+        """ring_action and the degree-k cup tables with the nonzero degrees
+        u on a leading axis, each padded with zeros to the largest window
+        dimension c, as (action, cups): action[d] is the (dim k, c, c)
+        ring_action stack of u, read low where u has that reading and high
+        elsewhere (zero where it has neither), and cups[d] the (c, dim k, c)
+        table mult3(k, u) into degree u + k, zero where u + k is empty.
+        Computed once per window.  A padded coordinate is zero in every
+        vector and every image, so the unpadded corner of each product is
+        the unpadded product."""
+        k, c = self.k, max(self.window_dims(), default=0)
+        degrees, dk = self.nonzero_degrees, self.dim(k)
+        action = np.zeros((len(degrees), dk, c, c), dtype=np.int64)
+        cups = np.zeros((len(degrees), c, dk, c), dtype=np.int64)
+        for d, u in enumerate(degrees):
+            low, high, _ = self.ring_action[u]
+            if low is not None or high is not None:
+                action[d, :, :self.dim(u), :self.dim(u)] = high if low is None else low
+            if self.dim(u + k):
+                cups[d, :self.dim(u + k), :, :self.dim(u)] = self.mult3(k, u)
+        return action, cups
+
+    @_computed_once
     def ring_idempotents(self) -> tuple:
         """fplin.primitive_idempotents of the degree-k ring, as its
         multiplication matrices (the degree-k slice of ring_action): the

@@ -3,7 +3,8 @@
 The connected-sum cases have hand-computed splitting traces; verification
 is additionally stress-tested against deliberately corrupted results.  The
 idempotent computation is compared with the witness-search split loop it
-replaced, kept below as a capped reference.
+replaced, kept below as a capped reference, and verify_decomposition with
+the pass per nonzero degree it replaced (decomposition_reference).
 """
 
 import functools
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import decomposition_reference as R
 from periodica import corpus, decomposition as D, fplin
 from periodica import periodicity as P
-from periodica.algebra import Element
+from periodica.algebra import Element, _as_int
 from periodica.decomposition import VerificationFailure
 from rebasing import rebased
 from test_fplin import random_semisimple
@@ -31,6 +33,24 @@ def window_of(text):
     fx = build(text)
     rep = P.minimum_period(fx.algebra)
     return P.subquotient(fx.algebra, rep.certificate, action=fx.action)
+
+
+def ring_power(window, a, e):
+    """a^e in the degree-k ring, by repeated squaring of D.ring_product;
+    ValueError for an exponent that is not a positive int (a bool, float
+    or str included)."""
+    e = _as_int(e, "the exponent")
+    if e < 1:
+        raise ValueError("exponent must be positive")
+    base = D._vector_of(window, a, window.k)
+    result = None
+    while e:
+        if e & 1:
+            result = base.copy() if result is None else D.ring_product(window, result, base)
+        e >>= 1
+        if e:
+            base = D.ring_product(window, base, base)
+    return result
 
 
 def test_connected_sum_of_two_planes_splits():
@@ -55,7 +75,7 @@ def replay(w, record):
     p = w.p
     unit = w.to_window(w.k, w.certificate.element.as_vector())
     e, b = record.split_element.as_vector(), record.separator.as_vector()
-    assert np.array_equal(D.ring_power(w, b, p), b)
+    assert np.array_equal(ring_power(w, b, p), b)
     values = []
     for part in record.replacements:
         q = part.as_vector()
@@ -63,7 +83,7 @@ def replay(w, record):
         lead = int(np.flatnonzero(q)[0])
         c = int(on_part[lead]) * pow(int(q[lead]), -1, p) % p
         assert np.array_equal(on_part, c * q % p)
-        indicator = (unit - D.ring_power(w, (b - c * unit) % p, p - 1)) % p
+        indicator = (unit - ring_power(w, (b - c * unit) % p, p - 1)) % p
         assert np.array_equal(D.ring_product(w, e, indicator), q)
         values.append(c)
     assert values == sorted(set(values)) and len(values) >= 2
@@ -91,7 +111,8 @@ def test_trace_replays():
         w = window_of(text)
         result = D.decompose(w)
         assert len(result.trace) == result.summand_count - 1, text
-        dims = {s.element.coeffs: s.degree_dims() for s in result.summands}
+        dims = {s.element.coeffs: {u: space.dim for u, space in sorted(s.spaces.items())}
+                for s in result.summands}
         for r in result.trace:
             replay(w, r)
             for i, part in enumerate(r.replacements):
@@ -227,9 +248,9 @@ def test_multiplication_operator_consistency():
 def test_ring_power():
     w = window_of("ConnectedSum(ComplexProj(4),ComplexProj(4))@2")
     x = Element(2, (1, 1))
-    sq = D.ring_power(w, x, 2)
+    sq = ring_power(w, x, 2)
     assert np.array_equal(sq, D.ring_product(w, x, x))
-    assert np.array_equal(D.ring_power(w, x, 1), x.as_vector())
+    assert np.array_equal(ring_power(w, x, 1), x.as_vector())
 
 
 def test_ring_power_refuses_an_exponent_that_is_not_an_int():
@@ -237,8 +258,8 @@ def test_ring_power_refuses_an_exponent_that_is_not_an_int():
     x = Element(2, (1, 1))
     for e in (2.0, "2", None, True, False):
         with pytest.raises(ValueError):
-            D.ring_power(w, x, e)
-    assert np.array_equal(D.ring_power(w, x, np.int64(2)), D.ring_power(w, x, 2))
+            ring_power(w, x, e)
+    assert np.array_equal(ring_power(w, x, np.int64(2)), ring_power(w, x, 2))
 
 
 def test_random_sums_recover_summand_count():
@@ -384,8 +405,8 @@ def oracle_decompose(window, cap=ORACLE_CAP):
             break
         idx, (a, b) = hit
         s = summands[idx]
-        frob_a = D.ring_power(window, a.as_vector(), p ** exponent)
-        frob_b = D.ring_power(window, b.as_vector(), p ** exponent)
+        frob_a = ring_power(window, a.as_vector(), p ** exponent)
+        frob_b = ring_power(window, b.as_vector(), p ** exponent)
         op_a = D.multiplication_operator(window, frob_a)
         op_b = D.multiplication_operator(window, frob_b)
         ker_a, ker_b, middle = {}, {}, {}
@@ -400,8 +421,8 @@ def oracle_decompose(window, cap=ORACLE_CAP):
             ker_a[u], ker_b[u], middle[u] = ka, kb, kac.intersection(kbc)
         order_a = _family_order(window, op_a, middle)
         order_b = _family_order(window, op_b, middle)
-        head = D.ring_power(window, frob_a, order_a)
-        tail = D.ring_power(window, frob_b, order_b)
+        head = ring_power(window, frob_a, order_a)
+        tail = ring_power(window, frob_b, order_b)
         tail = (tail - D.ring_product(window, head, tail)) % p
         xi = s.element.as_vector()
         repl_a = D.ring_product(window, D.ring_product(window, xi, head), xi)
@@ -556,7 +577,8 @@ def test_large_prime_window_answers_without_a_cap():
     result = D.decompose(w)
     assert [s.element.coeffs for s in result.summands] == [(0, 0, p - 7), (0, 5, 0), (1, 0, 0)]
     for s in result.summands:
-        assert s.degree_dims() == {u: 1 if u % 2 == 0 else 0 for u in range(1, 12)}
+        assert ({u: space.dim for u, space in sorted(s.spaces.items())}
+                == {u: 1 if u % 2 == 0 else 0 for u in range(1, 12)})
     assert D.verify_decomposition(w, result).ok
     for r in result.trace:
         replay(w, r)
@@ -574,7 +596,7 @@ def old_frobenius_matrix(window):
     """Matrix of a -> a^p on the degree-k ring, linear because p is prime."""
     k, p = window.k, window.p
     d = window.dim(k)
-    columns = [D.ring_power(window, window.basis_element(k, i), p) for i in range(d)]
+    columns = [ring_power(window, window.basis_element(k, i), p) for i in range(d)]
     return np.array(columns, dtype=np.int64).reshape(d, d).T
 
 
@@ -585,7 +607,7 @@ def old_indicator(window, unit, b, c):
     b takes the value c.
     """
     p = window.p
-    return (unit - D.ring_power(window, (b - c * unit) % p, p - 1)) % p
+    return (unit - ring_power(window, (b - c * unit) % p, p - 1)) % p
 
 
 def old_primitive_idempotents(window):
@@ -712,6 +734,7 @@ def test_malformed_element_is_a_violation():
         report = D.verify_decomposition(w, forged)
         assert not report.ok
         assert violation in report.violations, coeffs
+        assert report == R.verify_decomposition(w, forged)
 
 
 # The operator assembly and verification that the window's ring_action
@@ -962,6 +985,87 @@ def test_verify_decomposition_matches_the_parent(text):
         assert _outcome(D.verify_decomposition, w, forged) == want
 
 
+def _padding_forgeries(w, result):
+    """Forgeries whose summands differ in dimension from degree to degree,
+    so that the stacked check pads rows, columns and blocks unevenly: in
+    each nonzero degree, the first summand also takes the second's space
+    there and the second keeps none; the first summand takes all of one
+    degree, so that degree stacks more rows than its dimension; and each
+    degree's spaces rotated among the summands by the degree."""
+    summands = result.summands
+    s = len(summands)
+    zero = {u: fplin.Subspace.zero(w.p, w.dim(u)) for u in range(1, w.n)}
+    out = []
+    if s >= 2:
+        a, b = summands[:2]
+        for u in w.nonzero_degrees:
+            out.append(D.DecompositionResult(
+                [D.Summand(a.element, {**a.spaces, u: a.spaces[u].sum(b.spaces[u])}),
+                 D.Summand(b.element, {**b.spaces, u: zero[u]})] + summands[2:], []))
+    for u in w.nonzero_degrees[:1] if s else ():
+        full = fplin.Subspace.full(w.p, w.dim(u))
+        out.append(D.DecompositionResult(
+            [D.Summand(summands[0].element, {**summands[0].spaces, u: full})] + summands[1:], []))
+    out.append(D.DecompositionResult(
+        [D.Summand(summands[i].element,
+                   {u: summands[(i + u) % s].spaces[u] for u in range(1, w.n)})
+         for i in range(s)], []))
+    return out
+
+
+@pytest.mark.parametrize("text", ORACLE_WINDOWS)
+def test_stacked_verification_matches_the_per_degree_pass(text):
+    """The same report, or the same exception, as the per-degree pass
+    (decomposition_reference) on the decomposition, every _forgeries mutant
+    and every _padding_forgeries mutant."""
+    w = window_of(text)
+    result = D.decompose(w)
+    forgeries = _forgeries(w, result) + _padding_forgeries(w, result)
+    for forged in forgeries:
+        assert (_outcome(D.verify_decomposition, w, forged)
+                == _outcome(R.verify_decomposition, w, forged))
+    assert any(not D.verify_decomposition(w, f).ok for f in forgeries) or w.total_dim == 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_periodic_specs(), st.integers(0, 2**16), st.booleans())
+def test_stacked_verification_matches_on_random_windows(text, seed, rebase):
+    """As above on random_window's windows, where the unit and elements
+    carry coefficients other than 0 and 1."""
+    w = random_window(text, seed, rebase)
+    result = D.decompose(w)
+    for forged in _forgeries(w, result) + _padding_forgeries(w, result):
+        assert (_outcome(D.verify_decomposition, w, forged)
+                == _outcome(R.verify_decomposition, w, forged))
+
+
+@pytest.mark.parametrize("text", ["ComplexProj(6)@2", "ComplexProj(8)@3",
+                                  "Product(Sphere(2),ComplexProj(8))@2"])
+def test_stacked_verification_matches_on_window_mode_windows(text):
+    """Window-mode windows with a nonzero degree-k ring, where 3k > n - 1,
+    so the degree-k action is not supported and some degrees have no
+    ring_action reading: the first window-mode inducer of each degree,
+    split as all of the window and nothing, and every forgery of that."""
+    alg = build(text).algebra
+    windows = 0
+    for k in range(1, alg.n):
+        for v in fplin.enumerate_vectors(alg.dim(k), alg.p):
+            cert = P.induces_periodicity(alg, Element.of(k, v)) if v.any() else None
+            if isinstance(cert, P.PeriodicityCertificate) and cert.mode == "window":
+                break
+        else:
+            continue
+        w = P.subquotient(alg, cert)
+        spaces = [{u: make(w.p, w.dim(u)) for u in range(1, w.n)}
+                  for make in (fplin.Subspace.full, fplin.Subspace.zero)]
+        result = D.DecompositionResult([D.Summand(cert.element, s) for s in spaces], [])
+        for forged in _forgeries(w, result) + _padding_forgeries(w, result):
+            assert (_outcome(D.verify_decomposition, w, forged)
+                    == _outcome(R.verify_decomposition, w, forged))
+        windows += 1
+    assert windows
+
+
 @pytest.mark.parametrize("text", [t for t in ORACLE_WINDOWS if not t.startswith("Sphere")])
 def test_a_summand_without_a_space_is_the_one_violation(text):
     """A missing degree, or a space of the wrong ambient, stops the check at
@@ -975,10 +1079,29 @@ def test_a_summand_without_a_space_is_the_one_violation(text):
             False, (f"summand {i} carries no subspace of degree {u}",))
 
 
+@pytest.mark.parametrize("text", ["ConnectedSum(ComplexProj(4),ComplexProj(4))@2",
+                                  "ConnectedSum(ComplexProj(4),ComplexProj(4))@3"])
+def test_a_space_over_another_prime_is_no_subspace(text):
+    """A summand space that holds the right vectors but is declared over
+    another prime is refused in every degree, as a space of the wrong
+    ambient is; the per-degree pass raised ValueError in some degrees and
+    passed it in others."""
+    w = window_of(text)
+    first, *rest = D.decompose(w).summands
+    for u in range(1, w.n):
+        space = first.spaces[u]
+        other = fplin.Subspace(w.p + 2, space.ambient, space.basis.copy(), space.pivots)
+        report = D.verify_decomposition(
+            w, D.DecompositionResult([D.Summand(first.element, {**first.spaces, u: other})]
+                                     + rest, []))
+        assert report == D.DecompositionReport(
+            False, (f"summand 0 carries no subspace of degree {u}",)), u
+
+
 def test_verify_decomposition_on_a_zero_ring_matches_the_parent():
     """Window-mode windows of Sphere(8)@2 have a zero degree-k ring and 3k >
     n - 1, so the parent built no operator at all; forged summands there get
-    the parent's reports."""
+    the parent's reports, and the per-degree pass's."""
     alg = build("Sphere(8)@2").algebra
     for k in range(3, alg.n):
         cert = P.induces_periodicity(alg, Element(k, ()))
@@ -986,7 +1109,8 @@ def test_verify_decomposition_on_a_zero_ring_matches_the_parent():
         w = P.subquotient(alg, cert)
         for forged in _forgeries(w, D.DecompositionResult([], [])):
             assert (_outcome(D.verify_decomposition, w, forged)
-                    == _outcome(old_verify_decomposition, w, forged))
+                    == _outcome(old_verify_decomposition, w, forged)
+                    == _outcome(R.verify_decomposition, w, forged))
 
 
 @pytest.mark.parametrize("text", [t for t in ORACLE_WINDOWS if not t.startswith("Sphere")])
@@ -1057,7 +1181,8 @@ def test_overlap_mismatch_is_decided_per_element(text):
     """A window whose shift_invs are corrupted at one overlap degree before
     its first operator: each element raises OverlapMismatch exactly when the
     parent's assembly does, with the same message, and otherwise gets the
-    same blocks; verify_decomposition reports as the parent does."""
+    same blocks; verify_decomposition reports as the parent and the
+    per-degree pass do."""
     base = window_of(text)
     clean = D.decompose(base)
     k, n = base.k, base.n
@@ -1080,7 +1205,8 @@ def test_overlap_mismatch_is_decided_per_element(text):
         assert 0 < raised < len(vectors), u
         assert not all(agree for _, _, agree in w.ring_action.values())
         assert (_outcome(D.verify_decomposition, w, clean)
-                == _outcome(old_verify_decomposition, w, clean))
+                == _outcome(old_verify_decomposition, w, clean)
+                == _outcome(R.verify_decomposition, w, clean))
 
 
 def _with_changed_action(text, u, change):
@@ -1127,13 +1253,15 @@ def test_a_non_multiplicative_action_is_not_supported(text, parent_passes_some):
     not, and it differs only by naming summands that do not support the
     degree-k action, where the parent passed them or had them split
     further.  On the Sphere(2) products the parent passes some of the
-    changed windows that are rejected here."""
+    changed windows that are rejected here.  The per-degree pass reports
+    exactly as the check does."""
     base = window_of(text)
     clean = D.decompose(base)
     stricter = changed = 0
     for u, change in _action_changes(base, clean.summands):
         w = _with_changed_action(text, u, change)
         got = D.verify_decomposition(w, clean)
+        assert got == R.verify_decomposition(w, clean)
         want = old_verify_decomposition(w, clean, D.multiplication_operator)
         assert want.ok or not got.ok
         unsupported = {v for v in got.violations
@@ -1148,12 +1276,17 @@ def test_a_non_multiplicative_action_is_not_supported(text, parent_passes_some):
     assert changed and bool(stricter) == parent_passes_some
 
 
-def test_verification_reads_each_degree_once(monkeypatch):
-    """On 8xCP(6)@2 verify_decomposition solves no restricted matrix and
-    builds no cup matrix (the parent made 352 and 232 of them), makes at
-    most one rank per nonzero degree, and decompose followed by a second
-    verify_decomposition computes the ring's idempotents once."""
-    text = f"{_chain(8, 'ComplexProj(6)')}@2"
+@pytest.mark.parametrize("leaves, leaf, degrees", [(8, "ComplexProj(6)", 5),
+                                                     (3, "ComplexProj(12)", 11)])
+def test_verification_makes_one_rank_call_per_window(monkeypatch, leaves, leaf, degrees):
+    """On 8xCP(6)@2 (5 nonzero degrees) and 3xCP(12)@2 (11), whatever the
+    window length, verify_decomposition solves no restricted matrix, builds
+    no cup matrix (the parent of the one-pass-per-degree check made 352 and
+    232 of them on 8xCP(6)@2) and makes exactly one fplin.rank call; and
+    decompose, which verifies its result once, followed by a second
+    verify_decomposition computes the ring's idempotents once and makes
+    two rank calls."""
+    text = f"{_chain(leaves, leaf)}@2"
     w = window_of(text)
     result = D.decompose(w)
     calls = dict.fromkeys(["restricted_matrix", "cup_matrix", "rank", "primitive_idempotents"], 0)
@@ -1170,10 +1303,10 @@ def test_verification_reads_each_degree_once(monkeypatch):
                         (fplin, "rank"), (fplin, "primitive_idempotents")):
         counted(owner, name)
     assert D.verify_decomposition(w, result).ok
-    assert result.summand_count == 8 and len(w.nonzero_degrees) == 5
+    assert result.summand_count == leaves and len(w.nonzero_degrees) == degrees
     assert calls["restricted_matrix"] == calls["cup_matrix"] == 0, calls
-    assert 0 < calls["rank"] <= len(w.nonzero_degrees), calls
+    assert calls["rank"] == 1, calls
     fresh = window_of(text)
-    calls["primitive_idempotents"] = 0
+    calls["primitive_idempotents"] = calls["rank"] = 0
     assert D.verify_decomposition(fresh, D.decompose(fresh)).ok
-    assert calls["primitive_idempotents"] == 1, calls
+    assert calls["primitive_idempotents"] == 1 and calls["rank"] == 2, calls

@@ -251,6 +251,52 @@ def test_pivot_columns_match_rref(case):
     assert _sparse_pivots(dense, row_block, p) == fplin.rref(dense, p)[1]
 
 
+@st.composite
+def _matrix_stacks(draw):
+    """A (B, m, n) stack over one of four primes, each of B, m and n from 0
+    up: entries unreduced (negative or past p), about half of them zero, and
+    in some items a row that is a multiple of another."""
+    p = draw(st.sampled_from((2, 3, 5, 2097143)))
+    shape = tuple(draw(st.integers(0, 5)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(-p, 2 * p, size=shape) * (rng.random(shape) < 0.5)
+    if shape[1] >= 2:
+        copied = rng.random(shape[0]) < 0.5
+        stack[copied, -1] = stack[copied, 0] * int(rng.integers(0, p))
+    return p, stack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_matrix_stacks())
+def test_stacked_rank_and_rref_match_each_matrix(case):
+    """Stacked rref gives each item the reduced rows and pivots of its own
+    2-D rref, zero rows below them, and stacked rank each item's rank; the
+    input is left as given."""
+    p, stack = case
+    given_stack = stack.copy()
+    reduced, pivots = fplin.rref(stack, p)
+    ranks = fplin.rank(stack, p)
+    assert np.array_equal(stack, given_stack)
+    assert reduced.shape == stack.shape and reduced.dtype == np.int64
+    assert len(pivots) == len(stack)
+    assert ranks.dtype == np.int64 and ranks.shape == (len(stack),)
+    for item, red, piv, r in zip(stack, reduced, pivots, ranks.tolist()):
+        want, want_pivots = fplin.rref(item, p)
+        assert piv == want_pivots and r == len(want_pivots) == fplin.rank(item, p)
+        assert red[:r].tobytes() == want.tobytes()
+        assert not red[r:].any()
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0)])
+def test_stacked_rank_of_empty_items(shape):
+    for p in (2, 3, 5, 2097143):
+        reduced, pivots = fplin.rref(np.zeros(shape, dtype=np.int64), p)
+        assert reduced.shape == shape and pivots == ((),) * shape[0]
+        assert fplin.rank(np.ones(shape, dtype=np.int64), p).tolist() == [0] * shape[0]
+    with pytest.raises(ValueError, match="2-D array or a stack"):
+        fplin.rref(np.zeros((1, 1, 1, 1), dtype=np.int64), 2)
+
+
 def test_subspace_membership_and_coords():
     rng = np.random.default_rng(15)
     for p in (2, 3, 5):
