@@ -96,10 +96,6 @@ class Element:
         """The coordinates as int64; ValueError for a bool, float or str entry."""
         return fplin._int_array(self.coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 # A step of a join holds at most this many entry pairs, unless the pairs of
 # one value of the range variable alone are more.  Steps this small keep the

@@ -76,14 +76,22 @@ class Fact(NamedTuple("Fact", [("kind", str), ("args", tuple)])):
         return _typed(kind, args)
 
 
+def _fact(kind: str, args: tuple) -> Fact:
+    """Fact(kind, args) without the constructor's checks, for a kind and
+    arguments the caller has already checked, as _cond builds a Condition."""
+    return tuple.__new__(Fact, (kind, args))
+
+
 def _typed(kind: str, args: tuple) -> Fact:
     """Fact(kind, args) once every argument has exactly its FACT_KINDS type
-    and the fact is well formed: a window has lo <= hi and a known
-    coefficient tag, and a codimension is nonnegative.  ValueError otherwise.
+    and the fact is well formed: a window has a period of at least 1,
+    lo <= hi and a known coefficient tag, and a codimension is nonnegative.
+    ValueError otherwise.
 
-    The Fact constructor itself checks only the arity: the rules build their
-    outputs with it, since from well-formed inputs they derive only
-    well-formed facts.  derive and verify_derivation check their axioms.
+    The Fact constructor itself checks only the kind and the arity, and the
+    appliers build their outputs with _fact, which checks nothing: from
+    well-formed inputs they derive only well-formed facts (a test fuzzes
+    every rule for it).  derive and verify_derivation check their axioms.
     """
     types = FACT_KINDS[kind]
     if type(args) is not tuple:
@@ -91,10 +99,12 @@ def _typed(kind: str, args: tuple) -> Fact:
     if tuple(map(type, args)) != types:
         raise ValueError(f"{kind} takes ({', '.join(t.__name__ for t in types)}), "
                          f"got {list(args)!r}")
-    fact = Fact(kind, args)
+    fact = _fact(kind, args)
     if kind == "Periodic":
         if args[4] not in ("integral", "rational"):
             raise ValueError(f"coefficients must be 'integral' or 'rational' in {fact}")
+        if args[1] < 1:
+            raise ValueError(f"period must be at least 1 in {fact}")
         if args[2] > args[3]:
             raise ValueError(f"window must satisfy lo <= hi in {fact}")
     elif kind == "Codim" and args[2] < 0:
@@ -202,8 +212,9 @@ def _ratio(num: int, den: int) -> str:
 # from the facts of each kind its RULES entry names, in that order.  Appliers:
 # (inputs) -> (outputs, conditions).  Outputs are empty whenever a condition
 # fails, so the same code drives both search and replay.  They build outputs
-# with the Fact constructor: from well-formed inputs every rule derives
-# well-formed facts, so the checks of periodic() and the others would repeat.
+# with _fact, unchecked: their conditions keep every output in the ranges
+# _typed checks, so from well-formed inputs every rule derives well-formed
+# facts.  test_connectivity fuzzes every join and applier for exactly that.
 
 def _join_dim_from_codim(codims, dims):
     for cod in codims:
@@ -220,7 +231,7 @@ def _apply_dim_from_codim(inputs):
     conds = (_cond("codimension below dimension", f"{k} < {n}", ok),)
     if not ok:
         return (), conds
-    return (Fact("Dim", (sub, n - k)),), conds
+    return (_fact("Dim", (sub, n - k)),), conds
 
 
 def _join_inclusion(inclusions, dims, codims):
@@ -248,7 +259,7 @@ def _apply_fixed_point_connectedness(inputs):
     conds += (_cond("connectivity nonnegative", c, c >= 0),)
     if c < 0:
         return (), conds
-    return (Fact("Connected", (sub, amb, c)),), conds
+    return (_fact("Connected", (sub, amb, c)),), conds
 
 
 def _join_intersection_connectedness(transversals, codims, dims):
@@ -280,10 +291,10 @@ def _apply_intersection_connectedness(inputs):
              _cond("intersection nonempty", f"{ks + kb} < {n}", nonempty))
     if not (ordered and nonempty):
         return (), conds
-    return (Fact("Connected", (w, big, n - ks - kb - 1)),
-            Fact("Dim", (w, n - ks - kb)),
-            Fact("Codim", (w, big, ks)),
-            Fact("Codim", (w, small, kb))), conds
+    return (_fact("Connected", (w, big, n - ks - kb - 1)),
+            _fact("Dim", (w, n - ks - kb)),
+            _fact("Codim", (w, big, ks)),
+            _fact("Codim", (w, small, kb))), conds
 
 
 def _apply_ambient_periodicity(inputs):
@@ -291,13 +302,15 @@ def _apply_ambient_periodicity(inputs):
     sub, amb, c = conn.args
     d = dim.args[1]
     k = cod.args[2]
+    if k < 1:
+        return (), (_cond("positive codimension", k, False),)
     l = d - k - c
     gap = d - k - 2 * l
     conds = (_cond("window offset at least 1", l, l >= 1),
              _cond("n - k - 2l positive", gap, gap > 0))
     if l < 1 or gap <= 0:
         return (), conds
-    return (Fact("Periodic", (amb, k, l, d - l, "integral")),), conds
+    return (_fact("Periodic", (amb, k, l, d - l, "integral")),), conds
 
 
 def _join_torus_fixed_periodicity(riccis, tori, tfcs, dims):
@@ -329,7 +342,7 @@ def _apply_torus_fixed_periodicity(inputs):
              _cond("window nontrivial", f, nontrivial))
     if not (ranked and large and nontrivial):
         return (), conds
-    return (Fact("Periodic", (sub, 4, 1, f - 1, "rational")),), conds
+    return (_fact("Periodic", (sub, 4, 1, f - 1, "rational")),), conds
 
 
 def _join_rational_upgrade(pers, dims, h1s):
@@ -356,7 +369,7 @@ def _apply_rational_upgrade(inputs):
              _cond("3k <= n - 2", f"3*{k} <= {n - 2}", short))
     if not (full and short):
         return (), conds
-    return (Fact("Periodic", (space, math.gcd(4, k), 1, n - 1, "rational")),), conds
+    return (_fact("Periodic", (space, math.gcd(4, k), 1, n - 1, "rational")),), conds
 
 
 def _join_transfer(end, conns, pers):
@@ -380,7 +393,7 @@ def _apply_transfer(direction, inputs):
     conds += (_cond("window longer than period", f"{out} > {k}", out > k),)
     if out <= k:
         return (), conds
-    return (Fact("Periodic", (amb if direction == "up" else sub, k, 1, out, tag)),), conds
+    return (_fact("Periodic", (amb if direction == "up" else sub, k, 1, out, tag)),), conds
 
 
 def _join_extension(fpcs, codims, dims, pers):
@@ -415,7 +428,7 @@ def _apply_extension(inputs):
     conds += (_cond("extension strictly grows", f"{out} > {hi}", out > hi),)
     if out <= hi:
         return (), conds
-    return (Fact("Periodic", (amb, 4, 1, out, tag)),), conds
+    return (_fact("Periodic", (amb, 4, 1, out, tag)),), conds
 
 
 def _join_odd_betti(pers, dims, h1s):
@@ -440,7 +453,7 @@ def _apply_odd_betti(inputs):
              _cond("period-dimension parity", f"k = {k}, n = {n}", parity))
     if not (full and parity):
         return (), conds
-    return (Fact("OddBettiVanish", (space,)),), conds
+    return (_fact("OddBettiVanish", (space,)),), conds
 
 
 def _join_betti_descent(bettis, fpcs, tfcs):
@@ -454,7 +467,7 @@ def _join_betti_descent(bettis, fpcs, tfcs):
 def _apply_betti_descent(inputs):
     betti, comp = inputs
     sub = comp.args[0]
-    return (Fact("OddBettiVanish", (sub,)),), ()
+    return (_fact("OddBettiVanish", (sub,)),), ()
 
 
 # Every rule in firing order: name -> (the fact kinds it reads, join, applier).
@@ -499,11 +512,12 @@ def _by_kind(facts):
 def _subsumption_key(fact: Fact):
     """The facts that can subsume `fact` other than itself share this key;
     kinds without one are subsumed only by an equal fact."""
-    if fact.kind == "Periodic":
-        space, k, lo, hi, tag = fact.args
-        return fact.kind, space, k, tag
-    if fact.kind == "Connected":
-        return fact.kind, fact.args[0], fact.args[1]
+    kind, args = fact
+    if kind == "Periodic":
+        space, k, lo, hi, tag = args
+        return kind, space, k, tag
+    if kind == "Connected":
+        return kind, args[0], args[1]
     return None
 
 
@@ -514,7 +528,12 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
     the next, and a rule fires only on input tuples holding at least one fact
     new in the previous round (the axioms, in the first).  A tuple of older
     facts was applied a round earlier and its outputs are known or subsumed
-    since, so the steps are exactly those of re-applying every tuple.
+    since, so the steps are exactly those of re-applying every tuple.  An
+    output counts towards the bound as it is recorded, so the bound may fire
+    later in the round that reaches the goal.
+
+    Each output is recorded as a plain (rule, inputs, output, conditions)
+    tuple, and only the records that pruning keeps are built into Steps.
 
     Returns the pruned derivation whose steps lead to the goal; raises
     Saturated when the fact set stops growing (or hits the bound) first, and
@@ -522,54 +541,60 @@ def derive(goal: Fact, facts, bound: int = SATURATION_BOUND) -> Derivation:
     (_axiom).
     """
     _axiom(goal)
-    known = []
-    seen = set()
+    known = [_axiom(f) for f in facts]
+    seen = set(known)
     stronger = {}  # subsumption key -> the known facts with that key
-
-    def learn(fact):
-        known.append(fact)
-        seen.add(fact)
-        key = _subsumption_key(fact)
+    # Every kind has its list from the start, so each rule's argument lists
+    # are bound once; a round's new facts are appended to them after it.
+    by_kind = {kind: [] for kind in FACT_KINDS}
+    for f in known:
+        by_kind[f.kind].append(f)
+        key = _subsumption_key(f)
         if key is not None:
-            stronger.setdefault(key, []).append(fact)
-
-    for f in facts:
-        learn(_axiom(f))
-    by_kind = _by_kind(known)
-    steps = []
+            stronger.setdefault(key, []).append(f)
+    rules = [(rule, kinds, [by_kind[k] for k in kinds], join, apply)
+             for rule, (kinds, join, apply) in RULES.items()]
+    records = []  # (rule, inputs, output, conditions) per recorded output
     start = 0
     final = next((f for f in known if subsumes(f, goal)), None)
     while final is None:
         delta = set(known[start:])
         grown = {f.kind for f in delta}
         start = len(known)
-        for rule, (kinds, join, apply) in RULES.items():
+        for rule, kinds, lists, join, apply in rules:
             if grown.isdisjoint(kinds):
                 continue
-            for inputs in join(*[by_kind.get(k, ()) for k in kinds]):
+            for inputs in join(*lists):
                 if delta.isdisjoint(inputs):
                     continue
                 outputs, conditions = apply(inputs)
                 for out in outputs:
-                    if out in seen or any(subsumes(f, out) for f in
-                                          stronger.get(_subsumption_key(out), ())):
+                    if out in seen:
                         continue
-                    steps.append(Step(rule, tuple(inputs), out, conditions))
-                    learn(out)
-                    if len(known) > bound:
-                        raise Saturated(f"fact bound {bound} exceeded")
+                    key = _subsumption_key(out)
+                    for f in stronger.get(key, ()):
+                        if subsumes(f, out):
+                            break
+                    else:  # no known peer subsumes out
+                        records.append((rule, inputs, out, conditions))
+                        known.append(out)
+                        seen.add(out)
+                        if key is not None:
+                            stronger.setdefault(key, []).append(out)
+                        if len(known) > bound:
+                            raise Saturated(f"fact bound {bound} exceeded")
         if len(known) == start:
             raise Saturated(f"saturated at {len(known)} facts without the goal")
         for f in known[start:]:
-            by_kind.setdefault(f.kind, []).append(f)
+            by_kind[f.kind].append(f)
         final = next((f for f in known[start:] if subsumes(f, goal)), None)
 
     keep = []
     needed = {final}
-    for step in reversed(steps):
-        if step.output in needed:
-            keep.append(step)
-            needed.update(step.inputs)
+    for record in reversed(records):
+        if record[2] in needed:
+            keep.append(Step(*record))
+            needed.update(record[1])
     keep.reverse()
     return Derivation(goal, tuple(keep), final)
 

@@ -571,19 +571,6 @@ def split_roots(poly, p: int) -> tuple[int, ...]:
     return tuple(sorted(roots))
 
 
-def poly_eval_matrix(coeffs, mat, p: int) -> np.ndarray:
-    """Evaluate a polynomial (low coefficients first) at a square matrix."""
-    m = as_matrix(mat, p)
-    d = m.shape[0]
-    out = np.zeros((d, d), dtype=np.int64)
-    power = np.eye(d, dtype=np.int64)
-    for c in coeffs:
-        if c % p:
-            out = (out + (c % p) * power) % p
-        power = (power @ m) % p
-    return out
-
-
 def minimal_polynomial(mat, p: int) -> tuple[int, ...]:
     """Monic minimal polynomial, coefficients lowest degree first.
 

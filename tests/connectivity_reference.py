@@ -11,6 +11,9 @@ The rule arithmetic these appliers call is copied verbatim as well:
 other four rules with `OrderViolation` as they stood before the live
 appliers took their arithmetic inline.  Everything else those rewrites left
 alone (facts, subsumption) is imported from the live module.
+
+One edit since: `_apply_ambient_periodicity` refuses a codimension below 1
+first, as the live applier does, because a window of period 0 is no fact.
 """
 
 import math
@@ -160,6 +163,8 @@ def _apply_ambient_periodicity(inputs):
     sub, amb, c = conn.args
     d = dim.args[1]
     k = cod.args[2]
+    if k < 1:
+        return (), (_cond("positive codimension", k, False),)
     l = d - k - c
     conds = (_cond("window offset at least 1", l, l >= 1),
              _cond("n - k - 2l positive", d - k - 2 * l, d - k - 2 * l > 0))

@@ -18,8 +18,6 @@ def test_element_round_trip():
     assert e.degree == 3
     assert e.coeffs == (2, 0, 1)
     assert np.array_equal(e.as_vector(), np.array([2, 0, 1]))
-    assert not e.is_zero
-    assert Element.of(3, [0, 0, 0]).is_zero
     assert Element.of(1, np.array([4], dtype=np.uint8)).coeffs == (4,)
 
 

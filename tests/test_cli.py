@@ -453,6 +453,8 @@ MALFORMED_AXIOMS = {
                         "Periodic(M, 4, 4, 3; integral)"),
     "unknown-coefficients": ({"kind": "Periodic", "args": ["M", 4, 1, 3, "complex"]},
                              "Periodic(M, 4, 1, 3; complex)"),
+    "zero-period": ({"kind": "Periodic", "args": ["M", 0, 1, 3, "integral"]},
+                    "Periodic(M, 0, 1, 3; integral)"),
 }
 
 

@@ -7,7 +7,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodica import connectivity as C
@@ -70,6 +70,8 @@ def test_periodicity_window_rule():
     assert apply(12, 4, 1)[0] == (periodic("M", 4, 1, 11),)
     assert apply(9, 4, 2)[0] == (periodic("M", 4, 2, 7),)
     _refused(apply(8, 4, 2), "n - k - 2l positive")
+    # A codimension of 0 would give a window of period 0: refused first, alone.
+    assert apply(12, 0, 1) == ((), (C.Condition("positive codimension", "0", False),))
 
 
 def test_transfer_rule():
@@ -838,15 +840,16 @@ def test_integer_rule_values_print_as_fractions_did():
 
 # well-formed axioms derive well-formed facts; malformed ones are refused
 
-def _well_formed_fact(draw):
-    """Any well-formed fact: numbers may be negative except codimensions."""
-    kind = draw(st.sampled_from(sorted(C.FACT_KINDS)))
+def _well_formed_fact(draw, kind=None, names=_NAMES, top=40):
+    """Any well-formed fact, of the given kind or any, with numbers up to
+    top: they may be negative except periods and codimensions."""
+    kind = kind or draw(st.sampled_from(sorted(C.FACT_KINDS)))
     if kind == "Periodic":
         lo = draw(st.integers(-2, 4))
-        return periodic(draw(_NAMES), draw(st.integers(-2, 8)), lo, draw(st.integers(lo, 40)),
+        return periodic(draw(names), draw(st.integers(1, 8)), lo, draw(st.integers(lo, top)),
                         draw(st.sampled_from(("integral", "rational"))))
-    numbers = st.integers(0, 40) if kind == "Codim" else st.integers(-8, 40)
-    return Fact.from_dict({"kind": kind, "args": [draw(_NAMES if t is str else numbers)
+    numbers = st.integers(0, top) if kind == "Codim" else st.integers(-8, top)
+    return Fact.from_dict({"kind": kind, "args": [draw(names if t is str else numbers)
                                                   for t in C.FACT_KINDS[kind]]})
 
 
@@ -872,8 +875,89 @@ def test_well_formed_axioms_derive_well_formed_facts(case):
         assert Fact.from_dict(fact.to_dict()) == fact, fact
 
 
+@st.composite
+def _rule_facts(draw):
+    """Up to three well-formed facts of every kind but H1Vanishes, over two
+    names and small numbers so that the joins meet and windows fit
+    dimensions; and some of the six H1Vanishes facts the joins read."""
+    names = st.sampled_from(("M", "F"))
+    facts = [h1_vanishes(space, prime) for space in ("M", "F") for prime in (0, 2, 3)
+             if draw(st.booleans())]
+    for kind in C.FACT_KINDS:
+        if kind != "H1Vanishes":
+            facts += [_well_formed_fact(draw, kind, names, top=24)
+                      for _ in range(draw(st.integers(0, 3)))]
+    return facts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_rule_facts())
+@example(list(C.codim_cascade_scenario(40)[0].facts))
+@example(list(C.four_weight_scenario(40, (2, 4, 6, 8))[0].facts))
+def test_every_rule_builds_only_facts_typed_accepts(facts):
+    """The appliers build their outputs unchecked (_fact); every output of
+    every join's tuples must still be a Fact that _typed accepts as is.
+    Outputs join the facts for up to nine more rounds, so that the rules
+    reading derived windows see some."""
+    for _ in range(10):
+        by_kind = C._by_kind(facts)
+        outputs = []
+        for rule, (kinds, join, apply) in C.RULES.items():
+            for inputs in join(*(by_kind.get(k, ()) for k in kinds)):
+                for out in apply(inputs)[0]:
+                    assert type(out) is Fact, (rule, inputs, out)
+                    assert C._typed(out.kind, out.args) == out, (rule, inputs, out)
+                    outputs.append(out)
+        grown = list(dict.fromkeys(facts + outputs))
+        if len(grown) == len(facts):
+            break
+        facts = grown
+
+
+def test_every_bound_to_40_matches_the_reference():
+    """The bound is checked as each output is recorded: at every bound from
+    1 to 40, derive and the reference give the same derivation or the same
+    Saturated message."""
+    outcomes = []
+    for scenario in (C.codim_cascade_scenario(80)[0],
+                     C.four_weight_scenario(40, (2, 4, 6, 8))[0]):
+        for bound in range(1, 41):
+            outcomes.append(isinstance(
+                assert_same_as_reference(scenario.goal, scenario.facts, bound), Saturated))
+    assert any(outcomes) and not all(outcomes)
+    assert not outcomes[39] and not outcomes[79]
+
+
+def test_a_codimension_of_zero_derives_no_window():
+    """From Codim(F, M, 0), ambient-periodicity built Periodic(M, 0, 1, 11);
+    rational-upgrade read its period as gcd(4, 0) = 4, so derive reached
+    OddBettiVanish(M), and verify_derivation replayed that chain True."""
+    axioms = (connected("F", "M", 11), dimension("M", 12), codimension("F", "M", 0),
+              h1_vanishes("M", 2), h1_vanishes("M", 3), h1_vanishes("M", 0))
+    conn, dim, cod, h2, h3, h0 = axioms
+    goal = Fact("OddBettiVanish", ("M",))
+    # Only Dim(F, 12) is derived.
+    with pytest.raises(Saturated, match="saturated at 7 facts"):
+        derive(goal, axioms)
+    assert isinstance(assert_same_as_reference(goal, axioms), Saturated)
+    # The chain as it was derived, with its period-0 window forged in.
+    zero = Fact("Periodic", ("M", 0, 1, 11, "integral"))
+    rational, upgrade = C._apply_rational_upgrade((zero, dim, h2, h3))
+    vanish, parity = C._apply_odd_betti((rational[0], dim, h0))
+    steps = (Step("ambient-periodicity", (conn, dim, cod), zero,
+                  (C.Condition("window offset at least 1", "1", True),
+                   C.Condition("n - k - 2l positive", "10", True))),
+             Step("rational-upgrade", (zero, dim, h2, h3), rational[0], upgrade),
+             Step("odd-betti-vanishing", (rational[0], dim, h0), goal, parity))
+    assert rational == (periodic("M", 4, 1, 11, "rational"),) and vanish == (goal,)
+    forged = Derivation(goal, steps, goal)
+    assert not verify_derivation(forged, axioms)
+    assert not R.verify_derivation(forged, axioms)
+
+
 MALFORMED_AXIOMS = {
     "negative-codimension": (Fact("Codim", ("W", "M", -5)), "codimension must be nonnegative"),
+    "zero-period": (Fact("Periodic", ("M", 0, 1, 3, "integral")), "period must be at least 1"),
     "reversed-window": (Fact("Periodic", ("M", 4, 4, 3, "integral")), "lo <= hi"),
     "unknown-coefficients": (Fact("Periodic", ("M", 4, 1, 3, "complex")), "coefficients"),
     "bool-dimension": (Fact("Dim", ("W", True)), "takes"),
