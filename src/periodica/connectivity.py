@@ -85,8 +85,8 @@ def _fact(kind: str, args: tuple) -> Fact:
 def _typed(kind: str, args: tuple) -> Fact:
     """Fact(kind, args) once every argument has exactly its FACT_KINDS type
     and the fact is well formed: a window has a period of at least 1,
-    lo <= hi and a known coefficient tag, and a codimension is nonnegative.
-    ValueError otherwise.
+    lo <= hi and a known coefficient tag, and a dimension, a codimension
+    and a connectivity are nonnegative.  ValueError otherwise.
 
     The Fact constructor itself checks only the kind and the arity, and the
     appliers build their outputs with _fact, which checks nothing: from
@@ -109,6 +109,10 @@ def _typed(kind: str, args: tuple) -> Fact:
             raise ValueError(f"window must satisfy lo <= hi in {fact}")
     elif kind == "Codim" and args[2] < 0:
         raise ValueError(f"codimension must be nonnegative in {fact}")
+    elif kind == "Dim" and args[1] < 0:
+        raise ValueError(f"dimension must be nonnegative in {fact}")
+    elif kind == "Connected" and args[2] < 0:
+        raise ValueError(f"connectivity must be nonnegative in {fact}")
     return fact
 
 

@@ -645,11 +645,13 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
     1 - b is idempotent.  As A is commutative, e * [b = c] = [b = c] * e,
     so the multiplication matrices of the indicators, applied to every
     current idempotent in one product, split a whole round.  Frobenius is
-    one stacked power of the basis's multiplication matrices.  When the
-    matrices, flattened, are already in reduced row echelon form (a
-    Subspace basis), a coordinate vector is read at the pivots.  The
-    identity and every product M_i M_j with i <= j are checked to lie in
-    the span; the products commute, so these are all of them.
+    one stacked power of the basis's multiplication matrices; when it is
+    the identity, A is reduced and split, A = B = GF(p)^d, and B is the
+    whole space, with no kernel to solve.  When the matrices, flattened,
+    are already in reduced row echelon form (a Subspace basis), a
+    coordinate vector is read at the pivots.  The identity and every
+    product M_i M_j with i <= j are checked to lie in the span; the
+    products commute, so these are all of them.
 
     Returns B, the primitive idempotents sorted by their coordinates, and
     every split into two or more parts as (e, b, parts), parts in ascending
@@ -698,6 +700,7 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
     mult = pairs.transpose(0, 2, 1)
     unit = coords(np.eye(m, dtype=np.int64).reshape(1, m * m))[0]
     flat_mult = mult.reshape(d, d * d)
+    eye = np.eye(d, dtype=np.int64)
 
     def times(rows):
         """The multiplication matrices of the elements rows."""
@@ -707,8 +710,8 @@ def primitive_idempotents(mats, p: int) -> tuple[Subspace, list, list]:
         """The e-th powers of the elements rows, one stacked power."""
         return (mat_pow(times(rows), e, p) @ unit) % p
 
-    frobenius = power(np.eye(d, dtype=np.int64), p).T
-    fixed = kernel((frobenius - np.eye(d, dtype=np.int64)) % p, p)
+    frobenius = ((mat_pow(mult, p, p) @ unit) % p).T
+    fixed = Subspace.full(p, d) if np.array_equal(frobenius, eye) else kernel(frobenius - eye, p)
     parts, splits = [unit], []
     for b in fixed.basis:
         if len(parts) == fixed.dim:

@@ -268,11 +268,12 @@ def _unit_test(alg, k: int) -> _UnitTest | None:
     If any inducer exists the passing vectors are exactly the inducers, so
     window-testing one of them decides them all.  rad(E) is the kernel of
     a -> a^(p^m) for p^m >= dim E, a linear map on a commutative algebra
-    over GF(p), found with one stacked power of E's basis, and v lies in
-    N_j exactly when e_j v lies in rad(E) V.  E comes from _centroid, its
-    system read off the table's nonzero entries; whether it commutes is
-    checked once, by fplin.primitive_idempotents, which raises
-    NotCommutative when it does not.
+    over GF(p), found with one stacked power of E's basis.  v lies in N_j
+    exactly when e_j v lies in rad(E) V; the tests of all the e_j, and the
+    first passing column of each, come from one stacked product.  E comes
+    from _centroid, its system read off the table's nonzero entries;
+    whether it commutes is checked once, by fplin.primitive_idempotents,
+    which raises NotCommutative when it does not.
     """
     p, d = alg.p, alg.dim(k)
     centroid = _centroid(alg, k)
@@ -293,12 +294,15 @@ def _unit_test(alg, k: int) -> _UnitTest | None:
         powers = fplin.mat_pow(mats, exponent, p).reshape(d, d * d)
         radical = (fplin.kernel(powers.T, p).basis @ centroid.basis) % p
         quotient = fplin.kernel(radical.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d), p).basis
-    tests, generator = [], np.zeros(d, dtype=np.int64)
-    for coords in idempotents:
-        ej = (coords @ centroid.basis).reshape(d, d) % p
-        tests.append((quotient @ ej) % p)
-        generator += next(col for col in ej.T if ((tests[-1] @ col) % p).any())
-    return _UnitTest(p, np.array(tests), generator % p)
+    ej = (np.array(idempotents) @ centroid.basis).reshape(-1, d, d) % p
+    tests = (quotient @ ej) % p
+    # passes[j, c]: column c of e_j, e_j applied to the c-th unit vector,
+    # lies outside rad(E) V.  Some column of each e_j does: e_j V inside
+    # rad(E) V would give e_j V = rad(E) e_j V, so e_j V = 0 by Nakayama.
+    passes = ((tests @ ej) % p).any(axis=1)
+    first = passes.argmax(axis=1)
+    generator = ej[np.arange(len(ej)), :, first].sum(axis=0) % p
+    return _UnitTest(p, tests, generator)
 
 
 # Products per einsum block; bounds the memory one block of the span takes.

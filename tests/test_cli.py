@@ -449,6 +449,9 @@ def test_malformed_scenario_is_bad_input(capsys, tmp_path, doc):
 # with a traceback and exit 1 (ambient-periodicity built a window 3..1).
 MALFORMED_AXIOMS = {
     "negative-codimension": ({"kind": "Codim", "args": ["W", "M", -5]}, "Codim(W, M, -5)"),
+    "negative-dimension": ({"kind": "Dim", "args": ["W", -1]}, "Dim(W, -1)"),
+    "negative-connectivity": ({"kind": "Connected", "args": ["W", "M", -2]},
+                              "Connected(W, M, -2)"),
     "reversed-window": ({"kind": "Periodic", "args": ["M", 4, 4, 3, "integral"]},
                         "Periodic(M, 4, 4, 3; integral)"),
     "unknown-coefficients": ({"kind": "Periodic", "args": ["M", 4, 1, 3, "complex"]},

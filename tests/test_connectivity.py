@@ -829,7 +829,7 @@ def test_integer_rule_values_print_as_fractions_did():
         for den in (1, 2, 3, 4, 7, 8, 10):
             assert C._ratio(num, den) == str(Fraction(num, den)), (num, den)
             assert C._even_floor(num, den) == (math.floor(Fraction(num, den)) // 2) * 2
-    for n in range(-10, 60):
+    for n in range(0, 60):
         for k in range(6, 20):
             end = R.rule_extend(n, k, k + 3)
             outputs, conditions = C._apply_extension(_extension_inputs(n, k, k + 3))
@@ -842,13 +842,14 @@ def test_integer_rule_values_print_as_fractions_did():
 
 def _well_formed_fact(draw, kind=None, names=_NAMES, top=40):
     """Any well-formed fact, of the given kind or any, with numbers up to
-    top: they may be negative except periods and codimensions."""
+    top: dimensions, codimensions and connectivities from 0, periods from
+    1, and the other numbers from -8."""
     kind = kind or draw(st.sampled_from(sorted(C.FACT_KINDS)))
     if kind == "Periodic":
         lo = draw(st.integers(-2, 4))
         return periodic(draw(names), draw(st.integers(1, 8)), lo, draw(st.integers(lo, top)),
                         draw(st.sampled_from(("integral", "rational"))))
-    numbers = st.integers(0, top) if kind == "Codim" else st.integers(-8, top)
+    numbers = st.integers(0 if kind in ("Dim", "Codim", "Connected") else -8, top)
     return Fact.from_dict({"kind": kind, "args": [draw(names if t is str else numbers)
                                                   for t in C.FACT_KINDS[kind]]})
 
@@ -957,6 +958,9 @@ def test_a_codimension_of_zero_derives_no_window():
 
 MALFORMED_AXIOMS = {
     "negative-codimension": (Fact("Codim", ("W", "M", -5)), "codimension must be nonnegative"),
+    "negative-dimension": (Fact("Dim", ("W", -1)), r"dimension must be nonnegative in Dim\(W, -1\)"),
+    "negative-connectivity": (Fact("Connected", ("W", "M", -2)),
+                              r"connectivity must be nonnegative in Connected\(W, M, -2\)"),
     "zero-period": (Fact("Periodic", ("M", 0, 1, 3, "integral")), "period must be at least 1"),
     "reversed-window": (Fact("Periodic", ("M", 4, 4, 3, "integral")), "lo <= hi"),
     "unknown-coefficients": (Fact("Periodic", ("M", 4, 1, 3, "complex")), "coefficients"),

@@ -27,6 +27,7 @@ from periodica import periodicity as P
 from periodica.algebra import AlgebraDefect, GradedAlgebra, verify_poincare_duality
 from periodica.steenrod import ActionDefect, SteenrodAction, operation_shift, verify_action
 from rebasing import rebased, rebased_with_action
+from steenrod_evaluation import verify_induced_action
 
 # --- the reference loops, verbatim apart from their names -------------------
 
@@ -512,7 +513,7 @@ def test_windows_pass_both_action_checks(text):
     assert window.action is not None
     assert same_verdict(window, window.action, unital=False) is None
     assert same_checks(window, window.action)[3] is None
-    steenrod.verify_induced_action(window, fx.action, window.action)
+    verify_induced_action(window, fx.action, window.action)
     # single-entry mutants of the window action
     rng = np.random.default_rng(len(text))
     for _ in range(12):
