@@ -744,6 +744,10 @@ def restricted_matrix(op, source: Subspace, target: Subspace) -> np.ndarray:
     of operators, the stack of their matrices, found in one solve.
 
     Raises ValueError if an operator does not map source into target.
+    A whole space (dim == ambient) has the identity as its canonical basis,
+    so when source and target are both whole the matrix is the reduced
+    operator itself, and containment in the whole target cannot fail:
+    nothing is solved or checked past the shape and prime checks.
     """
     if source.p != target.p:
         raise ValueError("mismatched primes")
@@ -753,6 +757,8 @@ def restricted_matrix(op, source: Subspace, target: Subspace) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix or a stack of them, got shape {m.shape}")
     if m.shape[-2:] != (target.ambient, source.ambient):
         raise ValueError("operator shape does not match the given spaces")
+    if source.dim == source.ambient and target.dim == target.ambient:
+        return m
     images = (m @ source.basis.T) % p
     coords = images[..., list(target.pivots), :]
     if not np.array_equal((coords.swapaxes(-1, -2) @ target.basis) % p, images.swapaxes(-1, -2)):

@@ -830,6 +830,12 @@ class SubquotientAlgebra(GradedAlgebra):
     coordinates; cupping with the element is a recorded bijection from each
     window degree i <= n-k-1 onto window degree i+k.
 
+    A window degree whose space is the whole parent degree (dim equal to
+    the parent's) has the identity as its canonical basis, so its window
+    coordinates are the parent's.  That holds for every degree 2..n-2, for
+    degree 1 when the kernel is zero and for degree n-1 when the image is
+    everything; only degrees 1 and n-1 can change basis.
+
     nonzero_degrees lists the window degrees of positive dimension, and the
     per-degree loops of the window pipeline (subquotient, ring_action,
     induced_action_on_window and the decomposition module) read it.  A
@@ -858,11 +864,6 @@ class SubquotientAlgebra(GradedAlgebra):
             self._deg1_proj = fplin.mat_inv(stacked.T, self.p)[:spaces[1].dim]
         else:
             self._deg1_proj = np.zeros((0, 0), dtype=np.int64)
-
-    def embed(self, i: int, vec) -> np.ndarray:
-        """Parent coordinates of a window vector."""
-        v = fplin.as_vector(vec, self.p)
-        return (v @ self.spaces[i].basis) % self.p
 
     def to_window(self, i: int, vec) -> np.ndarray:
         """Window coordinates of a parent vector.
@@ -968,6 +969,14 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
     landing in degree n-1 lie in the image of the inducing element), checks
     every shift map is bijective, and attaches the induced Steenrod action
     when one is supplied and p*k <= n-1.
+
+    Nothing is solved between whole degrees (SubquotientAlgebra): where
+    degrees i, j and i+j are all whole, window table (i, j) is the parent's
+    stored table, and fplin.restricted_matrix returns a shift map between
+    whole degrees as the parent's cup matrix.  No check is lost: a product
+    or an image can leave the window only into a proper degree, and the
+    only proper target is the top degree n-1, where every product is still
+    tested against the image of the inducing element.
     """
     if not verify_certificate(alg, cert):
         raise WellDefinednessFailure("certificate does not re-verify on this algebra")
@@ -993,19 +1002,31 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
             if alg.cup_matrix(1, u, j).any():
                 raise WellDefinednessFailure(
                     f"a degree-1 kernel class has a nonzero product into degree {1 + j}")
-    # Row a * dim(j) + b of products[(i, j)] is the parent product of the
-    # a-th and b-th window basis vectors.  Window degrees 2..n-2 are full,
-    # so only products landing in degree n-1 can leave the window.
-    products = {(i, j): _block_products(alg.mult3(i, j), spaces[i].basis, spaces[j].basis, p)
-                for i in range(1, n - 1) for j in range(1, n - i)
-                if spaces[i].dim and spaces[j].dim}
+    # A whole degree's canonical basis is the identity, so where i, j and
+    # i+j are all whole the window table is the parent's stored one (absent
+    # when zero).  Otherwise row a * dim(j) + b of prods is the parent
+    # product of the a-th and b-th window basis vectors, read at the pivots
+    # of degree i+j.  Only the top degree can be a proper target, so only a
+    # product landing there can leave the window.
+    whole = {i for i, space in spaces.items() if space.dim == alg.dim(i)}
     top = spaces[n - 1]
-    for (i, j), prods in products.items():
-        if i + j == n - 1 and not np.array_equal(
-                (prods[:, list(top.pivots)] @ top.basis) % p, prods):
-            raise WellDefinednessFailure(
-                "a product in the top window degree escapes the image "
-                "of the inducing element")
+    mult = {}
+    for i in range(1, n - 1):
+        for j in range(1, n - i):
+            if not (spaces[i].dim and spaces[j].dim):
+                continue
+            if {i, j, i + j} <= whole:
+                table = alg.mult.get((i, j))
+            else:
+                prods = _block_products(alg.mult3(i, j), spaces[i].basis, spaces[j].basis, p)
+                if i + j == n - 1 and not np.array_equal(
+                        (prods[:, list(top.pivots)] @ top.basis) % p, prods):
+                    raise WellDefinednessFailure(
+                        "a product in the top window degree escapes the image "
+                        "of the inducing element")
+                table = prods[:, list(spaces[i + j].pivots)].T.copy()
+            if table is not None and table.any():
+                mult[(i, j)] = table
     shifts, shift_invs = {}, {}
     for i in range(onto.start, into.stop):
         src, tgt = spaces[i], spaces[i + k]
@@ -1025,11 +1046,6 @@ def subquotient(alg, cert: PeriodicityCertificate, action=None) -> SubquotientAl
         except fplin.NotInvertible:
             raise WellDefinednessFailure(f"shift map at degree {i} is not bijective")
         shifts[i] = m
-    mult = {}
-    for (i, j), prods in products.items():
-        table = prods[:, list(spaces[i + j].pivots)].T.copy()
-        if table.any():
-            mult[(i, j)] = table
     window = SubquotientAlgebra(alg, cert, spaces, shifts, shift_invs, mult, ker1)
     if action is not None and p * k <= n - 1:
         window.action = steenrod.induced_action_on_window(window, action)

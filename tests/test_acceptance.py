@@ -17,6 +17,7 @@ from periodica import connectivity, corpus, decomposition, fplin, steenrod
 from periodica import periodicity as P
 from periodica.algebra import Element
 from periodica.steenrod import IsPowerOfTwo, adem_normal_form, decompose_sq
+from window_vectors import embed
 
 
 def _report(capsys, number, name, fn):
@@ -62,10 +63,10 @@ def test_criterion_1_connected_sum_decomposition(capsys):
             assert all(s.spaces[u].dim == 0 for u in (1, 3, 5, 7))
         for s, other in ((result.summands[0], result.summands[1]),
                          (result.summands[1], result.summands[0])):
-            xv = w.embed(2, s.element.as_vector())
+            xv = embed(w, 2, s.element.as_vector())
             for u in (2, 4):
                 for row in other.spaces[u].basis:
-                    prod = w.parent.cup(2, xv, u, w.embed(u, row))
+                    prod = w.parent.cup(2, xv, u, embed(w, u, row))
                     assert not w.to_window(u + 2, prod).any()
         assert report.ok and report.violations == ()
         assert elapsed < 1.0, f"took {elapsed:.3f}s"

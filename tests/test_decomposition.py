@@ -23,6 +23,7 @@ from periodica.algebra import Element, _as_int
 from periodica.decomposition import VerificationFailure
 from rebasing import rebased
 from test_fplin import random_semisimple
+from window_vectors import embed
 
 
 def build(text):
@@ -132,9 +133,9 @@ def test_summands_annihilate_each_other():
     a, b = result.summands
     for u in (2, 4):
         # a's element multiplies b's space to zero, degreewise
-        av = w.embed(2, a.element.as_vector())
+        av = embed(w, 2, a.element.as_vector())
         for col in b.spaces[u].basis:
-            prod = w.parent.cup(2, av, u, w.embed(u, col))
+            prod = w.parent.cup(2, av, u, embed(w, u, col))
             assert not w.to_window(u + 2, prod).any(), u
 
 

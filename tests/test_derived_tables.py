@@ -23,6 +23,7 @@ from periodica.periodicity import (PeriodicityCertificate, SubquotientAlgebra,
                                    WellDefinednessFailure, verify_certificate)
 from periodica.steenrod import InducedActionFailure, SteenrodAction, operation_shift, verify_action
 from rebasing import rebased_with_action
+from window_vectors import embed
 
 # --- the reference loops, verbatim apart from their names -------------------
 
@@ -204,7 +205,7 @@ def old_induced_action_on_window(window, act: SteenrodAction) -> SteenrodAction:
                 break
             table = np.zeros((window.dim(t), dj), dtype=np.int64)
             for b in range(dj):
-                v = act.apply(s, j, window.embed(j, window.basis_element(j, b)))
+                v = act.apply(s, j, embed(window, j, window.basis_element(j, b)))
                 try:
                     table[:, b] = window.to_window(t, v)
                 except ValueError:
@@ -420,6 +421,89 @@ def test_an_operation_into_a_degree_empty_only_in_the_window_is_refused(op, mess
     for induced in (steenrod.induced_action_on_window, old_induced_action_on_window):
         with pytest.raises(InducedActionFailure, match=re.escape(message)):
             induced(window, forged)
+
+
+def test_a_forged_operation_of_the_inducing_element_is_refused_at_p3():
+    """GF(3)[x]/(x^4) with x in degree 2, plus a class z in degree 6 that
+    every positive class kills, top degree 7, degree 6 in the basis
+    (z, x^3).  P^1 x = x^3 is the one operation from degree 2, and it lands
+    in the top window degree, the image (x^3) of x.  Forged to z + x^3, it
+    is refused, as by the reference."""
+    eye = functools.partial(np.eye, dtype=np.int64)
+    mult = {(0, 0): eye(1), (0, 2): eye(1), (2, 0): eye(1), (0, 4): eye(1), (4, 0): eye(1),
+            (0, 6): eye(2), (6, 0): eye(2), (2, 2): [[1]], (2, 4): [[0], [1]],
+            (4, 2): [[0], [1]]}
+    alg = GradedAlgebra(3, 7, [1, 0, 1, 0, 1, 0, 2, 0], mult)
+    alg.validate()
+    act = SteenrodAction(alg, {(1, 2): [[0], [1]]})
+    verify_action(alg, act)
+    cert = P.find_inducing_element(alg, 2)
+    window = P.subquotient(alg, cert, action=act)
+    assert window.spaces[6].pivots == (1,) and window.action.maps
+    ref = old_subquotient(alg, cert, action=act)
+    assert_same_tables((window, window.action), (ref, ref.action))
+    forged = SteenrodAction(alg, {(1, 2): [[1], [1]]})
+    message = "operation 1 of the inducing element is not one of its multiples in degree 6"
+    for induced in (steenrod.induced_action_on_window, old_induced_action_on_window):
+        with pytest.raises(InducedActionFailure, match=re.escape(message)):
+            induced(window, forged)
+
+
+PREMISE_SPECS = PERIOD_SPECS + DECOMPOSE_SPECS + KERNEL_SPECS
+
+
+@functools.cache
+def _certificates(text):
+    """The algebra of text and every certificate search_degrees finds on it."""
+    alg = corpus.build(corpus.parse_spec(text)).algebra
+    found = P.search_degrees(alg, range(1, alg.n)).values()
+    return alg, [c for c in found if isinstance(c, PeriodicityCertificate)]
+
+
+@pytest.mark.parametrize("text", PREMISE_SPECS)
+def test_cupping_with_an_inducer_is_onto_every_degree_an_operation_reaches_below_the_top(text):
+    """The premise that lets induced_action_on_window skip its "P^s(x) is a
+    multiple of x" test below degree n - 1: for every certificate found,
+    direct, window or product, x times degree t - k is all of degree t at
+    each t <= n - 2 an operation from degree k reaches."""
+    alg, certs = _certificates(text)
+    p, n = alg.p, alg.n
+    for cert in certs:
+        xv = cert.element.as_vector() % p
+        for s in steenrod.operations(p, cert.k, n - 2):
+            t = cert.k + operation_shift(p, s)
+            image = fplin.image(alg.cup_matrix(cert.k, xv, t - cert.k), p)
+            assert image.dim == alg.dim(t), (cert, t)
+
+
+def test_the_premise_fixtures_hold_every_certificate_mode():
+    modes = {c.mode for text in PREMISE_SPECS for c in _certificates(text)[1]}
+    assert modes == {"direct", "window", "product"}
+
+
+def test_a_window_of_whole_degrees_solves_nothing_it_can_read(monkeypatch):
+    """On 5xCP(6)@2 every window degree is whole (degrees 1 and 11 are
+    zero), so subquotient copies every table from the parent and rebuilds
+    none.  Its row reductions are the certificate's four window ranks and
+    the four shift inverses; the induced action tests nothing below the
+    top degree, which is zero."""
+    fx = corpus.build(corpus.parse_spec(DECOMPOSE_SPECS[3]))
+    cert = P.find_inducing_element(fx.algebra, 2)
+    calls = dict.fromkeys(["_block_products", "rref"], 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counted(P, "_block_products")
+    counted(fplin, "rref")
+    window = P.subquotient(fx.algebra, cert, action=fx.action)
+    assert window.action is not None
+    assert calls == {"_block_products": 0, "rref": 8}
 
 
 @pytest.mark.parametrize("p", [2, 3])

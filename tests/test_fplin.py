@@ -594,6 +594,46 @@ def test_restricted_matrix():
         fplin.restricted_matrix(np.eye(2, dtype=np.int64), Subspace.full(2, 2), tiny)
 
 
+def solved_restricted_matrix(op, source, target):
+    """restricted_matrix's general solve, which reads the images of the
+    source basis at the target's pivots and checks they lie in target;
+    the reference for the shortcut between whole spaces."""
+    p = source.p
+    images = (np.asarray(op, dtype=np.int64) % p @ source.basis.T) % p
+    coords = images[..., list(target.pivots), :]
+    if not np.array_equal((coords.swapaxes(-1, -2) @ target.basis) % p, images.swapaxes(-1, -2)):
+        raise ValueError("vector not in subspace")
+    return coords
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_restricted_matrix_between_whole_spaces_is_the_general_solve(p):
+    rng = np.random.default_rng(34 + p)
+    for _ in range(20):
+        ds, dt, count = (int(x) for x in rng.integers(0, 5, size=3))
+        source, target = Subspace.full(p, ds), Subspace.full(p, dt)
+        # unreduced entries, so the shortcut must reduce them as the solve does
+        for ops in (rng.integers(-p, 3 * p, size=(dt, ds)),
+                    rng.integers(-p, 3 * p, size=(count, dt, ds))):
+            got = fplin.restricted_matrix(ops, source, target)
+            want = solved_restricted_matrix(ops, source, target)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+    whole = Subspace.full(p, 2)
+    with pytest.raises(ValueError, match="mismatched primes"):
+        fplin.restricted_matrix(np.eye(2, dtype=np.int64), whole, Subspace.full(7, 2))
+    with pytest.raises(ValueError, match="does not match the given spaces"):
+        fplin.restricted_matrix(np.zeros((3, 2), dtype=np.int64), whole, whole)
+    with pytest.raises(ValueError, match="expected a 2-D matrix or a stack"):
+        fplin.restricted_matrix(np.zeros((1, 1, 2, 2), dtype=np.int64), whole, whole)
+    # a proper target is still solved, and an image outside it refused
+    proper = Subspace.from_vectors([np.array([1, 0])], p, 2)
+    for op in (np.eye(2, dtype=np.int64), np.stack([np.diag([1, 0]), np.eye(2, dtype=np.int64)])):
+        with pytest.raises(ValueError, match="vector not in subspace"):
+            fplin.restricted_matrix(op, whole, proper)
+    assert fplin.restricted_matrix(np.diag([1, 0]), whole, proper).tolist() == [[1, 0]]
+
+
 def test_mat_inv_and_pow():
     rng = np.random.default_rng(26)
     for p in (2, 3, 5):

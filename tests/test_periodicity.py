@@ -22,6 +22,7 @@ from periodica.periodicity import (ClosureViolation, ConsistencyFailure, Periodi
                                    SearchCapExceeded, WellDefinednessFailure, WindowRefusal,
                                    _window_failure)
 from rebasing import rebased
+from window_vectors import embed
 
 
 def build(text):
@@ -149,7 +150,7 @@ def test_subquotient_round_trips():
             continue
         for _ in range(4):
             v = rng.integers(0, w.p, size=d)
-            assert np.array_equal(w.to_window(i, w.embed(i, v)), v % w.p)
+            assert np.array_equal(w.to_window(i, embed(w, i, v)), v % w.p)
             assert np.array_equal(w.unshift(i, w.shift(i, v)), v % w.p)
 
 
